@@ -12,7 +12,7 @@ comparing approximate against exact influence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -25,34 +25,67 @@ ALPHA_MONOTONE_TOL = 1e-15
 DrivingSequence = Union[np.ndarray, Sequence[float], Callable[[int], np.ndarray]]
 
 
-def _as_provider(seq: DrivingSequence, size: int, name: str) -> Callable[[int], np.ndarray]:
-    if callable(seq):
-        return seq
+def _arc_ends(arcs: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Tail and head index arrays of the arcs, in the given order."""
+    tails = np.array([v for v, _ in arcs], dtype=np.intp)
+    heads = np.array([w for _, w in arcs], dtype=np.intp)
+    return tails, heads
+
+
+@dataclass(frozen=True)
+class _ArcGather:
+    """Sums over a digraph's arcs: node v gathers from every w with an arc (v, w).
+
+    Sums run in the given arc order, so every update is bitwise
+    reproducible.  ``coef`` weights each arc in the decay term of ``step``.
+    """
+
+    arc_from: np.ndarray
+    arc_to: np.ndarray
+    size: int
+    coef: Optional[np.ndarray] = None
+
+    def gather(self, values: np.ndarray) -> np.ndarray:
+        return np.bincount(self.arc_from, weights=values[self.arc_to], minlength=self.size)
+
+    def step(self, omega: np.ndarray, eta: np.ndarray, alpha, beta) -> tuple[np.ndarray, ...]:
+        """One synchronous decay/growth update from the step-t buffers."""
+        shrink = 1.0 - omega
+        contrib = np.bincount(
+            self.arc_from, weights=self.coef * shrink[self.arc_to], minlength=self.size
+        )
+        omega_new = 1.0 / (1.0 + alpha + contrib)
+        eta_new = 1.0 + beta + self.gather(omega * eta)
+        return omega_new, eta_new
+
+
+def _generalized_gather(d: Digraph, r: np.ndarray, s: np.ndarray) -> _ArcGather:
+    arc_from, arc_to = _arc_ends(d.arcs)
+    return _ArcGather(arc_from, arc_to, d.node_count, r[arc_from] * s[arc_to])
+
+
+def _driving(seq, size: int, name: str, nonnegative: bool = False) -> np.ndarray:
     arr = np.asarray(seq, dtype=np.float64)
     if arr.shape != (size,):
         raise ValueError(f"{name} must have one entry per digraph node")
-    return lambda _t: arr
-
-
-class _ArcGather:
-    """Flattened arc arrays for vectorized updates, in stored arc order."""
-
-    def __init__(self, d: Digraph, r: np.ndarray, s: np.ndarray):
-        self.arc_from = np.array([v for v, _ in d.arcs], dtype=np.intp)
-        self.arc_to = np.array([w for _, w in d.arcs], dtype=np.intp)
-        self.coef = r[self.arc_from] * s[self.arc_to]
-        self.size = d.node_count
+    if nonnegative and not np.all(arr >= 0.0):
+        raise ValueError(f"{name} must be nonnegative")
+    return arr
 
 
 @dataclass(frozen=True)
 class GeneralizedDynamicsState:
-    """One step of the driven decay/growth recursion on a digraph."""
+    """One step of the driven decay/growth recursion on a digraph.
+
+    ``alpha`` and ``beta`` are constant arrays, checked once at the
+    start, or callables of t, whose values are checked at every step.
+    """
 
     d: Digraph
     omega: np.ndarray
     eta: np.ndarray
-    alpha: Callable[[int], np.ndarray]
-    beta: Callable[[int], np.ndarray]
+    alpha: DrivingSequence
+    beta: DrivingSequence
     r: np.ndarray
     s: np.ndarray
     t: int = 0
@@ -67,8 +100,12 @@ def initial_generalized_state(
     r: Sequence[float],
     s: Sequence[float],
 ) -> GeneralizedDynamicsState:
-    """Start the recursion at omega = eta = 1 and validate r = 1/s."""
+    """Start the recursion at omega = eta = 1 and validate alpha and r = 1/s."""
     n = d.node_count
+    if not callable(alpha):
+        alpha = _driving(alpha, n, "alpha", nonnegative=True)
+    if not callable(beta):
+        beta = _driving(beta, n, "beta")
     r_arr = np.asarray(r, dtype=np.float64)
     s_arr = np.asarray(s, dtype=np.float64)
     if r_arr.shape != (n,) or s_arr.shape != (n,):
@@ -81,54 +118,19 @@ def initial_generalized_state(
         d=d,
         omega=np.ones(n),
         eta=np.ones(n),
-        alpha=_as_provider(alpha, n, "alpha"),
-        beta=_as_provider(beta, n, "beta"),
+        alpha=alpha,
+        beta=beta,
         r=r_arr,
         s=s_arr,
         t=0,
         _last_alpha=None,
-        _gather=_ArcGather(d, r_arr, s_arr),
+        _gather=_generalized_gather(d, r_arr, s_arr),
     )
-
-
-def _checked_alpha(state: GeneralizedDynamicsState) -> np.ndarray:
-    alpha_t = np.asarray(state.alpha(state.t), dtype=np.float64)
-    if alpha_t.shape != (state.d.node_count,):
-        raise ValueError("alpha(t) has the wrong shape")
-    if np.any(alpha_t < 0.0):
-        raise ValueError("alpha(t) must be nonnegative")
-    if state._last_alpha is not None and np.any(alpha_t < state._last_alpha - ALPHA_MONOTONE_TOL):
-        raise ValueError(f"alpha decreased at t={state.t}; the driving sequence must be non-decreasing")
-    return alpha_t
 
 
 def generalized_step(state: GeneralizedDynamicsState) -> GeneralizedDynamicsState:
     """Synchronous update of both vectors from the step-t buffers."""
-    gather = state._gather if state._gather is not None else _ArcGather(state.d, state.r, state.s)
-    alpha_t = _checked_alpha(state)
-    beta_t = np.asarray(state.beta(state.t), dtype=np.float64)
-    n = gather.size
-    shrink = 1.0 - state.omega
-    contrib = np.bincount(
-        gather.arc_from, weights=gather.coef * shrink[gather.arc_to], minlength=n
-    )
-    omega_new = 1.0 / (1.0 + alpha_t + contrib)
-    flow = state.omega * state.eta
-    eta_new = 1.0 + beta_t + np.bincount(
-        gather.arc_from, weights=flow[gather.arc_to], minlength=n
-    )
-    return GeneralizedDynamicsState(
-        d=state.d,
-        omega=omega_new,
-        eta=eta_new,
-        alpha=state.alpha,
-        beta=state.beta,
-        r=state.r,
-        s=state.s,
-        t=state.t + 1,
-        _last_alpha=alpha_t,
-        _gather=gather,
-    )
+    return run_generalized(state, 1)
 
 
 def run_generalized(
@@ -137,11 +139,22 @@ def run_generalized(
     stop_eta_above: Optional[float] = None,
 ) -> GeneralizedDynamicsState:
     """Apply up to ``steps`` updates; optionally stop once eta crosses a bound."""
+    gather = state._gather or _generalized_gather(state.d, state.r, state.s)
+    alpha, beta = state.alpha, state.beta
+    omega, eta, t, last_alpha = state.omega, state.eta, state.t, state._last_alpha
     for _ in range(steps):
-        state = generalized_step(state)
-        if stop_eta_above is not None and float(state.eta.max()) > stop_eta_above:
+        alpha_t = alpha
+        if callable(alpha):
+            alpha_t = _driving(alpha(t), gather.size, "alpha(t)", nonnegative=True)
+            if last_alpha is not None and np.any(alpha_t < last_alpha - ALPHA_MONOTONE_TOL):
+                raise ValueError(f"alpha decreased at t={t}; the driving sequence must be non-decreasing")
+        beta_t = np.asarray(beta(t), dtype=np.float64) if callable(beta) else beta
+        omega, eta = gather.step(omega, eta, alpha_t, beta_t)
+        last_alpha = alpha_t
+        t += 1
+        if stop_eta_above is not None and float(eta.max()) > stop_eta_above:
             break
-    return state
+    return replace(state, omega=omega, eta=eta, t=t, _last_alpha=last_alpha, _gather=gather)
 
 
 def check_convergence_hypothesis(d: Digraph, alpha_support: Iterable[int]) -> frozenset[int]:
@@ -174,7 +187,8 @@ def spectral_radius_diagnostic(
 
     The iteration runs on the matrix plus the identity, which leaves the
     radius shifted by exactly one but makes it converge on periodic
-    structures such as directed cycles.
+    structures such as directed cycles.  Each product is one gather
+    over the arcs; no dense matrix is formed.
     """
     n = d.node_count
     w = np.asarray(omega, dtype=np.float64)
@@ -182,23 +196,17 @@ def spectral_radius_diagnostic(
         raise ValueError("omega must have one entry per digraph node")
     if np.any(w <= 0.0) or np.any(w > 1.0):
         raise ValueError("omega entries must lie in (0, 1]")
-    a = np.zeros((n, n))
-    for v, u in d.arcs:
-        a[v, u] = w[u]
-    shifted = a + np.eye(n)
+    gather = _ArcGather(*_arc_ends(d.arcs), n)
 
     x = np.ones(n) / np.sqrt(n)
+    y = x + gather.gather(w * x)
     estimate = 0.0
     for _ in range(max_iter):
-        y = shifted @ x
-        norm = float(np.linalg.norm(y))
-        if norm == 0.0:
-            return 0.0
-        x_new = y / norm
-        estimate = float(x_new @ (shifted @ x_new))
-        if float(np.linalg.norm(shifted @ x_new - estimate * x_new)) <= tol:
+        x = y / float(np.linalg.norm(y))
+        y = x + gather.gather(w * x)
+        estimate = float(x @ y)
+        if float(np.linalg.norm(y - estimate * x)) <= tol:
             return max(estimate - 1.0, 0.0)
-        x = x_new
     raise ArithmeticError(
         f"power iteration did not converge in {max_iter} steps; last estimate {estimate - 1.0:.6e}"
     )

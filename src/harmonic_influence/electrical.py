@@ -45,13 +45,13 @@ class ConductanceNetwork:
         if set(cond) != set(g.edges):
             raise ValueError("edge conductances must cover exactly the graph's edges")
         for e, c in cond.items():
-            if not c > 0.0:
-                raise ValueError(f"conductance of edge {e} must be positive, got {c}")
+            if not 0.0 < c < np.inf:
+                raise ValueError(f"conductance of edge {e} must be positive and finite, got {c}")
         gamma = np.asarray(self.field_conductance, dtype=np.float64)
         if gamma.shape != (g.node_count,):
             raise ValueError("field_conductance must have one entry per node")
-        if np.any(gamma < 0.0):
-            raise ValueError("field conductances must be nonnegative")
+        if not np.all((gamma >= 0.0) & (gamma < np.inf)):
+            raise ValueError("field conductances must be nonnegative and finite")
         for comp in connected_components(g):
             if not any(gamma[i] > 0.0 for i in comp):
                 raise ValueError(

@@ -63,7 +63,7 @@ class ExperimentConfig:
             raise ValueError("extra_edges must be nonnegative")
         if not self.gamma > 0.0:
             raise ValueError("gamma must be positive: every node trusts the field")
-        if self.tol < 0.0:
+        if not self.tol >= 0.0:
             raise ValueError("tol must be nonnegative")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
@@ -258,6 +258,8 @@ def load_graph(path: Path | str) -> GraphFile:
             cond = float(tokens[2]) if len(tokens) == 3 else 1.0
         except ValueError:
             raise ValueError(f"{path}:{lineno}: malformed conductance in {raw!r}") from None
+        if not math.isfinite(cond):
+            raise ValueError(f"{path}:{lineno}: conductance must be finite, got {tokens[2]!r}")
         if tokens[1] == "f":
             u = parse_node(tokens[0], lineno)
             field[u] = field.get(u, 0.0) + cond

@@ -148,10 +148,11 @@ def erdos_renyi(n: int, p: float, seed: int) -> UndirectedGraph:
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    draws = rng.random(len(pairs))
-    edges = [pair for pair, x in zip(pairs, draws) if x < p]
-    return UndirectedGraph(n, tuple(edges))
+    # One draw per pair in row-major order (0, 1), (0, 2), ..., (n-2, n-1);
+    # this order fixes each pair's draw, so seeded graphs never change.
+    rows, cols = np.triu_indices(n, 1)
+    keep = rng.random(len(rows)) < p
+    return UndirectedGraph(n, tuple(zip(rows[keep].tolist(), cols[keep].tolist())))
 
 
 def connected_components(g: UndirectedGraph) -> list[set[int]]:

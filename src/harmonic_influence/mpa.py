@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from .analysis import _ArcGather, _arc_ends
 from .electrical import InfluenceWeights
 from .graphs import MessageDigraph, UndirectedGraph, is_connected, message_digraph
 
@@ -26,43 +27,27 @@ DEFAULT_MAX_ITER = 10**5
 
 
 class _Kernel:
-    """Precompiled update arrays for one (message digraph, weights) pair."""
+    """The message updates as the decay/growth step of ``analysis``.
+
+    Message (j, i) gathers over its dependency arcs to the messages
+    (i, k), k != j, with coefficient trust[(i, k)] / trust[(i, j)], is
+    driven by alpha = q_i / trust[(i, j)], and its influence message has
+    no driving term (beta = 0).
+    """
 
     def __init__(self, md: MessageDigraph, weights: InfluenceWeights):
         self.md = md
         self.weights = weights
-        m = md.size
-        trust = weights.trust
-        q = weights.field_trust
-        alpha = np.empty(m)
-        for idx, (j, i) in enumerate(md.arc_nodes):
-            alpha[idx] = q[i] / trust[(i, j)]
-        # Dependency arcs (a -> b): message a is computed from message b.
-        # md.arcs is ordered by (a, then ascending source id), which for a
-        # fixed a means ascending neighbor index of the sender.
-        self.dep_target = np.array([a for a, _ in md.arcs], dtype=np.intp)
-        self.dep_source = np.array([b for _, b in md.arcs], dtype=np.intp)
-        coef = np.empty(len(md.arcs))
-        for e, (a, b) in enumerate(md.arcs):
-            j, i = md.arc_nodes[a]
-            _, k = md.arc_nodes[b]
-            coef[e] = trust[(i, k)] / trust[(i, j)]
-        self.dep_coef = coef
-        self.alpha = alpha
+        # Per message (j, i): the sender's trust in the receiver, and back.
+        sender_trust = np.array([weights.trust[(i, j)] for j, i in md.arc_nodes])
+        receiver_trust = np.array([weights.trust[(j, i)] for j, i in md.arc_nodes])
+        self.alpha = weights.field_trust[md.senders()] / sender_trust
+        # md.arcs is ordered by (message, then ascending sender of its
+        # source message), so every gather sums in ascending neighbor order.
+        arc_from, arc_to = _arc_ends(md.arcs)
+        coef = receiver_trust[arc_to] / sender_trust[arc_from]
+        self.gather = _ArcGather(arc_from, arc_to, md.size, coef)
         self.receivers = md.receivers()
-        self.size = m
-
-    def step(self, w: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        shrink = 1.0 - w
-        contrib = np.bincount(
-            self.dep_target, weights=self.dep_coef * shrink[self.dep_source], minlength=self.size
-        )
-        w_new = 1.0 / (1.0 + self.alpha + contrib)
-        flow = w * h
-        h_new = 1.0 + np.bincount(
-            self.dep_target, weights=flow[self.dep_source], minlength=self.size
-        )
-        return w_new, h_new
 
     def estimates(self, w: np.ndarray, h: np.ndarray) -> np.ndarray:
         n = self.md.base.node_count
@@ -101,7 +86,7 @@ def _kernel_for(state: MessageState, weights: InfluenceWeights) -> _Kernel:
 def mpa_step(state: MessageState, weights: InfluenceWeights) -> MessageState:
     """One synchronous update of every message."""
     kernel = _kernel_for(state, weights)
-    w_new, h_new = kernel.step(state.w_msgs, state.h_msgs)
+    w_new, h_new = kernel.gather.step(state.w_msgs, state.h_msgs, kernel.alpha, 0.0)
     w_new.setflags(write=False)
     h_new.setflags(write=False)
     return MessageState(md=state.md, w_msgs=w_new, h_msgs=h_new, t=state.t + 1, _kernel=kernel)
@@ -162,7 +147,7 @@ def run_mpa(
         raise ValueError("graph has no edges, so there are no messages to pass")
     if not is_connected(g):
         raise ValueError("message passing requires a connected graph")
-    if tol < 0.0:
+    if not tol >= 0.0:
         raise ValueError("tol must be nonnegative")
 
     md = message_digraph(g)
@@ -178,7 +163,7 @@ def run_mpa(
     residual = np.inf
     steps = 0
     while steps < max_iter:
-        w_new, h_new = kernel.step(w, h)
+        w_new, h_new = kernel.gather.step(w, h, kernel.alpha, 0.0)
         est_new = kernel.estimates(w_new, h_new)
         steps += 1
         residual = float(np.abs(w_new - w).sum() + np.abs(est_new - est).sum())

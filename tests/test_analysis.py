@@ -63,6 +63,14 @@ def test_scaling_vectors_must_be_reciprocal():
         initial_generalized_state(d, np.zeros(3), np.zeros(3), np.full(3, 2.0), np.full(3, 2.0))
 
 
+def test_constant_alpha_validated_once_at_start():
+    d = directed_cycle(3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        initial_generalized_state(d, np.array([0.1, -0.1, 0.1]), np.zeros(3), np.ones(3), np.ones(3))
+    with pytest.raises(ValueError, match="one entry per digraph node"):
+        initial_generalized_state(d, np.zeros(4), np.zeros(3), np.ones(3), np.ones(3))
+
+
 def test_decreasing_alpha_raises():
     d = directed_cycle(3)
 

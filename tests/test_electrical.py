@@ -50,6 +50,15 @@ def test_network_rejects_nonpositive_edge_conductance():
         ConductanceNetwork(g, {(0, 1): 0.0}, np.array([0.1, 0.1]))
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_network_rejects_non_finite_conductances(bad):
+    g = UndirectedGraph(2, ((0, 1),))
+    with pytest.raises(ValueError, match="finite"):
+        ConductanceNetwork(g, {(0, 1): bad}, np.array([0.1, 0.1]))
+    with pytest.raises(ValueError, match="finite"):
+        ConductanceNetwork(g, {(0, 1): 1.0}, np.array([0.1, bad]))
+
+
 def test_network_rejects_missing_or_extra_conductances():
     g = UndirectedGraph(3, ((0, 1), (1, 2)))
     with pytest.raises(ValueError):

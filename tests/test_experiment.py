@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from harmonic_influence import cli
+from harmonic_influence.electrical import build_weights, uniform_network
 from harmonic_influence.experiment import (
     ExperimentConfig,
     _write_trace_csv,
@@ -15,6 +16,7 @@ from harmonic_influence.experiment import (
     save_report,
 )
 from harmonic_influence.graphs import UndirectedGraph, erdos_renyi
+from harmonic_influence.mpa import run_mpa
 
 SMALL_CFG = dict(n=16, p=0.25, extra_edges=3, gamma=0.04, seed=7)
 
@@ -34,6 +36,16 @@ def test_config_rejects_bad_values():
         ExperimentConfig(extra_edges=-1)
     with pytest.raises(ValueError):
         ExperimentConfig(max_iter=0)
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan])
+def test_negative_or_nan_tol_rejected(tol):
+    with pytest.raises(ValueError, match="tol"):
+        ExperimentConfig(tol=tol)
+    g = UndirectedGraph(2, ((0, 1),))
+    weights = build_weights(uniform_network(g, 0.04))
+    with pytest.raises(ValueError, match="tol"):
+        run_mpa(g, weights, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -253,3 +265,19 @@ def test_cli_input_errors_exit_one(tmp_path, capsys):
     assert cli.main(["exact", str(bad)]) == 1
     assert cli.main(["generate", "--n", "oops", "--out", str(tmp_path)]) == 1
     assert cli.main(["nonsense"]) == 1
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0 1 inf\n", "conductance must be finite"),
+    ("0 1\n0 f nan\n", "conductance must be finite"),
+    # conductances 300 orders of magnitude apart: the grounded matrix is
+    # numerically indefinite and the solver raises ArithmeticError
+    ("0 1 1e308\n1 2 1e-300\n", "not positive definite"),
+])
+def test_cli_bad_conductances_exit_one_with_error_line(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.edges"
+    bad.write_text(text)
+    assert cli.main(["exact", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and message in captured.err
+    assert captured.out == ""

@@ -79,6 +79,16 @@ def test_erdos_renyi_deterministic_for_seed():
     assert a.edges != c.edges
 
 
+def test_erdos_renyi_matches_explicit_pair_enumeration():
+    # One uniform draw per pair, pairs enumerated row by row: seeded graphs
+    # must not change with the implementation.
+    for n, p, seed in ((1, 0.5, 0), (2, 1.0, 3), (50, 0.1, 7), (120, 0.05, 11)):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        draws = np.random.default_rng(seed).random(len(pairs))
+        expected = tuple(pair for pair, x in zip(pairs, draws) if x < p)
+        assert erdos_renyi(n, p, seed).edges == expected, (n, p, seed)
+
+
 def test_erdos_renyi_edge_count_distribution():
     # n=50, p=0.1: expected 122.5 edges per draw; the mean over 40 seeds
     # has standard deviation ~1.7, so a +-6 band is a >3-sigma check.
