@@ -16,6 +16,8 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
+import scipy.sparse
+import scipy.sparse.csgraph
 
 from .graphs import Digraph, condensation, reachable_set
 
@@ -188,7 +190,9 @@ def spectral_radius_diagnostic(
     The iteration runs on the matrix plus the identity, which leaves the
     radius shifted by exactly one but makes it converge on periodic
     structures such as directed cycles.  Each product is one gather
-    over the arcs; no dense matrix is formed.
+    over the arcs; no dense matrix is formed.  A digraph without a cycle
+    has radius 0, returned directly: there the shifted matrix is a
+    nontrivial Jordan block for eigenvalue 1 and the iteration stalls.
     """
     n = d.node_count
     w = np.asarray(omega, dtype=np.float64)
@@ -196,7 +200,12 @@ def spectral_radius_diagnostic(
         raise ValueError("omega must have one entry per digraph node")
     if np.any(w <= 0.0) or np.any(w > 1.0):
         raise ValueError("omega entries must lie in (0, 1]")
-    gather = _ArcGather(*_arc_ends(d.arcs), n)
+    tails, heads = _arc_ends(d.arcs)
+    adjacency = scipy.sparse.csr_matrix((np.ones(len(tails)), (tails, heads)), shape=(n, n))
+    strong = scipy.sparse.csgraph.connected_components(adjacency, connection="strong", return_labels=False)
+    if strong == n and not np.any(tails == heads):
+        return 0.0
+    gather = _ArcGather(tails, heads, n)
 
     x = np.ones(n) / np.sqrt(n)
     y = x + gather.gather(w * x)

@@ -15,12 +15,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .graphs import Edge, MessageDigraph, UndirectedGraph, connected_components
 
-DENSE_SOLVE_CUTOFF = 2000
 RESIDUAL_RTOL = 1e-10
 
 
@@ -148,16 +145,29 @@ def _grounded_laplacian(net: ConductanceNetwork) -> np.ndarray:
     return lap
 
 
-def grounded_laplacian_solve(
-    net: ConductanceNetwork,
-    leader: int,
-    dense_cutoff: int = DENSE_SOLVE_CUTOFF,
-) -> PotentialVector:
+def _cholesky(a: np.ndarray, what: str) -> tuple[np.ndarray, bool]:
+    try:
+        return scipy.linalg.cho_factor(a, lower=True, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise ArithmeticError(f"{what} is not positive definite") from exc
+
+
+def _checked_potentials(values: np.ndarray) -> np.ndarray:
+    # Potentials are convex combinations of the boundary values 0 and 1;
+    # anything beyond roundoff distance from [0, 1] (or NaN) signals a bad system.
+    if not (values.min() >= -1e-9 and values.max() <= 1.0 + 1e-9):
+        raise ArithmeticError("potentials escaped [0, 1] beyond roundoff")
+    np.clip(values, 0.0, 1.0, out=values)
+    values.setflags(write=False)
+    return values
+
+
+def grounded_laplacian_solve(net: ConductanceNetwork, leader: int) -> PotentialVector:
     """Potentials of all nodes with the leader at 1 and the field grounded.
 
-    Solves L_RR y_R = C_{R,leader} where R excludes the leader.  Uses a
-    dense Cholesky factorization up to ``dense_cutoff`` nodes and
-    conjugate gradients with a diagonal preconditioner beyond that.
+    Solves L_RR y_R = C_{R,leader} where R excludes the leader, by a
+    dense Cholesky factorization: the per-leader reference for
+    ``harmonic_influence_exact`` and ``exact_message_potentials``.
     """
     n = net.node_count
     if not 0 <= leader < n:
@@ -169,21 +179,8 @@ def grounded_laplacian_solve(
     keep = np.array([i for i in range(n) if i != leader], dtype=np.intp)
     lrr = lap[np.ix_(keep, keep)]
     rhs = np.array([net.conductance(i, leader) if net.graph.has_edge(i, leader) else 0.0 for i in keep])
-
-    if n <= dense_cutoff:
-        try:
-            chol = scipy.linalg.cho_factor(lrr, lower=True, check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
-            raise ArithmeticError(
-                f"grounded Laplacian with leader {leader} is not positive definite"
-            ) from exc
-        y_r = scipy.linalg.cho_solve(chol, rhs, check_finite=False)
-    else:
-        a = scipy.sparse.csr_matrix(lrr)
-        precond = scipy.sparse.diags(1.0 / lrr.diagonal())
-        y_r, info = scipy.sparse.linalg.cg(a, rhs, rtol=1e-12, atol=0.0, M=precond, maxiter=50 * n)
-        if info != 0:
-            raise ArithmeticError(f"conjugate gradient failed to converge (info={info})")
+    chol = _cholesky(lrr, f"grounded Laplacian with leader {leader}")
+    y_r = scipy.linalg.cho_solve(chol, rhs, check_finite=False)
 
     rhs_scale = float(np.abs(rhs).sum())
     residual = float(np.abs(lrr @ y_r - rhs).sum())
@@ -195,50 +192,52 @@ def grounded_laplacian_solve(
     values = np.empty(n)
     values[keep] = y_r
     values[leader] = 1.0
-    # Potentials are convex combinations of the boundary values 0 and 1;
-    # anything beyond roundoff distance from [0, 1] signals a bad system.
-    if values.min() < -1e-9 or values.max() > 1.0 + 1e-9:
-        raise ArithmeticError("potentials escaped [0, 1] beyond roundoff")
-    np.clip(values, 0.0, 1.0, out=values)
-    values.setflags(write=False)
-    return PotentialVector(leader=leader, values=values)
+    return PotentialVector(leader=leader, values=_checked_potentials(values))
 
 
-def harmonic_influence_exact(net: ConductanceNetwork, dense_cutoff: int = DENSE_SOLVE_CUTOFF) -> InfluenceVector:
-    """Exact harmonic influence of every node, one grounded solve per leader.
+def _potential_matrix(net: ConductanceNetwork) -> np.ndarray:
+    """Row l holds the potentials with leader l at 1 and the field grounded.
 
-    The per-leader solves are independent pure functions of the network;
-    callers needing speed can distribute them freely.
+    Column l of M^-1, M = L + diag(gamma), is the response to a unit
+    current injected at l; dividing it by (M^-1)_ll puts the leader at 1.
+    M is factored once and the columns are solved one vector at a time:
+    a multi-right-hand-side solve wakes a second OpenBLAS thread that
+    keeps spinning through the message passing that follows.
     """
+    m = _grounded_laplacian(net)
+    chol = _cholesky(m, "grounded Laplacian L + diag(gamma)")
     n = net.node_count
-    values = np.empty(n)
+    pot = np.empty((n, n))
+    unit = np.zeros(n)
     for leader in range(n):
-        pot = grounded_laplacian_solve(net, leader, dense_cutoff=dense_cutoff)
-        # sum over all nodes = 1 (the leader's fixed potential) + sum over R
-        values[leader] = float(pot.values.sum())
+        unit[leader] = 1.0
+        x = scipy.linalg.cho_solve(chol, unit, check_finite=False)
+        residual = float(np.abs(m @ x - unit).sum())
+        if not residual <= RESIDUAL_RTOL:  # against ||e_l||_1 = 1; NaN fails too
+            raise ArithmeticError(
+                f"grounded solve residual {residual:.3e} exceeds tolerance for leader {leader}"
+            )
+        unit[leader] = 0.0
+        pot[leader] = x / x[leader]
+    return _checked_potentials(pot)
+
+
+def harmonic_influence_exact(net: ConductanceNetwork) -> InfluenceVector:
+    """Exact harmonic influence of every node: H(l) = (M^-1 1)_l / (M^-1)_ll,
+    the sum of all potentials with l as leader, its own 1 included."""
+    values = _potential_matrix(net).sum(axis=1)
     values.setflags(write=False)
     return InfluenceVector(values=values)
 
 
-def exact_message_potentials(
-    net: ConductanceNetwork,
-    md: MessageDigraph,
-    dense_cutoff: int = DENSE_SOLVE_CUTOFF,
-) -> np.ndarray:
+def exact_message_potentials(net: ConductanceNetwork, md: MessageDigraph) -> np.ndarray:
     """Exact counterpart of the converged potential messages.
 
     Entry for the message node (j, i) is the potential of i when j is
-    the leader, i.e. what the message flowing from i to j estimates.
-    One grounded solve per receiver node.
+    the leader, (M^-1)_ij / (M^-1)_jj: what the message from i to j estimates.
     """
-    out = np.empty(md.size)
-    by_receiver: dict[int, list[int]] = {}
-    for idx, (j, _i) in enumerate(md.arc_nodes):
-        by_receiver.setdefault(j, []).append(idx)
-    for j, indices in by_receiver.items():
-        pot = grounded_laplacian_solve(net, j, dense_cutoff=dense_cutoff)
-        for idx in indices:
-            out[idx] = pot.values[md.arc_nodes[idx][1]]
+    ends = np.array(md.arc_nodes, dtype=np.intp).reshape(-1, 2)
+    out = _potential_matrix(net)[ends[:, 0], ends[:, 1]]
     out.setflags(write=False)
     return out
 

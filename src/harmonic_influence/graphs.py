@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+import scipy.sparse
+import scipy.sparse.csgraph
 
 Edge = tuple[int, int]
 Arc = tuple[int, int]
@@ -202,12 +204,12 @@ def bfs_distances(g: UndirectedGraph, source: int) -> np.ndarray:
 
 
 def diameter(g: UndirectedGraph) -> int:
-    """Longest shortest path, by all-pairs BFS.  Requires a connected graph."""
+    """Longest shortest path, by all-pairs unweighted shortest paths.  Requires a connected graph."""
     _require_connected(g)
-    best = 0
-    for v in range(g.node_count):
-        best = max(best, int(bfs_distances(g, v).max()))
-    return best
+    ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
+    n = g.node_count
+    adjacency = scipy.sparse.csr_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(n, n))
+    return int(scipy.sparse.csgraph.shortest_path(adjacency, directed=False, unweighted=True).max())
 
 
 def spanning_tree(g: UndirectedGraph, seed: int) -> UndirectedGraph:

@@ -260,6 +260,12 @@ def test_spectral_radius_matches_dense_eigvals():
         assert got == pytest.approx(expected, abs=1e-6)
 
 
+def test_spectral_radius_zero_on_acyclic_digraphs():
+    # power iteration on I + A diag(omega) stalls on these (a Jordan block for 1)
+    for d in (Digraph(3, ((0, 1),)), Digraph(3, ((0, 1), (1, 2)))):
+        assert spectral_radius_diagnostic(d, np.full(3, 0.5)) == 0.0
+
+
 def test_spectral_radius_rejects_bad_omega():
     d = directed_cycle(3)
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from harmonic_influence.electrical import (
     ConductanceNetwork,
@@ -170,12 +171,53 @@ def test_grounded_matrix_is_positive_definite():
             np.linalg.cholesky(lap[np.ix_(keep, keep)])  # raises if not PD
 
 
-def test_solve_cg_path_matches_dense():
-    net = random_network(40, 0.15, seed=123)
-    for leader in (0, 13, 39):
-        dense = grounded_laplacian_solve(net, leader)
-        iterative = grounded_laplacian_solve(net, leader, dense_cutoff=1)
-        assert np.allclose(dense.values, iterative.values, atol=1e-8)
+def random_conductance_network(n, seed):
+    # non-uniform edge conductances; about a third of the nodes have no field edge
+    rng = np.random.default_rng(seed)
+    g = random_network(n, min(1.0, 4.0 / n), seed=seed).graph
+    gamma = rng.uniform(0.01, 0.2, size=n) * (rng.random(n) < 0.67)
+    gamma[rng.integers(n)] = 0.05
+    cond = {e: float(c) for e, c in zip(g.edges, rng.uniform(0.2, 5.0, size=g.edge_count))}
+    return ConductanceNetwork(g, cond, gamma)
+
+
+def test_closed_form_matches_per_leader_solves():
+    nets = [random_conductance_network(n, seed=300 + n) for n in (1, 2, 3, 9, 25, 40)]
+    assert any(np.any(net.field_conductance == 0.0) for net in nets)
+    for net in nets:
+        oracle = np.array([grounded_laplacian_solve(net, l).values for l in range(net.node_count)])
+        np.testing.assert_allclose(harmonic_influence_exact(net).values, oracle.sum(axis=1), rtol=1e-12, atol=0)
+        md = message_digraph(net.graph)
+        expected = [oracle[j, i] for j, i in md.arc_nodes]
+        np.testing.assert_allclose(exact_message_potentials(net, md), expected, rtol=1e-12, atol=0)
+
+
+def test_closed_form_checks_raise_arithmetic_error(monkeypatch):
+    import harmonic_influence.electrical as electrical
+
+    net = random_network(12, 0.3, seed=14)
+    lap = electrical._grounded_laplacian(net)
+    md = message_digraph(net.graph)
+    exact_forms = (lambda: harmonic_influence_exact(net), lambda: exact_message_potentials(net, md))
+    # flipping the off-diagonal signs keeps M positive definite and the
+    # solves accurate, but M^-1 then has negative entries: potentials < 0
+    flipped = np.abs(lap)
+    accurate_solve = scipy.linalg.cho_solve
+    assert np.all(np.linalg.eigvalsh(flipped) > 0.0)
+    cases = [
+        (lambda _net: flipped, None, "escaped"),
+        (lambda _net: -lap, None, "not positive definite"),
+        (None, lambda chol, b, **kw: 1.001 * accurate_solve(chol, b, **kw), "residual"),
+    ]
+    for laplacian, solve, message in cases:
+        with monkeypatch.context() as patch:
+            if laplacian is not None:
+                patch.setattr(electrical, "_grounded_laplacian", laplacian)
+            if solve is not None:
+                patch.setattr(electrical.scipy.linalg, "cho_solve", solve)
+            for exact_form in exact_forms:
+                with pytest.raises(ArithmeticError, match=message):
+                    exact_form()
 
 
 def test_solve_leader_out_of_range():
@@ -249,7 +291,7 @@ def test_exact_message_potentials_match_per_leader_solves():
     md = message_digraph(net.graph)
     w_star = exact_message_potentials(net, md)
     for idx, (j, i) in enumerate(md.arc_nodes):
-        assert w_star[idx] == grounded_laplacian_solve(net, j).values[i]
+        assert w_star[idx] == pytest.approx(grounded_laplacian_solve(net, j).values[i], rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from harmonic_influence.graphs import (
     Digraph,
     UndirectedGraph,
     add_extra_edges,
+    bfs_distances,
     condensation,
     connected_components,
     diameter,
@@ -322,6 +323,15 @@ def test_reachable_set_path():
 def test_diameter_path_and_cycle():
     assert diameter(path_graph(12)) == 11
     assert diameter(cycle_graph(8)) == 4
+
+
+def test_diameter_matches_all_pairs_bfs():
+    for seed in range(8):
+        g = random_connected_graph(int(10 + 15 * seed), 0.15, seed=900 + seed)
+        for graph in (g, spanning_tree(g, seed)):
+            expected = max(int(bfs_distances(graph, v).max()) for v in range(graph.node_count))
+            assert diameter(graph) == expected
+    assert diameter(UndirectedGraph(1, ())) == 0
 
 
 def test_connected_components_partition():
