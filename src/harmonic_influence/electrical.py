@@ -222,12 +222,25 @@ def _potential_matrix(net: ConductanceNetwork) -> np.ndarray:
     return _checked_potentials(pot)
 
 
+def _influence(pot: np.ndarray) -> InfluenceVector:
+    """Row sums of the potential matrix: H(l) = (M^-1 1)_l / (M^-1)_ll."""
+    values = pot.sum(axis=1)
+    values.setflags(write=False)
+    return InfluenceVector(values=values)
+
+
+def _message_potentials(pot: np.ndarray, md: MessageDigraph) -> np.ndarray:
+    """Entry [j, i] of the potential matrix for every message node (j, i)."""
+    ends = np.array(md.arc_nodes, dtype=np.intp).reshape(-1, 2)
+    out = pot[ends[:, 0], ends[:, 1]]
+    out.setflags(write=False)
+    return out
+
+
 def harmonic_influence_exact(net: ConductanceNetwork) -> InfluenceVector:
     """Exact harmonic influence of every node: H(l) = (M^-1 1)_l / (M^-1)_ll,
     the sum of all potentials with l as leader, its own 1 included."""
-    values = _potential_matrix(net).sum(axis=1)
-    values.setflags(write=False)
-    return InfluenceVector(values=values)
+    return _influence(_potential_matrix(net))
 
 
 def exact_message_potentials(net: ConductanceNetwork, md: MessageDigraph) -> np.ndarray:
@@ -236,10 +249,7 @@ def exact_message_potentials(net: ConductanceNetwork, md: MessageDigraph) -> np.
     Entry for the message node (j, i) is the potential of i when j is
     the leader, (M^-1)_ij / (M^-1)_jj: what the message from i to j estimates.
     """
-    ends = np.array(md.arc_nodes, dtype=np.intp).reshape(-1, 2)
-    out = _potential_matrix(net)[ends[:, 0], ends[:, 1]]
-    out.setflags(write=False)
-    return out
+    return _message_potentials(_potential_matrix(net), md)
 
 
 def glue_leaders(

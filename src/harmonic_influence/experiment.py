@@ -18,14 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import analysis, mpa
-from .electrical import (
-    ConductanceNetwork,
-    build_weights,
-    exact_message_potentials,
-    harmonic_influence_exact,
-    uniform_network,
-)
+from . import analysis, electrical, mpa
+from .electrical import ConductanceNetwork, build_weights, uniform_network
 from .graphs import (
     UndirectedGraph,
     add_extra_edges,
@@ -108,9 +102,11 @@ def _first_index_at_most(values: list[float], bound: float) -> Optional[int]:
 def _run_one_graph(name: str, g: UndirectedGraph, cfg: ExperimentConfig) -> GraphRunReport:
     net = uniform_network(g, cfg.gamma)
     weights = build_weights(net)
-    exact = harmonic_influence_exact(net)
+    # One factorization serves both exact quantities.
+    pot = electrical._potential_matrix(net)
+    exact = electrical._influence(pot)
     result = mpa.run_mpa(g, weights, tol=cfg.tol, max_iter=cfg.max_iter, trace=True)
-    w_exact = exact_message_potentials(net, result.md)
+    w_exact = electrical._message_potentials(pot, result.md)
     errors = mpa.error_trace(result)
     try:
         rho = analysis.spearman(exact.values, result.h_estimates)

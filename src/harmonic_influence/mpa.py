@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import _ArcGather, _arc_ends
+from .analysis import _ArcGather, _arc_ends, _csr_rows
 from .electrical import InfluenceWeights
 from .graphs import MessageDigraph, UndirectedGraph, is_connected, message_digraph
 
@@ -36,7 +36,6 @@ class _Kernel:
     """
 
     def __init__(self, md: MessageDigraph, weights: InfluenceWeights):
-        self.md = md
         self.weights = weights
         # Per message (j, i): the sender's trust in the receiver, and back.
         sender_trust = np.array([weights.trust[(i, j)] for j, i in md.arc_nodes])
@@ -47,11 +46,13 @@ class _Kernel:
         arc_from, arc_to = _arc_ends(md.arcs)
         coef = receiver_trust[arc_to] / sender_trust[arc_from]
         self.gather = _ArcGather(arc_from, arc_to, md.size, coef)
-        self.receivers = md.receivers()
+        # Row j sums the messages (j, i) to node j, ascending in i.
+        self.receive = _csr_rows(
+            md.receivers(), np.arange(md.size), np.ones(md.size), (md.base.node_count, md.size)
+        )
 
     def estimates(self, w: np.ndarray, h: np.ndarray) -> np.ndarray:
-        n = self.md.base.node_count
-        return 1.0 + np.bincount(self.receivers, weights=w * h, minlength=n)
+        return 1.0 + self.receive @ (w * h)
 
 
 @dataclass(frozen=True)

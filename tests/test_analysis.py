@@ -175,6 +175,36 @@ def test_convergence_under_hypothesis_random_digraphs():
         assert settled, trial
 
 
+def random_digraph(rng, n, arc_count, self_loops):
+    arcs = {(int(rng.integers(n)), int(rng.integers(n))) for _ in range(arc_count)}
+    arcs |= {(int(v), int(v)) for v in rng.integers(0, n, size=self_loops)}
+    return Digraph(n, tuple(arcs))
+
+
+def test_csr_kernel_matches_bincount_reference_bitwise():
+    rng = np.random.default_rng(31)
+    for n in (3, 17, 60):
+        d = random_digraph(rng, n, 3 * n, self_loops=max(1, n // 5))
+        r = rng.uniform(0.2, 5.0, size=n)
+        s = 1.0 / r
+        alpha = rng.uniform(0.01, 0.6, size=n)
+        beta = rng.uniform(-0.2, 0.4, size=n)
+        state = initial_generalized_state(d, alpha, beta, r, s)
+        arc_from = np.array([v for v, _ in d.arcs], dtype=np.intp)
+        arc_to = np.array([w for _, w in d.arcs], dtype=np.intp)
+        coef = r[arc_from] * s[arc_to]
+        omega, eta = np.ones(n), np.ones(n)
+        for t in range(200):
+            contrib = np.bincount(arc_from, weights=coef * (1.0 - omega)[arc_to], minlength=n)
+            omega, eta = (
+                1.0 / (1.0 + alpha + contrib),
+                1.0 + beta + np.bincount(arc_from, weights=(omega * eta)[arc_to], minlength=n),
+            )
+            state = run_generalized(state, 1)
+            assert np.array_equal(state.omega, omega), (n, t)
+            assert np.array_equal(state.eta, eta), (n, t)
+
+
 # ---------------------------------------------------------------------------
 # convergence hypothesis checker
 # ---------------------------------------------------------------------------
@@ -229,6 +259,38 @@ def test_hypothesis_matches_brute_force_random():
         d = Digraph(n, tuple(arcs))
         support = {int(v) for v in rng.integers(0, n, size=rng.integers(0, n + 1))}
         assert check_convergence_hypothesis(d, support) == brute_force_violations(d, support)
+
+
+def condensation_violations(d, support):
+    """The hypothesis check as condensation plus a search on the reversed digraph."""
+    suspects = [v for comp in condensation(d).nontrivial_components() for v in comp]
+    reverse = Digraph(d.node_count, tuple((w, v) for v, w in d.arcs))
+    can_reach_support = reachable_set(reverse, support)
+    return frozenset(v for v in suspects if v not in can_reach_support)
+
+
+def test_hypothesis_matches_condensation_form_random():
+    rng = np.random.default_rng(91)
+    partial = 0
+    for trial in range(120):
+        n = int(rng.integers(2, 60))
+        d = random_digraph(rng, n, int(rng.integers(0, 2 * n)), self_loops=int(rng.integers(0, 4)))
+        sparse = {int(v) for v in rng.integers(0, n, size=int(rng.integers(1, 4)))}
+        results = []
+        for support in (set(), set(range(n)), sparse):
+            expected = condensation_violations(d, support)
+            assert check_convergence_hypothesis(d, support) == expected, (trial, support)
+            results.append(expected)
+        suspects, _, sparse_violations = results
+        partial += bool(sparse_violations) and sparse_violations != suspects
+    assert partial >= 10  # sparse supports that leave some, but not all, suspects violating
+
+
+def test_hypothesis_rejects_support_outside_range():
+    d = directed_cycle(3)
+    for bad in (-1, 3):
+        with pytest.raises(ValueError, match="outside range"):
+            check_convergence_hypothesis(d, {0, bad})
 
 
 # ---------------------------------------------------------------------------

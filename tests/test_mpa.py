@@ -3,6 +3,7 @@ import pytest
 
 from harmonic_influence.analysis import initial_generalized_state, generalized_step
 from harmonic_influence.electrical import (
+    ConductanceNetwork,
     build_weights,
     exact_message_potentials,
     harmonic_influence_exact,
@@ -144,6 +145,42 @@ def test_run_mpa_matches_manual_stepping():
         state = mpa_step(state, w)
     assert np.array_equal(result.w_limits, state.w_msgs)
     assert np.array_equal(result.h_estimates, influence_estimates(state, w))
+
+
+def bincount_reference_steps(md, weights, steps):
+    """The message updates and estimates as per-arc bincount gathers, in arc order."""
+    m, n = md.size, md.base.node_count
+    sender_trust = np.array([weights.trust[(i, j)] for j, i in md.arc_nodes])
+    receiver_trust = np.array([weights.trust[(j, i)] for j, i in md.arc_nodes])
+    alpha = weights.field_trust[md.senders()] / sender_trust
+    arc_from = np.array([a for a, _ in md.arcs], dtype=np.intp)
+    arc_to = np.array([b for _, b in md.arcs], dtype=np.intp)
+    coef = receiver_trust[arc_to] / sender_trust[arc_from]
+    receivers = md.receivers()
+    w, h = np.ones(m), np.ones(m)
+    for _ in range(steps):
+        contrib = np.bincount(arc_from, weights=coef * (1.0 - w)[arc_to], minlength=m)
+        w, h = (
+            1.0 / (1.0 + alpha + contrib),
+            1.0 + np.bincount(arc_from, weights=(w * h)[arc_to], minlength=m),
+        )
+        yield w, h, 1.0 + np.bincount(receivers, weights=w * h, minlength=n)
+
+
+def test_csr_kernel_matches_bincount_reference_bitwise():
+    rng = np.random.default_rng(41)
+    for n, p, seed in ((12, 0.3, 5), (40, 0.12, 6), (90, 0.06, 7)):
+        g = random_connected(n, p, seed)
+        conductance = {e: float(rng.uniform(0.05, 5.0)) for e in g.edges}
+        net = ConductanceNetwork(g, conductance, rng.uniform(0.001, 0.8, size=n))
+        w = build_weights(net)
+        md = message_digraph(g)
+        state = initial_messages(md, w)
+        for t, (w_ref, h_ref, est_ref) in enumerate(bincount_reference_steps(md, w, 200)):
+            state = mpa_step(state, w)
+            assert np.array_equal(state.w_msgs, w_ref), (n, t)
+            assert np.array_equal(state.h_msgs, h_ref), (n, t)
+            assert np.array_equal(influence_estimates(state, w), est_ref), (n, t)
 
 
 # ---------------------------------------------------------------------------
