@@ -12,7 +12,6 @@ comparing approximate against exact influence.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -20,19 +19,12 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.csgraph
 
-from .graphs import Digraph
+from .graphs import Digraph, _arc_ends
 
 RS_TOL = 1e-12
 ALPHA_MONOTONE_TOL = 1e-15
 
 DrivingSequence = Union[np.ndarray, Sequence[float], Callable[[int], np.ndarray]]
-
-
-def _arc_ends(arcs: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Tail and head index arrays of the arcs, in the given order."""
-    # fromiter reads the flat stream about three times faster than np.asarray(arcs)
-    ends = np.fromiter(itertools.chain.from_iterable(arcs), dtype=np.intp, count=2 * len(arcs))
-    return ends[0::2], ends[1::2]
 
 
 def _csr_rows(
@@ -58,6 +50,11 @@ class _ArcGather:
     hold the ``coef``-weighted arcs and act on 1 - omega.  One matvec
     instead of two halves the per-step dispatch cost, which dominates on
     small digraphs.
+
+    Once omega stops changing, the decay rows, half of the nonzeros, give
+    the same sums at every step.  ``grow`` then runs the growth rows
+    alone: ``growth`` is the top block, the same rows over the same
+    arrays in the same order, so its sums are bitwise those of ``step``.
     """
 
     def __init__(self, tails: np.ndarray, heads: np.ndarray, size: int, coef: np.ndarray):
@@ -67,6 +64,11 @@ class _ArcGather:
             np.concatenate((heads, heads + size)),
             np.concatenate((np.ones(len(heads)), coef)),
             (2 * size, 2 * size),
+        )
+        top = self.matrix.indptr[size]
+        self.growth = scipy.sparse.csr_matrix(
+            (self.matrix.data[:top], self.matrix.indices[:top], self.matrix.indptr[: size + 1]),
+            shape=(size, size),
         )
 
     def step(self, omega: np.ndarray, eta: np.ndarray, alpha, beta) -> tuple[np.ndarray, ...]:
@@ -79,6 +81,27 @@ class _ArcGather:
         omega_new = 1.0 / (1.0 + alpha + sums[n:])
         eta_new = 1.0 + beta + sums[:n]
         return omega_new, eta_new
+
+    def growth_over(self, below: scipy.sparse.csr_matrix) -> scipy.sparse.csr_matrix:
+        """The growth rows with further rows over the same nodes stacked under them."""
+        return scipy.sparse.vstack((self.growth, below), format="csr")
+
+    def grow(
+        self, omega: np.ndarray, eta: np.ndarray, beta, rows: Optional[scipy.sparse.csr_matrix] = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The eta update of ``step`` for an omega that no longer changes.
+
+        ``rows`` from ``growth_over`` replaces the growth rows; the sums of
+        omega * eta over the rows stacked below them come back second.
+        """
+        n = self.size
+        sums = (self.growth if rows is None else rows) @ (omega * eta)
+        return 1.0 + beta + sums[:n], sums[n:]
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Bitwise equality; unlike ==, it tells -0.0 from 0.0 and matches a NaN to itself."""
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def _generalized_gather(d: Digraph, r: np.ndarray, s: np.ndarray) -> _ArcGather:
@@ -160,10 +183,17 @@ def run_generalized(
     steps: int,
     stop_eta_above: Optional[float] = None,
 ) -> GeneralizedDynamicsState:
-    """Apply up to ``steps`` updates; optionally stop once eta crosses a bound."""
+    """Apply up to ``steps`` updates; optionally stop once eta crosses a bound.
+
+    Under a constant alpha, once a step returns omega bitwise equal to its
+    input, the later steps update eta alone (``_ArcGather.grow``); the
+    result is bitwise that of full steps.  A callable alpha may change, so
+    its runs always take full steps.
+    """
     gather = state._gather or _generalized_gather(state.d, state.r, state.s)
     alpha, beta = state.alpha, state.beta
     omega, eta, t, last_alpha = state.omega, state.eta, state.t, state._last_alpha
+    omega_fixed = False
     for _ in range(steps):
         alpha_t = alpha
         if callable(alpha):
@@ -171,7 +201,14 @@ def run_generalized(
             if last_alpha is not None and np.any(alpha_t < last_alpha - ALPHA_MONOTONE_TOL):
                 raise ValueError(f"alpha decreased at t={t}; the driving sequence must be non-decreasing")
         beta_t = np.asarray(beta(t), dtype=np.float64) if callable(beta) else beta
-        omega, eta = gather.step(omega, eta, alpha_t, beta_t)
+        if omega_fixed:
+            eta = gather.grow(omega, eta, beta_t)[0]
+        else:
+            omega_new, eta = gather.step(omega, eta, alpha_t, beta_t)
+            # Under a constant alpha omega_{t+1} is a function of omega_t
+            # alone, so once it repeats bit for bit it never changes again.
+            omega_fixed = not callable(alpha) and _same_bits(omega_new, omega)
+            omega = omega_new
         last_alpha = alpha_t
         t += 1
         if stop_eta_above is not None and float(eta.max()) > stop_eta_above:

@@ -205,6 +205,83 @@ def test_csr_kernel_matches_bincount_reference_bitwise():
             assert np.array_equal(state.eta, eta), (n, t)
 
 
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def stepped_generalized(state, steps, stop_eta_above=None):
+    """run_generalized as a loop of generalized_step, each one full step.
+
+    Also returns the first step whose omega repeats the previous one bitwise.
+    """
+    omega_fixed_at = None
+    for _ in range(steps):
+        nxt = generalized_step(state)
+        if omega_fixed_at is None and same_bits(nxt.omega, state.omega):
+            omega_fixed_at = nxt.t
+        state = nxt
+        if stop_eta_above is not None and float(state.eta.max()) > stop_eta_above:
+            break
+    return state, omega_fixed_at
+
+
+def assert_same_state(got, expected):
+    assert got.t == expected.t
+    assert same_bits(got.omega, expected.omega)
+    assert same_bits(got.eta, expected.eta)
+
+
+def test_run_generalized_matches_single_step_loop_bitwise():
+    rng = np.random.default_rng(515)
+    for n in (4, 20, 70):
+        # Node n has no driving and a self-loop as its only out-arc: its
+        # omega stays 1 and its eta grows without bound, for stop_eta_above.
+        arcs = set(random_digraph(rng, n, 3 * n, self_loops=max(1, n // 6)).arcs)
+        arcs |= {(n, n)} | {(int(v), n) for v in rng.integers(0, n, size=3)}
+        d = Digraph(n + 1, tuple(arcs))
+        r = rng.uniform(0.2, 5.0, size=n + 1)
+        s = 1.0 / r
+        alpha = np.append(rng.uniform(0.01, 0.6, size=n), 0.0)
+        beta = rng.uniform(-0.2, 0.4, size=n + 1)
+        for b in (beta, lambda t: beta / (1.0 + t)):
+            start = initial_generalized_state(d, alpha, b, r, s)
+            ref, fixed_at = stepped_generalized(start, 300)
+            assert fixed_at is not None and fixed_at < 290, n
+            assert_same_state(run_generalized(start, 300), ref)
+            # a second call starts with full steps and detects the fixed omega anew
+            mid = run_generalized(start, fixed_at + 3)
+            assert_same_state(run_generalized(mid, 300 - mid.t), ref)
+            # stopping on eta, on a step after omega has fixed
+            at = stepped_generalized(start, fixed_at + 8)[0]
+            bound = float(np.nextafter(at.eta.max(), -np.inf))
+            ref_stop, _ = stepped_generalized(start, 300, stop_eta_above=bound)
+            assert fixed_at < ref_stop.t < 300, n
+            assert_same_state(run_generalized(start, 300, stop_eta_above=bound), ref_stop)
+
+
+def test_run_generalized_callable_alpha_takes_full_steps():
+    rng = np.random.default_rng(516)
+    n = 30
+    d = random_digraph(rng, n, 3 * n, self_loops=5)
+    r = rng.uniform(0.2, 5.0, size=n)
+    base = rng.uniform(0.01, 0.6, size=n)
+
+    def rising(t):
+        return base if t < 150 else 1.5 * base
+
+    def falling(t):
+        return base if t < 150 else 0.5 * base
+
+    # alpha is constant long enough for omega to repeat bitwise, then moves
+    start = initial_generalized_state(d, rising, np.zeros(n), r, 1.0 / r)
+    ref, fixed_at = stepped_generalized(start, 300)
+    assert fixed_at < 150
+    assert_same_state(run_generalized(start, 300), ref)
+    start = initial_generalized_state(d, falling, np.zeros(n), r, 1.0 / r)
+    with pytest.raises(ValueError, match="alpha decreased at t=150"):
+        run_generalized(start, 300)
+
+
 # ---------------------------------------------------------------------------
 # convergence hypothesis checker
 # ---------------------------------------------------------------------------

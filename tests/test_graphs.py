@@ -172,6 +172,7 @@ def test_message_digraph_single_edge():
     md = message_digraph(UndirectedGraph(2, ((0, 1),)))
     assert md.size == 2
     assert md.arcs == ()
+    assert md.to_digraph().successors == Digraph(2, ()).successors == ((), ())
 
 
 def test_message_digraph_triangle_matches_enumeration():
@@ -204,6 +205,13 @@ def test_message_digraph_structural_invariants_random():
             h, k = md.arc_nodes[b]
             assert h == i and k != j
         assert all(a != b for a, b in md.arcs)
+        # to_digraph skips Digraph's checks, so it must agree with them
+        for m in (md, message_digraph(spanning_tree(g, seed))):
+            d, checked = m.to_digraph(), Digraph(m.size, m.arcs)
+            assert d == checked and d.arcs == checked.arcs and d.successors == checked.successors
+            assert all(type(w) is int for succ in d.successors for w in succ)
+    with pytest.raises(ValueError, match="node_count"):
+        message_digraph(UndirectedGraph(1, ())).to_digraph()
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,81 @@ def test_run_requires_connected_graph_with_edges():
         run_mpa(g1, build_weights(net1))
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def stepped_run(g, weights, tol, max_iter):
+    """run_mpa as a plain loop of full mpa_step updates and influence_estimates."""
+    state = initial_messages(message_digraph(g), weights)
+    est = influence_estimates(state, weights)
+    w_rows, est_rows = [state.w_msgs], [est]
+    converged, residual, w_fixed_step = False, np.inf, None
+    while state.t < max_iter:
+        nxt = mpa_step(state, weights)
+        est_new = influence_estimates(nxt, weights)
+        residual = float(np.abs(nxt.w_msgs - state.w_msgs).sum() + np.abs(est_new - est).sum())
+        if w_fixed_step is None and same_bits(nxt.w_msgs, state.w_msgs):
+            w_fixed_step = nxt.t
+        state, est = nxt, est_new
+        w_rows.append(state.w_msgs)
+        est_rows.append(est)
+        if residual <= tol:
+            converged = True
+            break
+    return {
+        "h_estimates": est,
+        "w_limits": state.w_msgs,
+        "iterations": state.t,
+        "converged": converged,
+        "final_residual": residual,
+        "h_trace": np.array(est_rows),
+        "w_trace": np.array(w_rows),
+        "w_fixed_step": w_fixed_step,
+    }
+
+
+def assert_run_matches_stepped_run(g, weights, tol, max_iter):
+    ref = stepped_run(g, weights, tol, max_iter)
+    traced = run_mpa(g, weights, tol=tol, max_iter=max_iter, trace=True)
+    plain = run_mpa(g, weights, tol=tol, max_iter=max_iter)
+    for name, expected in ref.items():
+        assert same_bits(getattr(traced, name), expected), (g.node_count, max_iter, name)
+        if not name.endswith("_trace"):
+            assert same_bits(getattr(plain, name), expected), (g.node_count, max_iter, name)
+    return ref
+
+
+def test_run_mpa_matches_full_step_loop_bitwise():
+    rng = np.random.default_rng(606)
+    fixed_in_run = 0
+    for n, p, seed in ((8, 0.4, 1), (25, 0.2, 2), (60, 0.08, 3), (120, 0.04, 4)):
+        g = random_connected(n, p, seed)
+        conductance = {e: float(rng.uniform(0.05, 5.0)) for e in g.edges}
+        net = ConductanceNetwork(g, conductance, rng.uniform(0.001, 0.8, size=n))
+        ref = assert_run_matches_stepped_run(g, build_weights(net), 1e-10, 10**5)
+        assert ref["converged"]
+        fixed = ref["w_fixed_step"]
+        if fixed is not None and fixed < ref["iterations"]:
+            fixed_in_run += 1
+            # max_iter cut-offs before, at and after the step at which w fixes
+            for max_iter in (fixed - 1, fixed, fixed + 1, fixed + 7):
+                assert_run_matches_stepped_run(g, build_weights(net), 1e-10, max_iter)
+    assert fixed_in_run >= 3
+
+
+def test_run_mpa_matches_full_step_loop_bitwise_on_trees():
+    for seed in range(4):
+        tree = random_tree(30, seed=700 + seed)
+        _, w, _ = setup(tree)
+        d = diameter(tree)
+        ref = assert_run_matches_stepped_run(tree, w, 0.0, 1000)
+        assert ref["w_fixed_step"] <= d + 1
+        for max_iter in (d - 1, d, d + 1, d + 3):
+            assert_run_matches_stepped_run(tree, w, 0.0, max_iter)
+
+
 def test_tree_fixes_after_exactly_diameter_steps():
     for seed in range(6):
         tree = random_tree(30, seed=420 + seed)
