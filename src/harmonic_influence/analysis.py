@@ -19,25 +19,12 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.csgraph
 
-from .graphs import Digraph, _arc_ends
+from .graphs import Digraph, _adjacency, _arc_ends, _csr_rows, _strong_components, _with_source
 
 RS_TOL = 1e-12
 ALPHA_MONOTONE_TOL = 1e-15
 
 DrivingSequence = Union[np.ndarray, Sequence[float], Callable[[int], np.ndarray]]
-
-
-def _csr_rows(
-    tails: np.ndarray, heads: np.ndarray, weights: np.ndarray, shape: tuple[int, int]
-) -> scipy.sparse.csr_matrix:
-    """CSR matrix whose row v holds the weighted arcs (v, w), in the given order.
-
-    The arcs must come sorted by tail.  A CSR matvec starts every row at
-    0.0 and adds the rounded products in storage order, so its sums run in
-    arc order and are bitwise reproducible.
-    """
-    indptr = np.searchsorted(tails, np.arange(shape[0] + 1))
-    return scipy.sparse.csr_matrix((weights, heads, indptr), shape=shape)
 
 
 class _ArcGather:
@@ -224,24 +211,14 @@ def check_convergence_hypothesis(d: Digraph, alpha_support: Iterable[int]) -> fr
     some node with a nonzero driving sequence is reachable.
     """
     n = d.node_count
-    support = sorted({int(v) for v in alpha_support})
-    for v in support:
-        if not 0 <= v < n:
-            raise ValueError(f"support node {v} outside range")
-    # The reversed arcs plus a super-source n with an arc to every support
-    # node: the nodes a search from n reaches are those that can reach the
-    # support.  The source has no in-arcs, so the components are d's.
+    # On the reversed arcs, the nodes a search from the super-source n
+    # reaches are those that can reach the support; reversing keeps d's
+    # strong components.
     tails, heads = _arc_ends(d.arcs)
-    rows = np.concatenate((heads, np.full(len(support), n)))
-    cols = np.concatenate((tails, np.array(support, dtype=np.intp)))
-    order = np.argsort(rows, kind="stable")
-    reverse = _csr_rows(rows[order], cols[order], np.ones(len(rows)), (n + 1, n + 1))
-    _, labels = scipy.sparse.csgraph.connected_components(reverse, connection="strong")
-    nontrivial = np.bincount(labels)[labels[:n]] > 1
-    nontrivial[tails[tails == heads]] = True
-    reaches = np.zeros(n + 1, dtype=bool)
-    reaches[scipy.sparse.csgraph.breadth_first_order(reverse, n, return_predecessors=False)] = True
-    return frozenset(np.flatnonzero(nontrivial & ~reaches[:n]).tolist())
+    reverse = _with_source(heads, tails, n, alpha_support, "support")
+    _, suspects = _strong_components(reverse)
+    suspects[scipy.sparse.csgraph.breadth_first_order(reverse, n, return_predecessors=False)] = False
+    return frozenset(np.flatnonzero(suspects).tolist())
 
 
 def spectral_radius_diagnostic(
@@ -265,10 +242,8 @@ def spectral_radius_diagnostic(
         raise ValueError("omega must have one entry per digraph node")
     if np.any(w <= 0.0) or np.any(w > 1.0):
         raise ValueError("omega entries must lie in (0, 1]")
-    tails, heads = _arc_ends(d.arcs)
-    adjacency = _csr_rows(tails, heads, np.ones(len(heads)), (n, n))
-    strong = scipy.sparse.csgraph.connected_components(adjacency, connection="strong", return_labels=False)
-    if strong == n and not np.any(tails == heads):
+    adjacency = _adjacency(n, d.arcs)
+    if not _strong_components(adjacency)[1].any():
         return 0.0
 
     x = np.ones(n) / np.sqrt(n)

@@ -2,6 +2,17 @@
 random generation, spanning trees, the message digraph, and strongly
 connected component / condensation analysis.
 
+Connected components, strong components, reachability and the diameter
+run in ``scipy.sparse.csgraph`` on one CSR form of the arcs
+(``_csr_rows``).  Strong components come from Pearce's algorithm, which
+labels each component when it finishes it, so every arc between two
+components runs from a higher label to a lower one.  ``condensation``
+checks that property on every call, raising ``AssertionError`` if it
+fails, and then moves the sink components first, keeping label order
+within sinks and within the rest.
+An undirected graph's component labels are searched once and kept on the
+graph, since scipy's per-call set-up outweighs the search on small graphs.
+
 All random operations take an explicit integer seed and use numpy's
 PCG64 generator (``numpy.random.default_rng``), so identical seeds give
 identical graphs on every platform.  Node ids are dense integers
@@ -11,6 +22,7 @@ share across threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
@@ -46,6 +58,56 @@ def _arc_ends(arcs: Sequence[Arc]) -> tuple[np.ndarray, np.ndarray]:
     return ends[0::2], ends[1::2]
 
 
+def _csr_rows(
+    tails: np.ndarray, heads: np.ndarray, weights: np.ndarray, shape: tuple[int, int]
+) -> scipy.sparse.csr_matrix:
+    """CSR matrix whose row v holds the weighted arcs (v, w), in the given order.
+
+    The arcs must come sorted by tail.  A CSR matvec starts every row at
+    0.0 and adds the rounded products in storage order, so its sums run in
+    arc order and are bitwise reproducible.
+    """
+    indptr = np.searchsorted(tails, np.arange(shape[0] + 1))
+    return scipy.sparse.csr_matrix((weights, heads, indptr), shape=shape)
+
+
+def _adjacency(node_count: int, arcs: Sequence[Arc]) -> scipy.sparse.csr_matrix:
+    """Unit-weighted CSR adjacency of arcs sorted by tail, such as a graph's edges."""
+    tails, heads = _arc_ends(arcs)
+    return _csr_rows(tails, heads, np.ones(len(tails)), (node_count, node_count))
+
+
+def _with_source(
+    tails: np.ndarray, heads: np.ndarray, node_count: int, sources: Iterable[int], name: str
+) -> scipy.sparse.csr_matrix:
+    """CSR adjacency of the arcs plus a super-source, node ``node_count``, with an arc to every source.
+
+    The super-source has no in-arcs, so the other nodes keep their strong
+    components, and a search from it reaches exactly the nodes that some
+    source reaches.
+    """
+    starts = sorted({int(v) for v in sources})
+    for v in starts:
+        if not 0 <= v < node_count:
+            raise ValueError(f"{name} node {v} outside range")
+    rows = np.concatenate((tails, np.full(len(starts), node_count)))
+    cols = np.concatenate((heads, np.array(starts, dtype=np.intp)))
+    order = np.argsort(rows, kind="stable")
+    return _csr_rows(rows[order], cols[order], np.ones(len(rows)), (node_count + 1, node_count + 1))
+
+
+def _strong_components(adjacency: scipy.sparse.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Strong component label of every node, and whether its component is nontrivial.
+
+    A component is nontrivial when it has more than one node or a
+    self-loop, that is, when it holds a directed cycle.
+    """
+    _, labels = scipy.sparse.csgraph.connected_components(adjacency, connection="strong")
+    nontrivial = np.bincount(labels)[labels] > 1
+    nontrivial[adjacency.diagonal() != 0] = True
+    return labels, nontrivial
+
+
 @dataclass(frozen=True)
 class UndirectedGraph:
     """Simple undirected graph on nodes 0..node_count-1."""
@@ -77,6 +139,14 @@ class UndirectedGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency[u]
 
+    @functools.cached_property
+    def _component_labels(self) -> np.ndarray:
+        """Connected-component label of every node, searched once per graph."""
+        adjacency = _adjacency(self.node_count, self.edges)
+        labels = scipy.sparse.csgraph.connected_components(adjacency, directed=False)[1]
+        labels.setflags(write=False)
+        return labels
+
 
 @dataclass(frozen=True)
 class Digraph:
@@ -84,7 +154,6 @@ class Digraph:
 
     node_count: int
     arcs: tuple[Arc, ...]
-    successors: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.node_count < 1:
@@ -98,10 +167,6 @@ class Digraph:
                 raise ValueError(f"duplicate arc {v}->{w}")
             seen.add((v, w))
         object.__setattr__(self, "arcs", tuple(sorted(seen)))
-        succ: list[list[int]] = [[] for _ in range(self.node_count)]
-        for v, w in self.arcs:
-            succ[v].append(w)
-        object.__setattr__(self, "successors", tuple(tuple(s) for s in succ))
 
     @classmethod
     def _from_sorted_arcs(cls, node_count: int, arcs: tuple[Arc, ...]) -> Digraph:
@@ -111,10 +176,6 @@ class Digraph:
         d = object.__new__(cls)
         object.__setattr__(d, "node_count", node_count)
         object.__setattr__(d, "arcs", arcs)
-        tails, heads = _arc_ends(arcs)
-        bounds = np.searchsorted(tails, np.arange(node_count + 1)).tolist()
-        flat = heads.tolist()
-        object.__setattr__(d, "successors", tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])))
         return d
 
 
@@ -155,6 +216,9 @@ class CondensationDigraph:
 
     Component ids form an acyclic ordering: every condensation arc
     (h, k) has k < h, and all sink components get the smallest ids.
+    Within the sinks, and within the other components, ids follow
+    ``scipy.sparse.csgraph``'s strong-component labels; callers should
+    rely on the two rules only.
     """
 
     component_of: tuple[int, ...]
@@ -181,27 +245,16 @@ def erdos_renyi(n: int, p: float, seed: int) -> UndirectedGraph:
 
 
 def connected_components(g: UndirectedGraph) -> list[set[int]]:
-    comps: list[set[int]] = []
-    seen = [False] * g.node_count
-    for root in range(g.node_count):
-        if seen[root]:
-            continue
-        comp = {root}
-        seen[root] = True
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for w in g.adjacency[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.add(w)
-                    queue.append(w)
-        comps.append(comp)
-    return comps
+    """Node sets of the connected components, listed by their smallest node."""
+    # Scanning the nodes in ascending order meets each component first at its smallest node.
+    comps: dict[int, set[int]] = {}
+    for v, label in enumerate(g._component_labels.tolist()):
+        comps.setdefault(label, set()).add(v)
+    return list(comps.values())
 
 
 def is_connected(g: UndirectedGraph) -> bool:
-    return len(connected_components(g)) == 1
+    return not g._component_labels.any()
 
 
 def _require_connected(g: UndirectedGraph) -> None:
@@ -212,26 +265,10 @@ def _require_connected(g: UndirectedGraph) -> None:
         raise ValueError(f"graph is disconnected: no path between nodes {u} and {v}")
 
 
-def bfs_distances(g: UndirectedGraph, source: int) -> np.ndarray:
-    """Hop distances from source; -1 where unreachable."""
-    dist = np.full(g.node_count, -1, dtype=np.int64)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for w in g.adjacency[v]:
-            if dist[w] < 0:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist
-
-
 def diameter(g: UndirectedGraph) -> int:
     """Longest shortest path, by all-pairs unweighted shortest paths.  Requires a connected graph."""
     _require_connected(g)
-    ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
-    n = g.node_count
-    adjacency = scipy.sparse.csr_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(n, n))
+    adjacency = _adjacency(g.node_count, g.edges)
     return int(scipy.sparse.csgraph.shortest_path(adjacency, directed=False, unweighted=True).max())
 
 
@@ -294,123 +331,45 @@ def message_digraph(g: UndirectedGraph) -> MessageDigraph:
     return MessageDigraph(base=g, arc_nodes=tuple(nodes), arc_id=arc_id, arcs=tuple(arcs))
 
 
-def _tarjan_scc(node_count: int, successors: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Iterative Tarjan; components are emitted in reverse topological order."""
-    index = np.full(node_count, -1, dtype=np.int64)
-    lowlink = np.zeros(node_count, dtype=np.int64)
-    on_stack = np.zeros(node_count, dtype=bool)
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
-
-    for root in range(node_count):
-        if index[root] >= 0:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            v, pos = work.pop()
-            if pos == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            succ = successors[v]
-            while pos < len(succ):
-                w = succ[pos]
-                pos += 1
-                if index[w] < 0:
-                    work.append((v, pos))
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(comp)
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-    return components
-
-
 def condensation(d: Digraph) -> CondensationDigraph:
-    """Strongly connected components with a sinks-first acyclic numbering."""
-    raw = _tarjan_scc(d.node_count, d.successors)
-    comp_of_raw = np.empty(d.node_count, dtype=np.int64)
-    for cid, comp in enumerate(raw):
-        for v in comp:
-            comp_of_raw[v] = cid
+    """Strongly connected components with a sinks-first acyclic numbering.
 
-    raw_arcs: set[tuple[int, int]] = set()
-    for v, w in d.arcs:
-        cv, cw = int(comp_of_raw[v]), int(comp_of_raw[w])
-        if cv != cw:
-            raw_arcs.add((cv, cw))
+    Every condensation arc points to a smaller id and the sinks take the
+    smallest ids.  The numbering starts from csgraph's strong-component
+    labels, checks that every arc between components runs from a higher
+    label to a lower one (``AssertionError`` if not), and stably moves
+    the sink components first.
+    """
+    n = d.node_count
+    tails, heads = _arc_ends(d.arcs)
+    labels, nontrivial = _strong_components(_csr_rows(tails, heads, np.ones(len(tails)), (n, n)))
+    cross = labels[tails] != labels[heads]
+    out_label, in_label = labels[tails[cross]], labels[heads[cross]]
+    if np.any(out_label <= in_label):
+        raise AssertionError("strong component labels are not in reverse topological order")
+    count = int(labels.max()) + 1
+    has_out = np.zeros(count, dtype=bool)
+    has_out[out_label] = True
+    new_id = np.empty(count, dtype=np.intp)
+    new_id[np.argsort(has_out, kind="stable")] = np.arange(count)
 
-    # Renumber by peeling sinks layer by layer, so every arc points to a
-    # strictly smaller id and all true sinks come first.
-    s = len(raw)
-    out_deg = [0] * s
-    preds: list[list[int]] = [[] for _ in range(s)]
-    for h, k in raw_arcs:
-        out_deg[h] += 1
-        preds[k].append(h)
-    order: list[int] = []
-    current = sorted(c for c in range(s) if out_deg[c] == 0)
-    while current:
-        order.extend(current)
-        nxt: set[int] = set()
-        for c in current:
-            for pre in preds[c]:
-                out_deg[pre] -= 1
-                if out_deg[pre] == 0:
-                    nxt.add(pre)
-        current = sorted(nxt)
-    if len(order) != s:
-        raise AssertionError("condensation contained a directed cycle")
-    new_id = [0] * s
-    for pos, cid in enumerate(order):
-        new_id[cid] = pos
-
-    components = [frozenset()] * s
-    for cid, comp in enumerate(raw):
-        components[new_id[cid]] = frozenset(comp)
-    component_of = tuple(new_id[int(comp_of_raw[v])] for v in range(d.node_count))
-    has_self_loop = {v for v, w in d.arcs if v == w}
-    nontrivial = tuple(
-        len(comp) > 1 or next(iter(comp)) in has_self_loop for comp in components
-    )
-    arcs = frozenset((new_id[h], new_id[k]) for h, k in raw_arcs)
+    component_of = new_id[labels]
+    members = np.argsort(component_of, kind="stable").tolist()
+    bounds = np.cumsum(np.bincount(component_of, minlength=count)).tolist()
+    flags = np.zeros(count, dtype=bool)
+    flags[component_of] = nontrivial
     return CondensationDigraph(
-        component_of=component_of,
-        components=tuple(components),
-        nontrivial=nontrivial,
-        arcs=arcs,
+        component_of=tuple(component_of.tolist()),
+        components=tuple(frozenset(members[a:b]) for a, b in zip([0] + bounds, bounds)),
+        nontrivial=tuple(flags.tolist()),
+        arcs=frozenset(zip(new_id[out_label].tolist(), new_id[in_label].tolist())),
     )
 
 
 def reachable_set(d: Digraph, sources: Iterable[int]) -> frozenset[int]:
     """Nodes reachable from any source by a directed path of length >= 0."""
-    seen: set[int] = set()
-    queue = deque()
-    for v in sources:
-        if v not in seen:
-            seen.add(v)
-            queue.append(v)
-    while queue:
-        v = queue.popleft()
-        for w in d.successors[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return frozenset(seen)
+    tails, heads = _arc_ends(d.arcs)
+    graph = _with_source(tails, heads, d.node_count, sources, "source")
+    order = scipy.sparse.csgraph.breadth_first_order(graph, d.node_count, return_predecessors=False)
+    # The search lists the super-source first.
+    return frozenset(order[1:].tolist())

@@ -26,9 +26,9 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import _ArcGather, _csr_rows, _same_bits
+from .analysis import _ArcGather, _same_bits
 from .electrical import InfluenceWeights
-from .graphs import MessageDigraph, UndirectedGraph, _arc_ends, is_connected, message_digraph
+from .graphs import MessageDigraph, UndirectedGraph, _arc_ends, _csr_rows, is_connected, message_digraph
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10**5

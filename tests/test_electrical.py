@@ -87,6 +87,19 @@ def test_network_requires_field_in_every_component():
     assert net.total_conductance(0) == 1.0 + GAMMA
 
 
+def test_network_error_names_first_component_without_field():
+    # components by smallest node: {0, 5}, {1, 2, 6}, {3, 4}
+    g = UndirectedGraph(7, ((1, 6), (0, 5), (3, 4), (2, 6)))
+    cond = {e: 1.0 for e in g.edges}
+    for fielded, k in (((5,), 1), ((5, 6), 3), ((2, 3), 0), ((4, 6), 0)):
+        gamma = np.zeros(7)
+        gamma[list(fielded)] = GAMMA
+        message = f"extended network is disconnected: component containing node {k} has no field conductance"
+        with pytest.raises(ValueError) as err:
+            ConductanceNetwork(g, cond, gamma)
+        assert str(err.value) == message, fielded
+
+
 # ---------------------------------------------------------------------------
 # build_weights
 # ---------------------------------------------------------------------------

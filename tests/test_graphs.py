@@ -1,11 +1,13 @@
+from collections import deque
+
 import numpy as np
 import pytest
+import scipy.sparse.csgraph
 
 from harmonic_influence.graphs import (
     Digraph,
     UndirectedGraph,
     add_extra_edges,
-    bfs_distances,
     condensation,
     connected_components,
     diameter,
@@ -23,6 +25,20 @@ def path_graph(n):
 
 def cycle_graph(n):
     return UndirectedGraph(n, tuple((i, (i + 1) % n) for i in range(n)))
+
+
+def bfs_distances(g, source):
+    """Hop distances from source; -1 where unreachable."""
+    dist = np.full(g.node_count, -1, dtype=np.int64)
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        for w in g.adjacency[v]:
+            if dist[w] < 0:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
 
 
 def random_connected_graph(n, p, seed):
@@ -172,7 +188,7 @@ def test_message_digraph_single_edge():
     md = message_digraph(UndirectedGraph(2, ((0, 1),)))
     assert md.size == 2
     assert md.arcs == ()
-    assert md.to_digraph().successors == Digraph(2, ()).successors == ((), ())
+    assert md.to_digraph() == Digraph(2, ())
 
 
 def test_message_digraph_triangle_matches_enumeration():
@@ -208,8 +224,7 @@ def test_message_digraph_structural_invariants_random():
         # to_digraph skips Digraph's checks, so it must agree with them
         for m in (md, message_digraph(spanning_tree(g, seed))):
             d, checked = m.to_digraph(), Digraph(m.size, m.arcs)
-            assert d == checked and d.arcs == checked.arcs and d.successors == checked.successors
-            assert all(type(w) is int for succ in d.successors for w in succ)
+            assert d == checked and d.arcs == checked.arcs
     with pytest.raises(ValueError, match="node_count"):
         message_digraph(UndirectedGraph(1, ())).to_digraph()
 
@@ -278,12 +293,19 @@ def test_condensation_numbering_sinks_first_arcs_decreasing():
 
 def test_condensation_components_match_brute_force():
     rng = np.random.default_rng(31)
-    for _ in range(40):
-        n = int(rng.integers(2, 8))
+    for trial in range(140):
+        # 40 digraphs of 2-7 nodes, then 100 of up to 40 nodes with extra self-loops
+        n = int(rng.integers(2, 8)) if trial < 40 else int(rng.integers(1, 41))
         arcs = {(int(rng.integers(n)), int(rng.integers(n))) for _ in range(rng.integers(0, 3 * n))}
+        if trial >= 40:
+            arcs |= {(v, v) for v in range(n) if rng.random() < 0.1}
         d = Digraph(n, tuple(arcs))
         cond = condensation(d)
         assert set(cond.components) == brute_force_sccs(d)
+        assert all(cond.component_of[v] == c for c, comp in enumerate(cond.components) for v in comp)
+        assert cond.nontrivial == tuple(
+            len(comp) > 1 or (min(comp), min(comp)) in arcs for comp in cond.components
+        )
         # arc h->k present iff some arc of d crosses the components
         expected = set()
         for v, w in d.arcs:
@@ -291,6 +313,25 @@ def test_condensation_components_match_brute_force():
             if cv != cw:
                 expected.add((cv, cw))
         assert cond.arcs == expected
+        assert all(k < h for h, k in cond.arcs)
+        sinks = set(range(len(cond.components))) - {h for h, _ in cond.arcs}
+        assert sinks == set(range(len(sinks))), trial
+
+
+def test_condensation_rejects_labels_out_of_topological_order(monkeypatch):
+    strong_components = scipy.sparse.csgraph.connected_components
+
+    def reversed_labels(*args, **kwargs):
+        count, labels = strong_components(*args, **kwargs)
+        return count, count - 1 - labels
+
+    d = Digraph(4, ((0, 1), (1, 0), (1, 2), (3, 2)))
+    assert len(condensation(d).components) == 3
+    monkeypatch.setattr(scipy.sparse.csgraph, "connected_components", reversed_labels)
+    with pytest.raises(AssertionError, match="reverse topological order"):
+        condensation(d)
+    # without arcs between components any labelling is acceptable
+    assert not condensation(Digraph(3, ((0, 1), (1, 0)))).arcs
 
 
 def test_structure_law_on_scc_counts():
@@ -328,6 +369,31 @@ def test_reachable_set_path():
     assert reachable_set(d, [1]) == frozenset({1, 2})
 
 
+def test_reachable_set_rejects_source_outside_range():
+    d = Digraph(3, ((0, 1), (2, 0)))
+    for bad in (-1, 3):
+        with pytest.raises(ValueError, match=f"source node {bad} outside range"):
+            reachable_set(d, [0, bad])
+
+
+def test_reachable_set_matches_bfs_oracle():
+    rng = np.random.default_rng(47)
+    for _ in range(150):
+        n = int(rng.integers(1, 31))
+        arcs = {(int(rng.integers(n)), int(rng.integers(n))) for _ in range(rng.integers(0, 2 * n))}
+        d = Digraph(n, tuple(arcs))
+        successors = [[w for v, w in d.arcs if v == u] for u in range(n)]
+        sources = [int(v) for v in rng.choice(n, size=int(rng.integers(0, 4)))]
+        seen = set(sources)
+        queue = deque(seen)
+        while queue:
+            for w in successors[queue.popleft()]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        assert reachable_set(d, iter(sources)) == frozenset(seen)
+
+
 def test_diameter_path_and_cycle():
     assert diameter(path_graph(12)) == 11
     assert diameter(cycle_graph(8)) == 4
@@ -346,3 +412,19 @@ def test_connected_components_partition():
     g = UndirectedGraph(5, ((0, 1), (2, 3)))
     comps = connected_components(g)
     assert sorted(sorted(c) for c in comps) == [[0, 1], [2, 3], [4]]
+
+
+def test_connected_components_match_bfs_oracle():
+    for seed in range(60):
+        n = 1 + seed % 40
+        g = erdos_renyi(n, min(1.0, 1.5 / n), seed=700 + seed)
+        expected = []
+        for root in range(n):
+            if not any(root in c for c in expected):
+                expected.append(set(np.flatnonzero(bfs_distances(g, root) >= 0).tolist()))
+        assert connected_components(g) == expected, seed
+        assert is_connected(g) == (len(expected) == 1)
+        if len(expected) > 1:
+            pair = f"no path between nodes {min(expected[0])} and {min(expected[1])}"
+            with pytest.raises(ValueError, match=pair):
+                diameter(g)
