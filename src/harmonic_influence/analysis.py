@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.csgraph
 
-from .graphs import Digraph, _adjacency, _arc_ends, _csr_rows, _strong_components, _with_source
+from .graphs import Digraph, _csr_rows, _strong_components, _with_source
 
 RS_TOL = 1e-12
 ALPHA_MONOTONE_TOL = 1e-15
@@ -92,7 +92,7 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def _generalized_gather(d: Digraph, r: np.ndarray, s: np.ndarray) -> _ArcGather:
-    tails, heads = _arc_ends(d.arcs)
+    tails, heads = d._ends
     return _ArcGather(tails, heads, d.node_count, r[tails] * s[heads])
 
 
@@ -214,7 +214,7 @@ def check_convergence_hypothesis(d: Digraph, alpha_support: Iterable[int]) -> fr
     # On the reversed arcs, the nodes a search from the super-source n
     # reaches are those that can reach the support; reversing keeps d's
     # strong components.
-    tails, heads = _arc_ends(d.arcs)
+    tails, heads = d._ends
     reverse = _with_source(heads, tails, n, alpha_support, "support")
     _, suspects = _strong_components(reverse)
     suspects[scipy.sparse.csgraph.breadth_first_order(reverse, n, return_predecessors=False)] = False
@@ -242,7 +242,7 @@ def spectral_radius_diagnostic(
         raise ValueError("omega must have one entry per digraph node")
     if np.any(w <= 0.0) or np.any(w > 1.0):
         raise ValueError("omega entries must lie in (0, 1]")
-    adjacency = _adjacency(n, d.arcs)
+    adjacency = _csr_rows(*d._ends, np.ones(len(d.arcs)), (n, n))
     if not _strong_components(adjacency)[1].any():
         return 0.0
 

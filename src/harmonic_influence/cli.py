@@ -156,8 +156,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     gf = load_graph(args.graph)
     net = gf.network(fallback_gamma=args.gamma)
     md = message_digraph(net.graph)
-    support = [idx for idx, (_j, i) in enumerate(md.arc_nodes)
-               if net.field_conductance[i] > 0.0]
+    support = np.flatnonzero(net.field_conductance[md.senders()] > 0.0)
     violating = analysis.check_convergence_hypothesis(md.to_digraph(), support)
     if not violating:
         print("satisfied: every message in a nontrivial component reaches the driving support")

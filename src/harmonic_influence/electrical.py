@@ -10,15 +10,29 @@ potentials.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.linalg
 
-from .graphs import Edge, MessageDigraph, UndirectedGraph, connected_components
+from .graphs import Edge, MessageDigraph, UndirectedGraph, _read_only, connected_components
 
 RESIDUAL_RTOL = 1e-10
+
+
+def _edge_conductances(g: UndirectedGraph, edge_conductance: Mapping[Edge, float]) -> dict[Edge, float]:
+    """The conductances keyed by (u, v), u < v, checked to cover each edge of g exactly once."""
+    cond: dict[Edge, float] = {}
+    for e, c in edge_conductance.items():
+        key = tuple(sorted(e))
+        if key in cond:
+            raise ValueError(f"edge {key[0]}-{key[1]} given twice")
+        cond[key] = float(c)
+    if set(cond) != set(g.edges):
+        raise ValueError("edge conductances must cover exactly the graph's edges")
+    return cond
 
 
 @dataclass(frozen=True)
@@ -38,9 +52,7 @@ class ConductanceNetwork:
 
     def __post_init__(self) -> None:
         g = self.graph
-        cond = {tuple(sorted(e)): float(c) for e, c in self.edge_conductance.items()}
-        if set(cond) != set(g.edges):
-            raise ValueError("edge conductances must cover exactly the graph's edges")
+        cond = _edge_conductances(g, self.edge_conductance)
         for e, c in cond.items():
             if not 0.0 < c < np.inf:
                 raise ValueError(f"conductance of edge {e} must be positive and finite, got {c}")
@@ -56,8 +68,7 @@ class ConductanceNetwork:
                     f"{min(comp)} has no field conductance"
                 )
         object.__setattr__(self, "edge_conductance", cond)
-        gamma.setflags(write=False)
-        object.__setattr__(self, "field_conductance", gamma)
+        object.__setattr__(self, "field_conductance", _read_only(gamma))
 
     @property
     def node_count(self) -> int:
@@ -87,14 +98,20 @@ def uniform_network(g: UndirectedGraph, gamma: float, edge_value: float = 1.0) -
 class InfluenceWeights:
     """Row-normalized trust weights derived from conductances.
 
-    ``trust[(i, j)]`` is how much i trusts neighbor j and
-    ``field_trust[i]`` how much i trusts the opinion field; each row
-    sums to one.
+    ``arc_trust[p]`` is how much j trusts neighbor i, p being the graph's
+    CSR entry at row j and column i (the message (j, i)); ``field_trust[j]``
+    is how much j trusts the opinion field.  Each row sums to one.
     """
 
     graph: UndirectedGraph
-    trust: Mapping[tuple[int, int], float]
+    arc_trust: np.ndarray
     field_trust: np.ndarray
+
+    @functools.cached_property
+    def trust(self) -> Mapping[tuple[int, int], float]:
+        """``arc_trust`` keyed by the arc (j, i)."""
+        arcs = zip(self.graph._rows.tolist(), self.graph._csr.indices.tolist())
+        return dict(zip(arcs, self.arc_trust.tolist()))
 
 
 @dataclass(frozen=True)
@@ -115,17 +132,17 @@ class InfluenceVector:
 def build_weights(net: ConductanceNetwork) -> InfluenceWeights:
     """Normalize conductances into trust weights, row by row."""
     g = net.graph
-    trust: dict[tuple[int, int], float] = {}
-    field_trust = np.empty(g.node_count)
-    for i in range(g.node_count):
-        denom = net.total_conductance(i)
-        if not denom > 0.0:
-            raise ValueError(f"node {i} is isolated: zero total conductance")
-        for j in g.adjacency[i]:
-            trust[(i, j)] = net.conductance(i, j) / denom
-        field_trust[i] = float(net.field_conductance[i]) / denom
-    field_trust.setflags(write=False)
-    return InfluenceWeights(graph=g, trust=trust, field_trust=field_trust)
+    # The CSR entries (u, v) with u < v are the edges in sorted order.
+    upper = np.flatnonzero(g._rows < g._csr.indices)
+    values = np.fromiter(map(net.edge_conductance.__getitem__, g.edges), dtype=np.float64, count=g.edge_count)
+    arc_cond = np.empty(2 * g.edge_count)
+    arc_cond[upper] = arc_cond[g._reverse[upper]] = values
+    # Each row sums from 0.0 in ascending neighbor order; the field comes last.
+    denom = np.bincount(g._rows, weights=arc_cond, minlength=g.node_count) + net.field_conductance
+    if not np.all(denom > 0.0):
+        raise ValueError(f"node {np.argmin(denom > 0.0)} is isolated: zero total conductance")
+    arc_trust = _read_only(arc_cond / denom[g._rows])
+    return InfluenceWeights(graph=g, arc_trust=arc_trust, field_trust=_read_only(net.field_conductance / denom))
 
 
 def _grounded_laplacian(net: ConductanceNetwork) -> np.ndarray:
@@ -158,8 +175,7 @@ def _checked_potentials(values: np.ndarray) -> np.ndarray:
     if not (values.min() >= -1e-9 and values.max() <= 1.0 + 1e-9):
         raise ArithmeticError("potentials escaped [0, 1] beyond roundoff")
     np.clip(values, 0.0, 1.0, out=values)
-    values.setflags(write=False)
-    return values
+    return _read_only(values)
 
 
 def grounded_laplacian_solve(net: ConductanceNetwork, leader: int) -> PotentialVector:
@@ -224,17 +240,12 @@ def _potential_matrix(net: ConductanceNetwork) -> np.ndarray:
 
 def _influence(pot: np.ndarray) -> InfluenceVector:
     """Row sums of the potential matrix: H(l) = (M^-1 1)_l / (M^-1)_ll."""
-    values = pot.sum(axis=1)
-    values.setflags(write=False)
-    return InfluenceVector(values=values)
+    return InfluenceVector(values=_read_only(pot.sum(axis=1)))
 
 
 def _message_potentials(pot: np.ndarray, md: MessageDigraph) -> np.ndarray:
     """Entry [j, i] of the potential matrix for every message node (j, i)."""
-    ends = np.array(md.arc_nodes, dtype=np.intp).reshape(-1, 2)
-    out = pot[ends[:, 0], ends[:, 1]]
-    out.setflags(write=False)
-    return out
+    return _read_only(pot[md.receivers(), md.senders()])
 
 
 def harmonic_influence_exact(net: ConductanceNetwork) -> InfluenceVector:
@@ -272,9 +283,7 @@ def glue_leaders(
             raise ValueError(f"leader {v} outside node range")
         if g.degree(v) != 1:
             raise ValueError(f"zero-opinion leader {v} is not a leaf (degree {g.degree(v)})")
-    cond = {tuple(sorted(e)): float(c) for e, c in edge_conductance.items()}
-    if set(cond) != set(g.edges):
-        raise ValueError("edge conductances must cover exactly the graph's edges")
+    cond = _edge_conductances(g, edge_conductance)
 
     survivors = [v for v in range(g.node_count) if v not in leaders]
     if not survivors:

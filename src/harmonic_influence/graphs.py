@@ -2,16 +2,16 @@
 random generation, spanning trees, the message digraph, and strongly
 connected component / condensation analysis.
 
-Connected components, strong components, reachability and the diameter
-run in ``scipy.sparse.csgraph`` on one CSR form of the arcs
-(``_csr_rows``).  Strong components come from Pearce's algorithm, which
-labels each component when it finishes it, so every arc between two
-components runs from a higher label to a lower one.  ``condensation``
-checks that property on every call, raising ``AssertionError`` if it
-fails, and then moves the sink components first, keeping label order
-within sinks and within the rest.
-An undirected graph's component labels are searched once and kept on the
-graph, since scipy's per-call set-up outweighs the search on small graphs.
+An undirected graph indexes its ordered arcs once, by its CSR adjacency
+(``UndirectedGraph._csr``, columns ascending in every row): entry p, at
+row j and column i, is the arc (j, i), and the messages and trust weights
+are arrays indexed by p.  Connected components, strong components,
+reachability and the diameter run in ``scipy.sparse.csgraph``.  Strong
+components come from Pearce's algorithm, which labels each component
+when it finishes it, so every arc between two components runs from a
+higher label to a lower one; ``condensation`` checks that property on
+every call (``AssertionError`` if it fails), then moves the sink
+components first, keeping label order within sinks and within the rest.
 
 All random operations take an explicit integer seed and use numpy's
 PCG64 generator (``numpy.random.default_rng``), so identical seeds give
@@ -25,8 +25,8 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse
@@ -51,11 +51,9 @@ def _normalize_edges(node_count: int, edges: Iterable[Sequence[int]]) -> tuple[E
     return tuple(sorted(seen))
 
 
-def _arc_ends(arcs: Sequence[Arc]) -> tuple[np.ndarray, np.ndarray]:
-    """Tail and head index arrays of the arcs, in the given order."""
-    # fromiter reads the flat stream about three times faster than np.asarray(arcs)
-    ends = np.fromiter(itertools.chain.from_iterable(arcs), dtype=np.intp, count=2 * len(arcs))
-    return ends[0::2], ends[1::2]
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def _csr_rows(
@@ -69,12 +67,6 @@ def _csr_rows(
     """
     indptr = np.searchsorted(tails, np.arange(shape[0] + 1))
     return scipy.sparse.csr_matrix((weights, heads, indptr), shape=shape)
-
-
-def _adjacency(node_count: int, arcs: Sequence[Arc]) -> scipy.sparse.csr_matrix:
-    """Unit-weighted CSR adjacency of arcs sorted by tail, such as a graph's edges."""
-    tails, heads = _arc_ends(arcs)
-    return _csr_rows(tails, heads, np.ones(len(tails)), (node_count, node_count))
 
 
 def _with_source(
@@ -114,24 +106,20 @@ class UndirectedGraph:
 
     node_count: int
     edges: tuple[Edge, ...]
-    adjacency: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.node_count < 1:
             raise ValueError("node_count must be >= 1")
         object.__setattr__(self, "edges", _normalize_edges(self.node_count, self.edges))
-        nbrs: list[list[int]] = [[] for _ in range(self.node_count)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        object.__setattr__(self, "adjacency", tuple(tuple(sorted(a)) for a in nbrs))
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
+    @functools.cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        indptr, cols = self._csr.indptr.tolist(), self._csr.indices.tolist()
+        return tuple(tuple(cols[a:b]) for a, b in zip(indptr, indptr[1:]))
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -140,17 +128,33 @@ class UndirectedGraph:
         return v in self.adjacency[u]
 
     @functools.cached_property
+    def _csr(self) -> scipy.sparse.csr_matrix:
+        """Unit adjacency, both directions of every edge, columns ascending in every row."""
+        ends = np.fromiter(itertools.chain.from_iterable(self.edges), dtype=np.intp, count=2 * self.edge_count)
+        rows = np.concatenate((ends[0::2], ends[1::2]))
+        cols = np.concatenate((ends[1::2], ends[0::2]))
+        order = np.lexsort((cols, rows))
+        return _csr_rows(rows[order], cols[order], np.ones(len(rows)), (self.node_count, self.node_count))
+
+    @functools.cached_property
+    def _rows(self) -> np.ndarray:
+        return _read_only(np.repeat(np.arange(self.node_count), np.diff(self._csr.indptr)))
+
+    @functools.cached_property
+    def _reverse(self) -> np.ndarray:
+        # The entries sorted by (column, row) are the reverses of the entries in order.
+        return _read_only(np.lexsort((self._rows, self._csr.indices)))
+
+    @functools.cached_property
     def _component_labels(self) -> np.ndarray:
         """Connected-component label of every node, searched once per graph."""
-        adjacency = _adjacency(self.node_count, self.edges)
-        labels = scipy.sparse.csgraph.connected_components(adjacency, directed=False)[1]
-        labels.setflags(write=False)
-        return labels
+        return _read_only(scipy.sparse.csgraph.connected_components(self._csr, directed=False)[1])
 
 
 @dataclass(frozen=True)
 class Digraph:
-    """Directed graph; self-loops allowed, duplicate arcs rejected."""
+    """Directed graph; self-loops allowed, duplicate arcs rejected.  Arc k of the
+    sorted ``arcs`` is (tails[k], heads[k]) of ``_ends``, read once per digraph."""
 
     node_count: int
     arcs: tuple[Arc, ...]
@@ -169,14 +173,21 @@ class Digraph:
         object.__setattr__(self, "arcs", tuple(sorted(seen)))
 
     @classmethod
-    def _from_sorted_arcs(cls, node_count: int, arcs: tuple[Arc, ...]) -> Digraph:
+    def _from_sorted_ends(cls, node_count: int, tails: np.ndarray, heads: np.ndarray) -> Digraph:
         """A digraph from arcs already in range, unique and sorted, without re-checking them."""
-        if node_count < 1:
-            raise ValueError("node_count must be >= 1")
         d = object.__new__(cls)
         object.__setattr__(d, "node_count", node_count)
-        object.__setattr__(d, "arcs", arcs)
+        ids = np.arange(node_count).astype(object)  # one int object per node, shared by all arcs
+        object.__setattr__(d, "arcs", tuple(zip(ids[tails].tolist(), ids[heads].tolist())))
+        d.__dict__["_ends"] = (_read_only(tails), _read_only(heads))
         return d
+
+    @functools.cached_property
+    def _ends(self) -> tuple[np.ndarray, np.ndarray]:
+        # fromiter reads the flat stream about three times faster than np.asarray(arcs)
+        ends = np.fromiter(itertools.chain.from_iterable(self.arcs), dtype=np.intp, count=2 * len(self.arcs))
+        ends.setflags(write=False)
+        return ends[0::2], ends[1::2]
 
 
 @dataclass(frozen=True)
@@ -186,28 +197,40 @@ class MessageDigraph:
     Each undirected edge {i, j} contributes two nodes: the ordered pairs
     (j, i) and (i, j).  The node (j, i) carries the message flowing from
     i to j, and has an arc to (i, k) for every neighbor k of i other
-    than j (the messages it is computed from).  Nodes are indexed
-    densely in lexicographic order of (receiver, sender).
+    than j (the messages it is computed from).  Message (j, i) is node p,
+    the base graph's CSR entry at row j and column i, so nodes run in
+    (receiver, sender) order; ``reverse[p]`` is the message (i, j) sent back.
     """
 
     base: UndirectedGraph
-    arc_nodes: tuple[Arc, ...]          # lexicographic (receiver j, sender i)
-    arc_id: Mapping[Arc, int]
-    arcs: tuple[tuple[int, int], ...]   # dependency arcs between node ids
+    dependencies: Digraph
 
     @property
     def size(self) -> int:
-        return len(self.arc_nodes)
+        return self.dependencies.node_count
+
+    @property
+    def arcs(self) -> tuple[tuple[int, int], ...]:
+        return self.dependencies.arcs
+
+    @property
+    def reverse(self) -> np.ndarray:
+        return self.base._reverse
+
+    @functools.cached_property
+    def arc_nodes(self) -> tuple[Arc, ...]:
+        return tuple(zip(self.receivers().tolist(), self.senders().tolist()))
 
     def receivers(self) -> np.ndarray:
-        return np.array([j for j, _ in self.arc_nodes], dtype=np.intp)
+        return self.base._rows
 
     def senders(self) -> np.ndarray:
-        return np.array([i for _, i in self.arc_nodes], dtype=np.intp)
+        return self.base._csr.indices.astype(np.intp)
 
     def to_digraph(self) -> Digraph:
-        # message_digraph emits the arcs in range, unique and sorted.
-        return Digraph._from_sorted_arcs(self.size, self.arcs)
+        if self.size < 1:
+            raise ValueError("node_count must be >= 1")
+        return self.dependencies
 
 
 @dataclass(frozen=True)
@@ -268,8 +291,7 @@ def _require_connected(g: UndirectedGraph) -> None:
 def diameter(g: UndirectedGraph) -> int:
     """Longest shortest path, by all-pairs unweighted shortest paths.  Requires a connected graph."""
     _require_connected(g)
-    adjacency = _adjacency(g.node_count, g.edges)
-    return int(scipy.sparse.csgraph.shortest_path(adjacency, directed=False, unweighted=True).max())
+    return int(scipy.sparse.csgraph.shortest_path(g._csr, directed=False, unweighted=True).max())
 
 
 def spanning_tree(g: UndirectedGraph, seed: int) -> UndirectedGraph:
@@ -316,19 +338,13 @@ def add_extra_edges(tree: UndirectedGraph, pool: UndirectedGraph, k: int, seed: 
 
 def message_digraph(g: UndirectedGraph) -> MessageDigraph:
     """Build the dependency digraph of the per-edge messages of g."""
-    nodes: list[Arc] = []
-    for u, v in g.edges:
-        nodes.append((u, v))
-        nodes.append((v, u))
-    nodes.sort()
-    arc_id = {a: idx for idx, a in enumerate(nodes)}
-    arcs: list[tuple[int, int]] = []
-    for j, i in nodes:
-        a = arc_id[(j, i)]
-        for k in g.adjacency[i]:
-            if k != j:
-                arcs.append((a, arc_id[(i, k)]))
-    return MessageDigraph(base=g, arc_nodes=tuple(nodes), arc_id=arc_id, arcs=tuple(arcs))
+    indptr, senders = g._csr.indptr, g._csr.indices
+    # Message p = (j, i) depends on the entries of row i, ascending, except reverse[p].
+    starts, counts = indptr[senders], np.diff(indptr)[senders]
+    tails = np.repeat(np.arange(len(senders)), counts)
+    heads = np.arange(len(tails)) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    keep = heads != g._reverse[tails]
+    return MessageDigraph(g, Digraph._from_sorted_ends(len(senders), tails[keep], heads[keep]))
 
 
 def condensation(d: Digraph) -> CondensationDigraph:
@@ -341,7 +357,7 @@ def condensation(d: Digraph) -> CondensationDigraph:
     the sink components first.
     """
     n = d.node_count
-    tails, heads = _arc_ends(d.arcs)
+    tails, heads = d._ends
     labels, nontrivial = _strong_components(_csr_rows(tails, heads, np.ones(len(tails)), (n, n)))
     cross = labels[tails] != labels[heads]
     out_label, in_label = labels[tails[cross]], labels[heads[cross]]
@@ -368,8 +384,7 @@ def condensation(d: Digraph) -> CondensationDigraph:
 
 def reachable_set(d: Digraph, sources: Iterable[int]) -> frozenset[int]:
     """Nodes reachable from any source by a directed path of length >= 0."""
-    tails, heads = _arc_ends(d.arcs)
-    graph = _with_source(tails, heads, d.node_count, sources, "source")
+    graph = _with_source(*d._ends, d.node_count, sources, "source")
     order = scipy.sparse.csgraph.breadth_first_order(graph, d.node_count, return_predecessors=False)
     # The search lists the super-source first.
     return frozenset(order[1:].tolist())

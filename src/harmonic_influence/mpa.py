@@ -25,10 +25,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy.sparse
 
 from .analysis import _ArcGather, _same_bits
 from .electrical import InfluenceWeights
-from .graphs import MessageDigraph, UndirectedGraph, _arc_ends, _csr_rows, is_connected, message_digraph
+from .graphs import MessageDigraph, UndirectedGraph, _read_only, is_connected, message_digraph
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10**5
@@ -40,23 +41,21 @@ class _Kernel:
     Message (j, i) gathers over its dependency arcs to the messages
     (i, k), k != j, with coefficient trust[(i, k)] / trust[(i, j)], is
     driven by alpha = q_i / trust[(i, j)], and its influence message has
-    no driving term (beta = 0).
+    no driving term (beta = 0).  Message p and ``arc_trust[p]`` share the
+    graph's CSR entry, so trust[(i, j)] is ``arc_trust[reverse[p]]``.
     """
 
     def __init__(self, md: MessageDigraph, weights: InfluenceWeights):
         self.weights = weights
-        # Per message (j, i): the sender's trust in the receiver, and back.
-        sender_trust = np.array([weights.trust[(i, j)] for j, i in md.arc_nodes])
-        receiver_trust = np.array([weights.trust[(j, i)] for j, i in md.arc_nodes])
+        sender_trust = weights.arc_trust[md.reverse]
         self.alpha = weights.field_trust[md.senders()] / sender_trust
-        # md.arcs is ordered by (message, then ascending sender of its
-        # source message), so every gather sums in ascending neighbor order.
-        arc_from, arc_to = _arc_ends(md.arcs)
-        coef = receiver_trust[arc_to] / sender_trust[arc_from]
+        # Arcs run by message, then ascending sender: every gather sums in ascending neighbor order.
+        arc_from, arc_to = md.dependencies._ends
+        coef = weights.arc_trust[arc_to] / sender_trust[arc_from]
         self.gather = _ArcGather(arc_from, arc_to, md.size, coef)
-        # Row j sums the messages (j, i) to node j, ascending in i.
-        self.receive = _csr_rows(
-            md.receivers(), np.arange(md.size), np.ones(md.size), (md.base.node_count, md.size)
+        # Row j sums the messages (j, i) to node j, ascending in i: the graph's CSR rows.
+        self.receive = scipy.sparse.csr_matrix(
+            (np.ones(md.size), np.arange(md.size), md.base._csr.indptr), shape=(md.base.node_count, md.size)
         )
         # Once w is fixed, one matvec gives the next h sums and the estimates.
         self.growth_and_receive = self.gather.growth_over(self.receive)
@@ -80,10 +79,7 @@ def initial_messages(md: MessageDigraph, weights: InfluenceWeights) -> MessageSt
     """All messages start at one."""
     if weights.graph != md.base:
         raise ValueError("weights and message digraph cover different graphs")
-    w = np.ones(md.size)
-    h = np.ones(md.size)
-    w.setflags(write=False)
-    h.setflags(write=False)
+    w, h = _read_only(np.ones(md.size)), _read_only(np.ones(md.size))
     return MessageState(md=md, w_msgs=w, h_msgs=h, t=0, _kernel=_Kernel(md, weights))
 
 
@@ -97,9 +93,7 @@ def _kernel_for(state: MessageState, weights: InfluenceWeights) -> _Kernel:
 def mpa_step(state: MessageState, weights: InfluenceWeights) -> MessageState:
     """One synchronous update of every message."""
     kernel = _kernel_for(state, weights)
-    w_new, h_new = kernel.gather.step(state.w_msgs, state.h_msgs, kernel.alpha, 0.0)
-    w_new.setflags(write=False)
-    h_new.setflags(write=False)
+    w_new, h_new = map(_read_only, kernel.gather.step(state.w_msgs, state.h_msgs, kernel.alpha, 0.0))
     return MessageState(md=state.md, w_msgs=w_new, h_msgs=h_new, t=state.t + 1, _kernel=kernel)
 
 
@@ -108,10 +102,11 @@ def node_influence_estimate(state: MessageState, node: int) -> float:
     md = state.md
     if not 0 <= node < md.base.node_count:
         raise ValueError(f"node {node} outside range")
+    # Its incoming messages are CSR row node, ascending in the sender.
+    lo, hi = md.base._csr.indptr[node : node + 2]
     acc = 0.0
-    for i in md.base.adjacency[node]:
-        idx = md.arc_id[(node, i)]
-        acc += state.w_msgs[idx] * state.h_msgs[idx]
+    for p in range(lo, hi):
+        acc += state.w_msgs[p] * state.h_msgs[p]
     return 1.0 + acc
 
 
@@ -168,6 +163,8 @@ def run_mpa(
         raise ValueError("message passing requires a connected graph")
     if not tol >= 0.0:
         raise ValueError("tol must be nonnegative")
+    if max_iter < 1:
+        raise ValueError("max_iter must be positive")
 
     md = message_digraph(g)
     state = initial_messages(md, weights)
@@ -205,12 +202,10 @@ def run_mpa(
             converged = True
             break
 
-    est.setflags(write=False)
-    w.setflags(write=False)
     return MpaResult(
         md=md,
-        h_estimates=est,
-        w_limits=w,
+        h_estimates=_read_only(est),
+        w_limits=_read_only(w),
         iterations=steps,
         converged=converged,
         final_residual=residual,

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .electrical import InfluenceWeights
+from .graphs import _read_only
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10**6
@@ -46,14 +47,15 @@ def initial_state(
     regular_opinion: float = 0.0,
 ) -> OpinionState:
     """All regular agents start at regular_opinion; the leader at its fixed value."""
+    if not 0 <= leader < n:
+        raise ValueError(f"leader {leader} outside node range")
     opinions = np.full(n, float(regular_opinion))
     opinions[leader] = float(leader_opinion)
-    opinions.setflags(write=False)
     return OpinionState(
         leader=leader,
         leader_opinion=float(leader_opinion),
         field_opinion=float(field_opinion),
-        opinions=opinions,
+        opinions=_read_only(opinions),
         t=0,
     )
 
@@ -61,8 +63,7 @@ def initial_state(
 def _trust_matrix(w: InfluenceWeights) -> np.ndarray:
     n = w.graph.node_count
     q = np.zeros((n, n))
-    for (i, j), val in w.trust.items():
-        q[i, j] = val
+    q[w.graph._rows, w.graph._csr.indices] = w.arc_trust
     return q
 
 
@@ -74,12 +75,11 @@ def step(state: OpinionState, w: InfluenceWeights) -> OpinionState:
     x = state.opinions
     new = _trust_matrix(w) @ x + w.field_trust * state.field_opinion
     new[state.leader] = state.leader_opinion
-    new.setflags(write=False)
     return OpinionState(
         leader=state.leader,
         leader_opinion=state.leader_opinion,
         field_opinion=state.field_opinion,
-        opinions=new,
+        opinions=_read_only(new),
         t=state.t + 1,
     )
 
@@ -108,12 +108,11 @@ def simulate_to_fixed_point(
         residual = float(np.abs(new - x).sum())
         x = new
         if residual <= tol:
-            x.setflags(write=False)
             return OpinionState(
                 leader=state.leader,
                 leader_opinion=state.leader_opinion,
                 field_opinion=state.field_opinion,
-                opinions=x,
+                opinions=_read_only(x),
                 t=t,
             )
     raise NonConvergenceError(max_iter, residual)

@@ -68,6 +68,14 @@ def test_network_rejects_missing_or_extra_conductances():
         ConductanceNetwork(g, {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0}, np.full(3, 0.1))
 
 
+def test_network_rejects_edge_given_twice():
+    g = UndirectedGraph(3, ((0, 1), (1, 2)))
+    with pytest.raises(ValueError, match="edge 0-1 given twice"):
+        ConductanceNetwork(g, {(0, 1): 1.0, (1, 0): 5.0, (1, 2): 1.0}, np.full(3, 0.1))
+    with pytest.raises(ValueError, match="edge 1-2 given twice"):
+        ConductanceNetwork(g, {(2, 1): 1.0, (0, 1): 1.0, (1, 2): 1.0}, np.full(3, 0.1))
+
+
 def test_network_rejects_all_zero_field():
     g = UndirectedGraph(2, ((0, 1),))
     with pytest.raises(ValueError, match="no field conductance"):
@@ -352,6 +360,12 @@ def test_glue_rejects_non_leaf():
         glue_leaders(g, cond, {3})
     with pytest.raises(ValueError):
         glue_leaders(g, cond, set())
+
+
+def test_glue_rejects_edge_given_twice():
+    g, cond = fig_style_graph()
+    with pytest.raises(ValueError, match="edge 3-4 given twice"):
+        glue_leaders(g, {**cond, (4, 3): 5.0}, {0, 5, 6})
 
 
 def split_field(net):

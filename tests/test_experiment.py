@@ -240,6 +240,23 @@ def test_cli_mpa_nonconvergence_exit_code(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", ["mpa", "experiment"])
+@pytest.mark.parametrize("max_iter", ["0", "-3"])
+def test_cli_nonpositive_max_iter_exits_one_with_error_line(tmp_path, capsys, command, max_iter):
+    gdir = tmp_path / "graphs"
+    cli.main(["generate", "--n", "10", "--p", "0.4", "--extra-edges", "2",
+              "--seed", "5", "--out", str(gdir)])
+    capsys.readouterr()
+    out = tmp_path / "out"
+    source = [str(gdir / "few_extra_edges.edges")] if command == "mpa" else []
+    rc = cli.main([command, *source, "--max-iter", max_iter, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == "error: max_iter must be positive\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_cli_experiment_smoke(tmp_path, capsys):
     out = tmp_path / "exp"
     rc = cli.main(["experiment", "--n", "12", "--p", "0.3", "--extra-edges", "2",

@@ -71,7 +71,7 @@ def test_initialization_all_ones():
 def test_leaf_message_constant_from_first_step():
     g = path_graph(4)
     _, w, md = setup(g)
-    leaf_arc = md.arc_id[(1, 0)]  # message sent by leaf 0 to its neighbor 1
+    leaf_arc = md.arc_nodes.index((1, 0))  # message sent by leaf 0 to its neighbor 1
     expected = 1.0 / (1.0 + w.field_trust[0] / w.trust[(0, 1)])
     state = initial_messages(md, w)
     for t in range(1, 6):
@@ -84,8 +84,8 @@ def test_two_node_messages():
     _, w, md = setup(g)
     state = mpa_step(initial_messages(md, w), w)
     # q_i / Q_ij reduces to the conductance ratio 0.04, so W = 1/1.04
-    assert state.w_msgs[md.arc_id[(0, 1)]] == pytest.approx(1.0 / 1.04, abs=1e-15)
-    assert state.w_msgs[md.arc_id[(1, 0)]] == pytest.approx(1.0 / 1.04, abs=1e-15)
+    assert state.w_msgs[md.arc_nodes.index((0, 1))] == pytest.approx(1.0 / 1.04, abs=1e-15)
+    assert state.w_msgs[md.arc_nodes.index((1, 0))] == pytest.approx(1.0 / 1.04, abs=1e-15)
     assert node_influence_estimate(state, 0) == pytest.approx(1.0 + 1.0 / 1.04, abs=1e-14)
 
 
@@ -195,6 +195,14 @@ def test_run_requires_connected_graph_with_edges():
     with pytest.raises(ValueError):
         net1 = uniform_network(g1, GAMMA)
         run_mpa(g1, build_weights(net1))
+
+
+@pytest.mark.parametrize("max_iter", [0, -3])
+def test_run_rejects_nonpositive_max_iter(max_iter):
+    g = path_graph(3)
+    _, w, _ = setup(g)
+    with pytest.raises(ValueError, match="max_iter must be positive"):
+        run_mpa(g, w, max_iter=max_iter)
 
 
 def same_bits(a, b):

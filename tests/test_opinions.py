@@ -38,6 +38,12 @@ def test_step_two_node_first_update():
     assert st.t == 1
 
 
+@pytest.mark.parametrize("leader", [-1, 3])
+def test_initial_state_rejects_leader_outside_range(leader):
+    with pytest.raises(ValueError, match=f"leader {leader} outside node range"):
+        initial_state(3, leader)
+
+
 def test_leader_opinion_never_moves():
     net = random_network(15, 0.25, seed=3)
     w = build_weights(net)

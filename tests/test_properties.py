@@ -1,0 +1,102 @@
+"""Property tests: the array forms of the graph, message and weight code
+against the plain Python loops they replaced, on drawn connected networks."""
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from harmonic_influence.electrical import ConductanceNetwork, build_weights
+from harmonic_influence.graphs import UndirectedGraph, message_digraph
+from harmonic_influence.mpa import influence_estimates, initial_messages, mpa_step, node_influence_estimate
+from harmonic_influence.opinions import _trust_matrix
+
+conductances = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def connected_networks(draw, max_nodes=14):
+    """A connected graph (a random tree plus extra edges), listed in drawn
+    order and direction, with drawn edge and field conductances."""
+    n = draw(st.integers(min_value=2, max_value=max_nodes))
+    tree = [(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    extra = draw(st.lists(st.sampled_from(pairs), max_size=2 * n, unique=True))
+    edges = draw(st.permutations(sorted(set(tree) | set(extra))))
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+    gamma = draw(st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=n, max_size=n))
+    gamma[draw(st.integers(min_value=0, max_value=n - 1))] = draw(conductances)
+    g = UndirectedGraph(n, tuple(edges))
+    return ConductanceNetwork(g, {e: draw(conductances) for e in edges}, np.array(gamma))
+
+
+def neighbor_lists(g):
+    nbrs = [[] for _ in range(g.node_count)]
+    for u, v in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return [sorted(a) for a in nbrs]
+
+
+def message_digraph_oracle(g):
+    """Messages in (receiver, sender) order and their dependency arcs, by loops."""
+    nbrs = neighbor_lists(g)
+    nodes = sorted([(u, v) for u, v in g.edges] + [(v, u) for u, v in g.edges])
+    arc_id = {a: idx for idx, a in enumerate(nodes)}
+    arcs = [(arc_id[(j, i)], arc_id[(i, k)]) for j, i in nodes for k in nbrs[i] if k != j]
+    return tuple(nodes), tuple(arcs)
+
+
+def build_weights_oracle(net):
+    """Trust per ordered pair and field trust, each row summed from 0 in ascending neighbor order."""
+    trust = {}
+    field_trust = np.empty(net.node_count)
+    for i, nbrs in enumerate(neighbor_lists(net.graph)):
+        denom = sum(net.conductance(i, j) for j in nbrs) + float(net.field_conductance[i])
+        for j in nbrs:
+            trust[(i, j)] = net.conductance(i, j) / denom
+        field_trust[i] = float(net.field_conductance[i]) / denom
+    return trust, field_trust
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+@given(connected_networks())
+def test_message_digraph_matches_loop_oracle(net):
+    g = net.graph
+    md = message_digraph(g)
+    nodes, arcs = message_digraph_oracle(g)
+    assert g.adjacency == tuple(map(tuple, neighbor_lists(g)))
+    assert md.arc_nodes == nodes
+    assert md.arcs == arcs
+    assert md.to_digraph().arcs == arcs
+    assert md.receivers().tolist() == [j for j, _ in nodes]
+    assert md.senders().tolist() == [i for _, i in nodes]
+    p = np.arange(md.size)
+    assert np.array_equal(md.reverse[md.reverse], p)
+    assert all(md.arc_nodes[md.reverse[q]] == (i, j) for q, (j, i) in enumerate(nodes))
+
+
+@given(connected_networks())
+def test_build_weights_matches_loop_oracle_bitwise(net):
+    w = build_weights(net)
+    trust, field_trust = build_weights_oracle(net)
+    nodes, _ = message_digraph_oracle(net.graph)
+    assert same_bits(w.arc_trust, [trust[a] for a in nodes])
+    assert same_bits(w.field_trust, field_trust)
+    assert w.trust == trust
+    q = np.zeros((net.node_count, net.node_count))
+    for (i, j), val in trust.items():
+        q[i, j] = val
+    assert same_bits(_trust_matrix(w), q)
+
+
+@given(connected_networks(), st.integers(min_value=0, max_value=6))
+def test_node_estimate_matches_all_node_estimates_bitwise(net, steps):
+    w = build_weights(net)
+    state = initial_messages(message_digraph(net.graph), w)
+    for _ in range(steps):
+        state = mpa_step(state, w)
+    each = [node_influence_estimate(state, v) for v in range(net.node_count)]
+    assert same_bits(np.array(each, dtype=np.float64), influence_estimates(state, w))
