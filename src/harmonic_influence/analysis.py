@@ -242,7 +242,8 @@ def spectral_radius_diagnostic(
         raise ValueError("omega must have one entry per digraph node")
     if np.any(w <= 0.0) or np.any(w > 1.0):
         raise ValueError("omega entries must lie in (0, 1]")
-    adjacency = _csr_rows(*d._ends, np.ones(len(d.arcs)), (n, n))
+    tails, heads = d._ends
+    adjacency = _csr_rows(tails, heads, np.ones(len(tails)), (n, n))
     if not _strong_components(adjacency)[1].any():
         return 0.0
 

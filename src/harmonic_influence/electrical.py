@@ -80,9 +80,26 @@ class ConductanceNetwork:
 
     def total_conductance(self, i: int) -> float:
         """Sum of all conductances incident to i, field edge included."""
-        return sum(self.conductance(i, j) for j in self.graph.adjacency[i]) + float(
-            self.field_conductance[i]
-        )
+        return float(self._totals[i])
+
+    @functools.cached_property
+    def arc_conductance(self) -> np.ndarray:
+        """Conductance of every ordered arc, indexed by the graph's CSR entry."""
+        g = self.graph
+        # The CSR entries (u, v) with u < v are the edges in sorted order.
+        upper = np.flatnonzero(g._rows < g._csr.indices)
+        values = np.fromiter(map(self.edge_conductance.__getitem__, g.edges), dtype=np.float64, count=g.edge_count)
+        arc_cond = np.empty(2 * g.edge_count)
+        arc_cond[upper] = arc_cond[g._reverse[upper]] = values
+        return _read_only(arc_cond)
+
+    @functools.cached_property
+    def _totals(self) -> np.ndarray:
+        # Each row sums from 0.0 in ascending neighbor order, whatever the
+        # order of the mapping; the field comes last.
+        g = self.graph
+        rows = np.bincount(g._rows, weights=self.arc_conductance, minlength=g.node_count)
+        return _read_only(rows + self.field_conductance)
 
 
 def uniform_network(g: UndirectedGraph, gamma: float, edge_value: float = 1.0) -> ConductanceNetwork:
@@ -132,16 +149,10 @@ class InfluenceVector:
 def build_weights(net: ConductanceNetwork) -> InfluenceWeights:
     """Normalize conductances into trust weights, row by row."""
     g = net.graph
-    # The CSR entries (u, v) with u < v are the edges in sorted order.
-    upper = np.flatnonzero(g._rows < g._csr.indices)
-    values = np.fromiter(map(net.edge_conductance.__getitem__, g.edges), dtype=np.float64, count=g.edge_count)
-    arc_cond = np.empty(2 * g.edge_count)
-    arc_cond[upper] = arc_cond[g._reverse[upper]] = values
-    # Each row sums from 0.0 in ascending neighbor order; the field comes last.
-    denom = np.bincount(g._rows, weights=arc_cond, minlength=g.node_count) + net.field_conductance
+    denom = net._totals
     if not np.all(denom > 0.0):
         raise ValueError(f"node {np.argmin(denom > 0.0)} is isolated: zero total conductance")
-    arc_trust = _read_only(arc_cond / denom[g._rows])
+    arc_trust = _read_only(net.arc_conductance / denom[g._rows])
     return InfluenceWeights(graph=g, arc_trust=arc_trust, field_trust=_read_only(net.field_conductance / denom))
 
 
@@ -151,14 +162,10 @@ def _grounded_laplacian(net: ConductanceNetwork) -> np.ndarray:
     Diagonal entries carry the full degree including the field edge, so
     removing the leader row/column gives the grounded system directly.
     """
-    n = net.node_count
-    lap = np.zeros((n, n))
-    for (u, v), c in net.edge_conductance.items():
-        lap[u, v] -= c
-        lap[v, u] -= c
-        lap[u, u] += c
-        lap[v, v] += c
-    lap[np.diag_indices(n)] += net.field_conductance
+    g = net.graph
+    lap = np.zeros((g.node_count, g.node_count))
+    lap[g._rows, g._csr.indices] = -net.arc_conductance
+    lap[np.diag_indices(g.node_count)] = net._totals
     return lap
 
 

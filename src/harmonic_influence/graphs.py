@@ -154,7 +154,8 @@ class UndirectedGraph:
 @dataclass(frozen=True)
 class Digraph:
     """Directed graph; self-loops allowed, duplicate arcs rejected.  Arc k of the
-    sorted ``arcs`` is (tails[k], heads[k]) of ``_ends``, read once per digraph."""
+    sorted ``arcs`` is (tails[k], heads[k]) of ``_ends``, read once per digraph;
+    a digraph built from those arrays derives ``arcs`` only when it is read."""
 
     node_count: int
     arcs: tuple[Arc, ...]
@@ -177,10 +178,17 @@ class Digraph:
         """A digraph from arcs already in range, unique and sorted, without re-checking them."""
         d = object.__new__(cls)
         object.__setattr__(d, "node_count", node_count)
-        ids = np.arange(node_count).astype(object)  # one int object per node, shared by all arcs
-        object.__setattr__(d, "arcs", tuple(zip(ids[tails].tolist(), ids[heads].tolist())))
         d.__dict__["_ends"] = (_read_only(tails), _read_only(heads))
         return d
+
+    def __getattr__(self, name: str):
+        # Called only for attributes not yet set: a digraph built from its
+        # arrays derives the arcs tuple on first read.
+        if name != "arcs" or "_ends" not in self.__dict__:
+            raise AttributeError(name)
+        arcs = tuple(zip(*(e.tolist() for e in self._ends)))
+        object.__setattr__(self, "arcs", arcs)
+        return arcs
 
     @functools.cached_property
     def _ends(self) -> tuple[np.ndarray, np.ndarray]:

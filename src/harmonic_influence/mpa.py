@@ -119,10 +119,13 @@ def influence_estimates(state: MessageState, weights: InfluenceWeights) -> np.nd
 class MpaResult:
     """Outcome of a full message passing run.
 
-    ``iterations`` counts the synchronous steps executed; the traces,
-    when recorded, hold one row per step from t=0 through t=iterations.
-    ``w_fixed_step`` is the first step whose potential messages equal the
-    previous step's bit for bit, or None if they never did.
+    ``iterations`` counts the synchronous steps executed.  When recorded,
+    ``h_trace`` holds the estimates of every step, t=0 through
+    t=iterations.  ``w_fixed_step`` is the first step whose potential
+    messages equal the previous step's bit for bit, or None if they never
+    did; every later w is that same array, so ``w_trace`` stops there:
+    its rows are t=0 through t=w_fixed_step (through t=iterations if w
+    never fixed), and its last row is bitwise ``w_limits``.
     """
 
     md: MessageDigraph
@@ -196,8 +199,9 @@ def run_mpa(
         residual = float(w_change + np.abs(est_new - est).sum())
         w, est = w_new, est_new
         if trace:
-            w_rows.append(w)
             est_rows.append(est)
+            if w_fixed_step in (None, steps):
+                w_rows.append(w)
         if residual <= tol:
             converged = True
             break
@@ -220,15 +224,13 @@ def error_trace(result: MpaResult) -> list[tuple[int, float, float]]:
 
     The final iterate stands in for the unknown limit.  One entry per
     executed step, t = 0 .. iterations-1; the last entry is therefore
-    bounded by the stopping tolerance whenever the run converged.
+    bounded by the stopping tolerance whenever the run converged.  The
+    w error is exactly 0.0 from ``w_fixed_step`` on, where ``w_trace``
+    ends.
     """
     if result.h_trace is None or result.w_trace is None:
         raise ValueError("result carries no traces; rerun with trace=True")
-    h_final = result.h_trace[-1]
-    w_final = result.w_trace[-1]
-    out = []
-    for t in range(result.iterations):
-        h_err = float(np.abs(result.h_trace[t] - h_final).sum())
-        w_err = float(np.abs(result.w_trace[t] - w_final).sum())
-        out.append((t, h_err, w_err))
-    return out
+    h_err = np.abs(result.h_trace[:-1] - result.h_trace[-1]).sum(axis=1)
+    w_err = np.zeros(result.iterations)
+    w_err[: len(result.w_trace) - 1] = np.abs(result.w_trace[:-1] - result.w_trace[-1]).sum(axis=1)
+    return list(zip(range(result.iterations), h_err.tolist(), w_err.tolist()))

@@ -283,6 +283,21 @@ def test_influence_bounds():
         assert np.all(inf.values <= net.node_count)
 
 
+def test_exact_results_do_not_depend_on_edge_order():
+    rng = np.random.default_rng(77)
+    for n in (3, 9, 25, 40):
+        net = random_conductance_network(n, seed=500 + n)
+        edges = list(net.edge_conductance.items())
+        shuffled = ConductanceNetwork(
+            net.graph,
+            {edges[k][0][::-1]: edges[k][1] for k in rng.permutation(len(edges))},
+            net.field_conductance,
+        )
+        md = message_digraph(net.graph)
+        assert harmonic_influence_exact(shuffled).values.tobytes() == harmonic_influence_exact(net).values.tobytes()
+        assert exact_message_potentials(shuffled, md).tobytes() == exact_message_potentials(net, md).tobytes()
+
+
 def test_scaling_all_conductances_leaves_everything_unchanged():
     net = random_network(18, 0.2, seed=55)
     scale = 3.7

@@ -211,7 +211,8 @@ def same_bits(a, b):
 
 
 def stepped_run(g, weights, tol, max_iter):
-    """run_mpa as a plain loop of full mpa_step updates and influence_estimates."""
+    """run_mpa as a plain loop of full mpa_step updates and influence_estimates,
+    keeping the w rows through the step at which w fixes."""
     state = initial_messages(message_digraph(g), weights)
     est = influence_estimates(state, weights)
     w_rows, est_rows = [state.w_msgs], [est]
@@ -223,7 +224,8 @@ def stepped_run(g, weights, tol, max_iter):
         if w_fixed_step is None and same_bits(nxt.w_msgs, state.w_msgs):
             w_fixed_step = nxt.t
         state, est = nxt, est_new
-        w_rows.append(state.w_msgs)
+        if w_fixed_step is None or w_fixed_step == state.t:
+            w_rows.append(state.w_msgs)
         est_rows.append(est)
         if residual <= tol:
             converged = True
@@ -248,6 +250,9 @@ def assert_run_matches_stepped_run(g, weights, tol, max_iter):
         assert same_bits(getattr(traced, name), expected), (g.node_count, max_iter, name)
         if not name.endswith("_trace"):
             assert same_bits(getattr(plain, name), expected), (g.node_count, max_iter, name)
+    last_row = traced.iterations if traced.w_fixed_step is None else traced.w_fixed_step
+    assert traced.w_trace.shape[0] == last_row + 1
+    assert same_bits(traced.w_trace[-1], traced.w_limits)
     return ref
 
 
@@ -263,7 +268,8 @@ def test_run_mpa_matches_full_step_loop_bitwise():
         fixed = ref["w_fixed_step"]
         if fixed is not None and fixed < ref["iterations"]:
             fixed_in_run += 1
-            # max_iter cut-offs before, at and after the step at which w fixes
+            assert len(ref["w_trace"]) == fixed + 1 < len(ref["h_trace"])
+            # max_iter cut-offs before (every w row kept), at and after the step at which w fixes
             for max_iter in (fixed - 1, fixed, fixed + 1, fixed + 7):
                 assert_run_matches_stepped_run(g, build_weights(net), 1e-10, max_iter)
     assert fixed_in_run >= 3

@@ -5,9 +5,16 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from harmonic_influence.electrical import ConductanceNetwork, build_weights
+from harmonic_influence.electrical import ConductanceNetwork, _grounded_laplacian, build_weights
 from harmonic_influence.graphs import UndirectedGraph, message_digraph
-from harmonic_influence.mpa import influence_estimates, initial_messages, mpa_step, node_influence_estimate
+from harmonic_influence.mpa import (
+    error_trace,
+    influence_estimates,
+    initial_messages,
+    mpa_step,
+    node_influence_estimate,
+    run_mpa,
+)
 from harmonic_influence.opinions import _trust_matrix
 
 conductances = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False)
@@ -58,6 +65,20 @@ def build_weights_oracle(net):
     return trust, field_trust
 
 
+def grounded_laplacian_oracle(net):
+    """The grounded Laplacian by a loop over the edges in sorted order, field last."""
+    n = net.node_count
+    lap = np.zeros((n, n))
+    for u, v in sorted(net.edge_conductance):
+        c = net.edge_conductance[(u, v)]
+        lap[u, v] -= c
+        lap[v, u] -= c
+        lap[u, u] += c
+        lap[v, v] += c
+    lap[np.diag_indices(n)] += net.field_conductance
+    return lap
+
+
 def same_bits(a, b):
     return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
 
@@ -92,6 +113,13 @@ def test_build_weights_matches_loop_oracle_bitwise(net):
     assert same_bits(_trust_matrix(w), q)
 
 
+@given(connected_networks())
+def test_grounded_laplacian_matches_sorted_loop_oracle_bitwise(net):
+    lap = _grounded_laplacian(net)
+    assert same_bits(lap, grounded_laplacian_oracle(net))
+    assert [net.total_conductance(i) for i in range(net.node_count)] == lap.diagonal().tolist()
+
+
 @given(connected_networks(), st.integers(min_value=0, max_value=6))
 def test_node_estimate_matches_all_node_estimates_bitwise(net, steps):
     w = build_weights(net)
@@ -100,3 +128,39 @@ def test_node_estimate_matches_all_node_estimates_bitwise(net, steps):
         state = mpa_step(state, w)
     each = [node_influence_estimate(state, v) for v in range(net.node_count)]
     assert same_bits(np.array(each, dtype=np.float64), influence_estimates(state, w))
+
+
+def error_trace_oracle(g, weights, tol, max_iter):
+    """Per-step 1-norm distances to the final iterate, by a loop over full
+    mpa_step rows that keeps every w row."""
+    state = initial_messages(message_digraph(g), weights)
+    est = influence_estimates(state, weights)
+    w_rows, est_rows = [state.w_msgs], [est]
+    while state.t < max_iter:
+        nxt = mpa_step(state, weights)
+        est_new = influence_estimates(nxt, weights)
+        residual = float(np.abs(nxt.w_msgs - state.w_msgs).sum() + np.abs(est_new - est).sum())
+        state, est = nxt, est_new
+        w_rows.append(state.w_msgs)
+        est_rows.append(est)
+        if residual <= tol:
+            break
+    out = []
+    for t in range(state.t):
+        h_err = float(np.abs(est_rows[t] - est_rows[-1]).sum())
+        w_err = float(np.abs(w_rows[t] - w_rows[-1]).sum())
+        out.append((t, h_err, w_err))
+    return out, np.array(w_rows)
+
+
+@given(connected_networks(), st.integers(min_value=1, max_value=300))
+def test_error_trace_matches_full_row_loop_bitwise(net, max_iter):
+    w = build_weights(net)
+    result = run_mpa(net.graph, w, tol=1e-10, max_iter=max_iter, trace=True)
+    expected, w_rows = error_trace_oracle(net.graph, w, 1e-10, max_iter)
+    got = error_trace(result)
+    assert [t for t, _, _ in got] == [t for t, _, _ in expected]
+    assert same_bits([e[1:] for e in got], [e[1:] for e in expected])
+    assert same_bits(result.w_trace, w_rows[: len(result.w_trace)])
+    assert np.all((result.w_trace > 0.0) & (result.w_trace <= 1.0))
+    assert np.all(np.diff(result.w_trace, axis=0) <= 0.0)
