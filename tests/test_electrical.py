@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-import scipy.linalg
+import scipy.sparse.linalg
 
 from harmonic_influence.electrical import (
     ConductanceNetwork,
@@ -186,7 +186,7 @@ def test_grounded_matrix_is_positive_definite():
         net = random_network(15, 0.25, seed=60 + seed)
         from harmonic_influence.electrical import _grounded_laplacian
 
-        lap = _grounded_laplacian(net)
+        lap = _grounded_laplacian(net).toarray()
         for leader in range(net.node_count):
             keep = [i for i in range(net.node_count) if i != leader]
             np.linalg.cholesky(lap[np.ix_(keep, keep)])  # raises if not PD
@@ -213,6 +213,19 @@ def test_closed_form_matches_per_leader_solves():
         np.testing.assert_allclose(exact_message_potentials(net, md), expected, rtol=1e-12, atol=0)
 
 
+class PerturbedSolve:
+    """A sparse LU whose solves come back scaled by 1.001: accurate factors, inaccurate solutions."""
+
+    def __init__(self, lu):
+        self.lu = lu
+
+    def __getattr__(self, name):
+        return getattr(self.lu, name)
+
+    def solve(self, b, **kwargs):
+        return 1.001 * self.lu.solve(b, **kwargs)
+
+
 def test_closed_form_checks_raise_arithmetic_error(monkeypatch):
     import harmonic_influence.electrical as electrical
 
@@ -222,20 +235,20 @@ def test_closed_form_checks_raise_arithmetic_error(monkeypatch):
     exact_forms = (lambda: harmonic_influence_exact(net), lambda: exact_message_potentials(net, md))
     # flipping the off-diagonal signs keeps M positive definite and the
     # solves accurate, but M^-1 then has negative entries: potentials < 0
-    flipped = np.abs(lap)
-    accurate_solve = scipy.linalg.cho_solve
-    assert np.all(np.linalg.eigvalsh(flipped) > 0.0)
+    flipped = abs(lap)
+    accurate_splu = scipy.sparse.linalg.splu
+    assert np.all(np.linalg.eigvalsh(flipped.toarray()) > 0.0)
     cases = [
         (lambda _net: flipped, None, "escaped"),
         (lambda _net: -lap, None, "not positive definite"),
-        (None, lambda chol, b, **kw: 1.001 * accurate_solve(chol, b, **kw), "residual"),
+        (None, lambda *args, **kw: PerturbedSolve(accurate_splu(*args, **kw)), "residual"),
     ]
-    for laplacian, solve, message in cases:
+    for laplacian, splu, message in cases:
         with monkeypatch.context() as patch:
             if laplacian is not None:
                 patch.setattr(electrical, "_grounded_laplacian", laplacian)
-            if solve is not None:
-                patch.setattr(electrical.scipy.linalg, "cho_solve", solve)
+            if splu is not None:
+                patch.setattr(electrical.scipy.sparse.linalg, "splu", splu)
             for exact_form in exact_forms:
                 with pytest.raises(ArithmeticError, match=message):
                     exact_form()
@@ -367,6 +380,22 @@ def test_glue_single_leaf():
     assert net.field_conductance[1] == pytest.approx(1.0)
     assert net.field_conductance[0] == 0.0
     assert net.conductance(0, 1) == pytest.approx(2.5)
+
+
+def test_glue_field_sums_do_not_depend_on_edge_order():
+    # the center 0 keeps leaf 4 and takes the field edges of leaves 1, 2, 3
+    edges = [((0, 1), 0.1), ((0, 2), 0.2), ((0, 3), 0.3), ((0, 4), 1.0)]
+    g = UndirectedGraph(5, tuple(e for e, _ in edges))
+    rng = np.random.default_rng(5)
+    orders = [edges, edges[::-1], edges[1:3] + edges[3:] + edges[:1]]
+    orders += [[edges[k] for k in rng.permutation(len(edges))] for _ in range(6)]
+    fields = []
+    for order in orders:
+        for reverse in (False, True):
+            cond = {(e[::-1] if reverse else e): c for e, c in order}
+            fields.append(glue_leaders(g, cond, {1, 2, 3}).field_conductance)
+    assert all(f.tobytes() == fields[0].tobytes() for f in fields)
+    assert fields[0][0] == 0.0 + 0.1 + 0.2 + 0.3  # ascending leaf order
 
 
 def test_glue_rejects_non_leaf():

@@ -1,11 +1,21 @@
-"""Property tests: the array forms of the graph, message and weight code
-against the plain Python loops they replaced, on drawn connected networks."""
+"""Property tests on drawn connected networks: the array forms of the
+graph, message and weight code against the plain Python loops they
+replaced, the exact layer against per-leader and dense solves, and the
+one-sided bound of message passing."""
 
 import numpy as np
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from harmonic_influence.electrical import ConductanceNetwork, _grounded_laplacian, build_weights
+from harmonic_influence.electrical import (
+    ConductanceNetwork,
+    _grounded_laplacian,
+    _potential_matrix,
+    build_weights,
+    exact_message_potentials,
+    grounded_laplacian_solve,
+    harmonic_influence_exact,
+)
 from harmonic_influence.graphs import UndirectedGraph, message_digraph
 from harmonic_influence.mpa import (
     error_trace,
@@ -23,14 +33,16 @@ conductances = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_i
 @st.composite
 def connected_networks(draw, max_nodes=14):
     """A connected graph (a random tree plus extra edges), listed in drawn
-    order and direction, with drawn edge and field conductances."""
+    order and direction, with drawn edge and field conductances; fields
+    may be zero except at one node."""
     n = draw(st.integers(min_value=2, max_value=max_nodes))
     tree = [(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)]
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     extra = draw(st.lists(st.sampled_from(pairs), max_size=2 * n, unique=True))
     edges = draw(st.permutations(sorted(set(tree) | set(extra))))
     edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
-    gamma = draw(st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=n, max_size=n))
+    fields = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=10.0))
+    gamma = draw(st.lists(fields, min_size=n, max_size=n))
     gamma[draw(st.integers(min_value=0, max_value=n - 1))] = draw(conductances)
     g = UndirectedGraph(n, tuple(edges))
     return ConductanceNetwork(g, {e: draw(conductances) for e in edges}, np.array(gamma))
@@ -115,7 +127,7 @@ def test_build_weights_matches_loop_oracle_bitwise(net):
 
 @given(connected_networks())
 def test_grounded_laplacian_matches_sorted_loop_oracle_bitwise(net):
-    lap = _grounded_laplacian(net)
+    lap = _grounded_laplacian(net).toarray()
     assert same_bits(lap, grounded_laplacian_oracle(net))
     assert [net.total_conductance(i) for i in range(net.node_count)] == lap.diagonal().tolist()
 
@@ -164,3 +176,47 @@ def test_error_trace_matches_full_row_loop_bitwise(net, max_iter):
     assert same_bits(result.w_trace, w_rows[: len(result.w_trace)])
     assert np.all((result.w_trace > 0.0) & (result.w_trace <= 1.0))
     assert np.all(np.diff(result.w_trace, axis=0) <= 0.0)
+
+
+def exact_rtol(net):
+    """Relative accuracy of exact potentials and influence on net.
+
+    Conductances 1e-3..1e3 with zero fields give cond(M) up to about 5e7.
+    There the closed form, the per-leader solves and a dense LAPACK solve
+    all stray from M's exact rational inverse by up to 0.4 eps cond(M),
+    about 1e-10, so 1e-12 holds only while M is well conditioned.
+    """
+    m = _grounded_laplacian(net).toarray()
+    return max(1e-12, 2.0 * np.finfo(np.float64).eps * np.linalg.cond(m))
+
+
+@given(connected_networks())
+def test_potential_matrix_matches_per_leader_and_dense_solves(net):
+    n = net.node_count
+    pot = _potential_matrix(net)
+    per_leader = np.array([grounded_laplacian_solve(net, leader).values for leader in range(n)])
+    x = np.linalg.solve(_grounded_laplacian(net).toarray(), np.eye(n))
+    rtol = exact_rtol(net)
+    np.testing.assert_allclose(pot, per_leader, rtol=rtol, atol=0)
+    np.testing.assert_allclose(pot, x.T / x.diagonal()[:, None], rtol=rtol, atol=0)
+    assert np.all((pot >= 0.0) & (pot <= 1.0))
+    assert np.all(pot.diagonal() == 1.0)
+
+
+@given(connected_networks())
+def test_mpa_bounds_exact_values_one_sided_and_is_exact_on_trees(net):
+    g = net.graph
+    result = run_mpa(g, build_weights(net), max_iter=20_000)
+    exact = harmonic_influence_exact(net).values
+    w_exact = exact_message_potentials(net, result.md)
+    rtol = exact_rtol(net)
+    if g.edge_count == g.node_count - 1:
+        assert result.converged
+        np.testing.assert_allclose(result.h_estimates, exact, rtol=max(1e-9, rtol), atol=0)
+        np.testing.assert_allclose(result.w_limits, w_exact, rtol=max(1e-9, rtol), atol=0)
+    else:
+        # The bounds hold for the limit.  Cycles with little field trust
+        # contract too slowly to settle within the step cap; skip those.
+        assume(result.converged)
+        assert np.all(result.h_estimates >= exact * (1.0 - rtol))
+        assert np.all(result.w_limits <= w_exact * (1.0 + rtol))
