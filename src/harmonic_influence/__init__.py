@@ -5,10 +5,8 @@ approximation, with the digraph machinery to verify convergence."""
 from .analysis import (
     GeneralizedDynamicsState,
     check_convergence_hypothesis,
-    generalized_step,
     initial_generalized_state,
     run_generalized,
-    scatter_pairs,
     spearman,
     spectral_radius_diagnostic,
 )
@@ -46,7 +44,6 @@ from .graphs import (
     erdos_renyi,
     is_connected,
     message_digraph,
-    reachable_set,
     spanning_tree,
 )
 from .mpa import (

@@ -160,11 +160,6 @@ def initial_generalized_state(
     )
 
 
-def generalized_step(state: GeneralizedDynamicsState) -> GeneralizedDynamicsState:
-    """Synchronous update of both vectors from the step-t buffers."""
-    return run_generalized(state, 1)
-
-
 def run_generalized(
     state: GeneralizedDynamicsState,
     steps: int,
@@ -215,7 +210,7 @@ def check_convergence_hypothesis(d: Digraph, alpha_support: Iterable[int]) -> fr
     # reaches are those that can reach the support; reversing keeps d's
     # strong components.
     tails, heads = d._ends
-    reverse = _with_source(heads, tails, n, alpha_support, "support")
+    reverse = _with_source(heads, tails, n, alpha_support)
     _, suspects = _strong_components(reverse)
     suspects[scipy.sparse.csgraph.breadth_first_order(reverse, n, return_predecessors=False)] = False
     return frozenset(np.flatnonzero(suspects).tolist())
@@ -262,24 +257,24 @@ def spectral_radius_diagnostic(
 
 
 def _fractional_ranks(x: np.ndarray) -> np.ndarray:
+    """Ranks from 1; equal values share the mean of the ranks they span."""
     order = np.argsort(x, kind="stable")
+    s = x[order]
+    # Each run of equal sorted values spans positions start .. end - 1.
+    bounds = np.flatnonzero(s[1:] != s[:-1]) + 1
+    start = np.concatenate(([0], bounds))
+    end = np.concatenate((bounds, [len(x)]))
     ranks = np.empty(len(x))
-    sorted_x = x[order]
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and sorted_x[j + 1] == sorted_x[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (start + end - 1) + 1.0, end - start)
     return ranks
 
 
 def spearman(a: Sequence[float], b: Sequence[float]) -> float:
     """Rank-order correlation: Pearson correlation of fractional ranks.
 
-    Ties receive the average of the ranks they span.  Raises if either
-    input has no rank variance (the coefficient is undefined).
+    Ties receive the average of the ranks they span.  Raises on a NaN or
+    infinite input, and if either input has no rank variance (the
+    coefficient is undefined).
     """
     x = np.asarray(a, dtype=np.float64)
     y = np.asarray(b, dtype=np.float64)
@@ -287,6 +282,8 @@ def spearman(a: Sequence[float], b: Sequence[float]) -> float:
         raise ValueError("inputs must be equal-length vectors")
     if len(x) < 2:
         raise ValueError("need at least two observations")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("inputs must be finite")
     rx = _fractional_ranks(x)
     ry = _fractional_ranks(y)
     rx -= rx.mean()
@@ -297,11 +294,3 @@ def spearman(a: Sequence[float], b: Sequence[float]) -> float:
         raise ValueError("rank variance is zero; coefficient undefined")
     return float((rx @ ry) / np.sqrt(vx * vy))
 
-
-def scatter_pairs(exact: Sequence[float], approx: Sequence[float]) -> list[tuple[float, float]]:
-    """Index-aligned (exact, approximate) pairs for 45-degree comparison plots."""
-    x = np.asarray(exact, dtype=np.float64)
-    y = np.asarray(approx, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("inputs must be equal-length vectors")
-    return [(float(e), float(a)) for e, a in zip(x, y)]

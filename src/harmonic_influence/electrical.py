@@ -77,14 +77,6 @@ class ConductanceNetwork:
     def node_count(self) -> int:
         return self.graph.node_count
 
-    def conductance(self, u: int, v: int) -> float:
-        key = (u, v) if u < v else (v, u)
-        return self.edge_conductance[key]
-
-    def total_conductance(self, i: int) -> float:
-        """Sum of all conductances incident to i, field edge included."""
-        return float(self._totals[i])
-
     @functools.cached_property
     def arc_conductance(self) -> np.ndarray:
         """Conductance of every ordered arc, indexed by the graph's CSR entry."""
@@ -126,12 +118,6 @@ class InfluenceWeights:
     graph: UndirectedGraph
     arc_trust: np.ndarray
     field_trust: np.ndarray
-
-    @functools.cached_property
-    def trust(self) -> Mapping[tuple[int, int], float]:
-        """``arc_trust`` keyed by the arc (j, i)."""
-        arcs = zip(self.graph._rows.tolist(), self.graph._csr.indices.tolist())
-        return dict(zip(arcs, self.arc_trust.tolist()))
 
 
 @dataclass(frozen=True)
@@ -219,7 +205,7 @@ def grounded_laplacian_solve(net: ConductanceNetwork, leader: int) -> PotentialV
     if not 0 <= leader < n:
         raise ValueError(f"leader {leader} outside node range")
     if n == 1:
-        return PotentialVector(leader=leader, values=np.ones(1))
+        return PotentialVector(leader=leader, values=_checked_potentials(np.ones(1)))
 
     m = _grounded_laplacian(net)
     keep = np.flatnonzero(np.arange(n) != leader)

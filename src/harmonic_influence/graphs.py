@@ -70,7 +70,7 @@ def _csr_rows(
 
 
 def _with_source(
-    tails: np.ndarray, heads: np.ndarray, node_count: int, sources: Iterable[int], name: str
+    tails: np.ndarray, heads: np.ndarray, node_count: int, sources: Iterable[int]
 ) -> scipy.sparse.csr_matrix:
     """CSR adjacency of the arcs plus a super-source, node ``node_count``, with an arc to every source.
 
@@ -81,7 +81,7 @@ def _with_source(
     starts = sorted({int(v) for v in sources})
     for v in starts:
         if not 0 <= v < node_count:
-            raise ValueError(f"{name} node {v} outside range")
+            raise ValueError(f"support node {v} outside range")
     rows = np.concatenate((tails, np.full(len(starts), node_count)))
     cols = np.concatenate((heads, np.array(starts, dtype=np.intp)))
     order = np.argsort(rows, kind="stable")
@@ -123,9 +123,6 @@ class UndirectedGraph:
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
 
     @functools.cached_property
     def _csr(self) -> scipy.sparse.csr_matrix:
@@ -236,8 +233,6 @@ class MessageDigraph:
         return self.base._csr.indices.astype(np.intp)
 
     def to_digraph(self) -> Digraph:
-        if self.size < 1:
-            raise ValueError("node_count must be >= 1")
         return self.dependencies
 
 
@@ -346,6 +341,8 @@ def add_extra_edges(tree: UndirectedGraph, pool: UndirectedGraph, k: int, seed: 
 
 def message_digraph(g: UndirectedGraph) -> MessageDigraph:
     """Build the dependency digraph of the per-edge messages of g."""
+    if g.edge_count == 0:
+        raise ValueError("graph has no edges, so there are no messages to pass")
     indptr, senders = g._csr.indptr, g._csr.indices
     # Message p = (j, i) depends on the entries of row i, ascending, except reverse[p].
     starts, counts = indptr[senders], np.diff(indptr)[senders]
@@ -389,10 +386,3 @@ def condensation(d: Digraph) -> CondensationDigraph:
         arcs=frozenset(zip(new_id[out_label].tolist(), new_id[in_label].tolist())),
     )
 
-
-def reachable_set(d: Digraph, sources: Iterable[int]) -> frozenset[int]:
-    """Nodes reachable from any source by a directed path of length >= 0."""
-    graph = _with_source(*d._ends, d.node_count, sources, "source")
-    order = scipy.sparse.csgraph.breadth_first_order(graph, d.node_count, return_predecessors=False)
-    # The search lists the super-source first.
-    return frozenset(order[1:].tolist())

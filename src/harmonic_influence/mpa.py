@@ -160,8 +160,7 @@ def run_mpa(
     """
     if g != weights.graph:
         raise ValueError("graph and weights disagree")
-    if g.edge_count == 0:
-        raise ValueError("graph has no edges, so there are no messages to pass")
+    md = message_digraph(g)
     if not is_connected(g):
         raise ValueError("message passing requires a connected graph")
     if not tol >= 0.0:
@@ -169,7 +168,6 @@ def run_mpa(
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
 
-    md = message_digraph(g)
     state = initial_messages(md, weights)
     kernel = state._kernel
     assert kernel is not None

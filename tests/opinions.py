@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .electrical import InfluenceWeights
-from .graphs import _read_only
+from harmonic_influence.electrical import InfluenceWeights
+from harmonic_influence.graphs import _read_only
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10**6

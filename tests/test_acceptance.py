@@ -16,7 +16,6 @@ import pytest
 
 from harmonic_influence.analysis import (
     check_convergence_hypothesis,
-    generalized_step,
     initial_generalized_state,
     run_generalized,
     spectral_radius_diagnostic,
@@ -41,7 +40,7 @@ from harmonic_influence.graphs import (
     spanning_tree,
 )
 from harmonic_influence.mpa import initial_messages, mpa_step, run_mpa
-from harmonic_influence.opinions import initial_state, simulate_to_fixed_point
+from opinions import initial_state, simulate_to_fixed_point
 
 GAMMA = 0.04
 PIPELINE_SEEDS = range(20)
@@ -249,13 +248,14 @@ def test_criterion_6_oracle_equivalences():
         g = UndirectedGraph(4, ((0, 1), (1, 2), (2, 3), (0, 3), (0, 2)))
         weights = build_weights(uniform_network(g, GAMMA))
         md = message_digraph(g)
-        alpha = np.array([weights.field_trust[i] / weights.trust[(i, j)] for j, i in md.arc_nodes])
+        trust = dict(zip(md.arc_nodes, weights.arc_trust))
+        alpha = np.array([weights.field_trust[i] / trust[(i, j)] for j, i in md.arc_nodes])
         gen = initial_generalized_state(
             md.to_digraph(), alpha, np.zeros(md.size), np.ones(md.size), np.ones(md.size)
         )
         msg = initial_messages(md, weights)
         for t in range(100):
-            gen = generalized_step(gen)
+            gen = run_generalized(gen, 1)
             msg = mpa_step(msg, weights)
             assert np.array_equal(gen.omega, msg.w_msgs), t
             assert np.array_equal(gen.eta, msg.h_msgs), t

@@ -5,11 +5,10 @@ import pytest
 import scipy.stats
 
 from harmonic_influence.analysis import (
+    _fractional_ranks,
     check_convergence_hypothesis,
-    generalized_step,
     initial_generalized_state,
     run_generalized,
-    scatter_pairs,
     spearman,
     spectral_radius_diagnostic,
 )
@@ -21,7 +20,6 @@ from harmonic_influence.graphs import (
     erdos_renyi,
     is_connected,
     message_digraph,
-    reachable_set,
 )
 from harmonic_influence.mpa import initial_messages, mpa_step
 
@@ -44,7 +42,7 @@ def test_sink_node_update_formulas():
     d = Digraph(2, ((0, 1),))  # node 1 is a sink
     alpha = np.array([0.2, 0.5])
     beta = np.array([0.1, 0.3])
-    state = generalized_step(constant_state(d, alpha, beta))
+    state = run_generalized(constant_state(d, alpha, beta), 1)
     assert state.omega[1] == 1.0 / 1.5
     assert state.eta[1] == 1.3
 
@@ -53,7 +51,7 @@ def test_zero_alpha_keeps_omega_at_one():
     for d in (directed_cycle(4), Digraph(3, ((0, 1), (1, 2), (2, 0), (0, 2)))):
         state = constant_state(d, np.zeros(d.node_count))
         for _ in range(50):
-            state = generalized_step(state)
+            state = run_generalized(state, 1)
             assert np.all(state.omega == 1.0)
 
 
@@ -78,9 +76,9 @@ def test_decreasing_alpha_raises():
         return np.full(3, 1.0 / (t + 1.0))
 
     state = initial_generalized_state(d, alpha, np.zeros(3), np.ones(3), np.ones(3))
-    state = generalized_step(state)
+    state = run_generalized(state, 1)
     with pytest.raises(ValueError, match="non-decreasing"):
-        generalized_step(state)
+        run_generalized(state, 1)
 
 
 def test_nondecreasing_callable_alpha_accepted():
@@ -91,8 +89,18 @@ def test_nondecreasing_callable_alpha_accepted():
 
     state = initial_generalized_state(d, alpha, np.zeros(3), np.ones(3), np.ones(3))
     for _ in range(10):
-        state = generalized_step(state)
+        state = run_generalized(state, 1)
     assert np.all(state.omega < 1.0)
+
+
+def closure(d):
+    """reach[v, w]: w is reachable from v by a directed path of length >= 0."""
+    reach = np.eye(d.node_count, dtype=bool)
+    for v, w in d.arcs:
+        reach[v, w] = True
+    for k in range(d.node_count):
+        reach |= reach[:, k : k + 1] & reach[k : k + 1, :]
+    return reach
 
 
 def all_dags(n):
@@ -118,14 +126,13 @@ def test_acyclic_limit_characterization_exhaustive_small():
             state = constant_state(d, alpha)
             omega_prev = state.omega
             for _ in range(n + 2):
-                state = generalized_step(state)
+                state = run_generalized(state, 1)
                 assert np.all(state.omega <= omega_prev)
                 omega_prev = state.omega
-            again = generalized_step(state)
+            again = run_generalized(state, 1)
             assert np.array_equal(again.omega, state.omega)  # settled exactly
-            for v in range(n):
-                reaches = bool(reachable_set(d, [v]) & support)
-                assert (state.omega[v] < 1.0) == reaches, (d.arcs, support, v)
+            reaches = closure(d)[:, sorted(support)].any(axis=1)
+            assert np.array_equal(state.omega < 1.0, reaches), (d.arcs, support)
 
 
 def test_acyclic_limit_characterization_random_larger():
@@ -142,9 +149,7 @@ def test_acyclic_limit_characterization_random_larger():
         for v in support:
             alpha[v] = 1.0
         state = run_generalized(constant_state(d, alpha), n + 2)
-        for v in range(n):
-            reaches = bool(reachable_set(d, [v]) & support)
-            assert (state.omega[v] < 1.0) == reaches
+        assert np.array_equal(state.omega < 1.0, closure(d)[:, sorted(support)].any(axis=1))
 
 
 def test_two_cycle_without_driving_growth_is_linear():
@@ -165,7 +170,7 @@ def test_convergence_under_hypothesis_random_digraphs():
         prev_omega, prev_eta = state.omega, state.eta
         settled = False
         for _ in range(10**5):
-            state = generalized_step(state)
+            state = run_generalized(state, 1)
             assert np.all(state.omega <= prev_omega)
             diff = np.abs(state.omega - prev_omega).sum() + np.abs(state.eta - prev_eta).sum()
             prev_omega, prev_eta = state.omega, state.eta
@@ -210,13 +215,13 @@ def same_bits(a, b):
 
 
 def stepped_generalized(state, steps, stop_eta_above=None):
-    """run_generalized as a loop of generalized_step, each one full step.
+    """run_generalized as a loop of single calls, each one full step.
 
     Also returns the first step whose omega repeats the previous one bitwise.
     """
     omega_fixed_at = None
     for _ in range(steps):
-        nxt = generalized_step(state)
+        nxt = run_generalized(state, 1)
         if omega_fixed_at is None and same_bits(nxt.omega, state.omega):
             omega_fixed_at = nxt.t
         state = nxt
@@ -288,11 +293,7 @@ def test_run_generalized_callable_alpha_takes_full_steps():
 
 def brute_force_violations(d, support):
     n = d.node_count
-    reach = np.eye(n, dtype=bool)
-    for v, w in d.arcs:
-        reach[v, w] = True
-    for k in range(n):
-        reach |= reach[:, k : k + 1] & reach[k : k + 1, :]
+    reach = closure(d)
     arcset = set(d.arcs)
     out = set()
     for v in range(n):
@@ -339,11 +340,10 @@ def test_hypothesis_matches_brute_force_random():
 
 
 def condensation_violations(d, support):
-    """The hypothesis check as condensation plus a search on the reversed digraph."""
+    """The hypothesis check as condensation plus reachability of the support."""
     suspects = [v for comp in condensation(d).nontrivial_components() for v in comp]
-    reverse = Digraph(d.node_count, tuple((w, v) for v, w in d.arcs))
-    can_reach_support = reachable_set(reverse, support)
-    return frozenset(v for v in suspects if v not in can_reach_support)
+    can_reach_support = closure(d)[:, sorted(support)].any(axis=1)
+    return frozenset(v for v in suspects if not can_reach_support[v])
 
 
 def test_hypothesis_matches_condensation_form_random():
@@ -435,7 +435,7 @@ def test_spectral_radius_below_one_on_converged_triangle_component():
 
 
 # ---------------------------------------------------------------------------
-# spearman / scatter
+# spearman and the scatter pairs
 # ---------------------------------------------------------------------------
 
 def test_spearman_identity_and_reversal():
@@ -475,14 +475,24 @@ def test_spearman_errors():
         spearman([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
-def test_scatter_pairs_alignment():
-    pairs = scatter_pairs([1.0, 2.0], [1.5, 2.5])
-    assert pairs == [(1.0, 1.5), (2.0, 2.5)]
-    with pytest.raises(ValueError):
-        scatter_pairs([1.0], [1.0, 2.0])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spearman_rejects_non_finite_input(bad):
+    for a, b in (([1.0, bad, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0]), ([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, bad, 3.0])):
+        with pytest.raises(ValueError, match="finite"):
+            spearman(a, b)
+
+
+def test_fractional_ranks_match_scipy_bitwise():
+    rng = np.random.default_rng(29)
+    for trial in range(300):
+        n = int(rng.integers(1, 50))
+        pools = (rng.random(n), rng.integers(-3, 4, n).astype(float), rng.choice([-0.0, 0.0, 1.0, -2.5], n))
+        x = pools[trial % 3]
+        assert _fractional_ranks(x).tobytes() == scipy.stats.rankdata(x).tobytes(), x
 
 
 def test_scatter_pairs_on_tree_and_cyclic_fixtures():
+    """The (exact, estimate) pairs of the report's scatter plots against the 45-degree line."""
     from harmonic_influence.electrical import exact_message_potentials, harmonic_influence_exact
     from harmonic_influence.graphs import add_extra_edges, spanning_tree
     from harmonic_influence.mpa import run_mpa
@@ -495,15 +505,15 @@ def test_scatter_pairs_on_tree_and_cyclic_fixtures():
     # tree: every point sits on the 45-degree line
     net = uniform_network(tree, 0.04)
     result = run_mpa(tree, build_weights(net), tol=0.0, max_iter=1000)
-    for exact, approx in scatter_pairs(harmonic_influence_exact(net).values, result.h_estimates):
+    for exact, approx in zip(harmonic_influence_exact(net).values, result.h_estimates):
         assert abs(exact - approx) <= 1e-9
 
     # cyclic: influence points above the line, potential points below it
     cyc = add_extra_edges(tree, g, 4, seed=90)
     net = uniform_network(cyc, 0.04)
     result = run_mpa(cyc, build_weights(net))
-    for exact, approx in scatter_pairs(harmonic_influence_exact(net).values, result.h_estimates):
+    for exact, approx in zip(harmonic_influence_exact(net).values, result.h_estimates):
         assert approx >= exact - 1e-9
     w_star = exact_message_potentials(net, result.md)
-    for exact, approx in scatter_pairs(w_star, result.w_limits):
+    for exact, approx in zip(w_star, result.w_limits):
         assert approx <= exact + 1e-9

@@ -275,6 +275,15 @@ def test_cli_check_verdict(tmp_path, capsys):
     assert "satisfied" in capsys.readouterr().out
 
 
+def test_cli_check_edgeless_graph_exits_one_with_error_line(tmp_path, capsys):
+    lone = tmp_path / "lone.edges"
+    lone.write_text("n 1\n0 f 0.1\n")
+    assert cli.main(["check", str(lone)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: graph has no edges, so there are no messages to pass\n"
+    assert captured.out == ""
+
+
 def test_cli_input_errors_exit_one(tmp_path, capsys):
     assert cli.main(["exact", str(tmp_path / "missing.edges")]) == 1
     bad = tmp_path / "bad.edges"

@@ -14,7 +14,6 @@ from harmonic_influence.graphs import (
     erdos_renyi,
     is_connected,
     message_digraph,
-    reachable_set,
     spanning_tree,
 )
 
@@ -216,6 +215,7 @@ def test_message_digraph_structural_invariants_random():
         g = random_connected_graph(25, 0.15, seed=300 + seed)
         md = message_digraph(g)
         assert md.size == 2 * g.edge_count
+        assert md.receivers().tolist() == [j for j, _ in md.arc_nodes]
         for a, b in md.arcs:
             j, i = md.arc_nodes[a]
             h, k = md.arc_nodes[b]
@@ -225,8 +225,9 @@ def test_message_digraph_structural_invariants_random():
         for m in (md, message_digraph(spanning_tree(g, seed))):
             d, checked = m.to_digraph(), Digraph(m.size, m.arcs)
             assert d == checked and d.arcs == checked.arcs
-    with pytest.raises(ValueError, match="node_count"):
-        message_digraph(UndirectedGraph(1, ())).to_digraph()
+    for edgeless in (UndirectedGraph(1, ()), UndirectedGraph(3, ())):
+        with pytest.raises(ValueError, match="graph has no edges"):
+            message_digraph(edgeless)
 
 
 # ---------------------------------------------------------------------------
@@ -350,49 +351,8 @@ def test_structure_law_on_scc_counts():
 
 
 # ---------------------------------------------------------------------------
-# reachable_set / diameter
+# diameter
 # ---------------------------------------------------------------------------
-
-def test_reachable_set_empty_sources():
-    d = Digraph(3, ((0, 1),))
-    assert reachable_set(d, []) == frozenset()
-
-
-def test_reachable_set_single_node_no_arcs():
-    d = Digraph(1, ())
-    assert reachable_set(d, [0]) == frozenset({0})
-
-
-def test_reachable_set_path():
-    d = Digraph(3, ((0, 1), (1, 2)))
-    assert reachable_set(d, [0]) == frozenset({0, 1, 2})
-    assert reachable_set(d, [1]) == frozenset({1, 2})
-
-
-def test_reachable_set_rejects_source_outside_range():
-    d = Digraph(3, ((0, 1), (2, 0)))
-    for bad in (-1, 3):
-        with pytest.raises(ValueError, match=f"source node {bad} outside range"):
-            reachable_set(d, [0, bad])
-
-
-def test_reachable_set_matches_bfs_oracle():
-    rng = np.random.default_rng(47)
-    for _ in range(150):
-        n = int(rng.integers(1, 31))
-        arcs = {(int(rng.integers(n)), int(rng.integers(n))) for _ in range(rng.integers(0, 2 * n))}
-        d = Digraph(n, tuple(arcs))
-        successors = [[w for v, w in d.arcs if v == u] for u in range(n)]
-        sources = [int(v) for v in rng.choice(n, size=int(rng.integers(0, 4)))]
-        seen = set(sources)
-        queue = deque(seen)
-        while queue:
-            for w in successors[queue.popleft()]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        assert reachable_set(d, iter(sources)) == frozenset(seen)
-
 
 def test_diameter_path_and_cycle():
     assert diameter(path_graph(12)) == 11

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from harmonic_influence.analysis import initial_generalized_state, generalized_step
+from harmonic_influence.analysis import initial_generalized_state, run_generalized
 from harmonic_influence.electrical import (
     ConductanceNetwork,
     build_weights,
@@ -72,7 +72,7 @@ def test_leaf_message_constant_from_first_step():
     g = path_graph(4)
     _, w, md = setup(g)
     leaf_arc = md.arc_nodes.index((1, 0))  # message sent by leaf 0 to its neighbor 1
-    expected = 1.0 / (1.0 + w.field_trust[0] / w.trust[(0, 1)])
+    expected = 1.0 / (1.0 + w.field_trust[0] / w.arc_trust[md.arc_nodes.index((0, 1))])
     state = initial_messages(md, w)
     for t in range(1, 6):
         state = mpa_step(state, w)
@@ -150,8 +150,9 @@ def test_run_mpa_matches_manual_stepping():
 def bincount_reference_steps(md, weights, steps):
     """The message updates and estimates as per-arc bincount gathers, in arc order."""
     m, n = md.size, md.base.node_count
-    sender_trust = np.array([weights.trust[(i, j)] for j, i in md.arc_nodes])
-    receiver_trust = np.array([weights.trust[(j, i)] for j, i in md.arc_nodes])
+    trust = dict(zip(md.arc_nodes, weights.arc_trust))  # trust[(j, i)]: how much j trusts i
+    sender_trust = np.array([trust[(i, j)] for j, i in md.arc_nodes])
+    receiver_trust = np.array([trust[(j, i)] for j, i in md.arc_nodes])
     alpha = weights.field_trust[md.senders()] / sender_trust
     arc_from = np.array([a for a, _ in md.arcs], dtype=np.intp)
     arc_to = np.array([b for _, b in md.arcs], dtype=np.intp)
@@ -416,14 +417,15 @@ def test_generalized_dynamics_reproduces_messages_bitwise():
     g = square_with_chord()
     _, w, md = setup(g)
     m = md.size
-    alpha = np.array([w.field_trust[i] / w.trust[(i, j)] for j, i in md.arc_nodes])
+    trust = dict(zip(md.arc_nodes, w.arc_trust))
+    alpha = np.array([w.field_trust[i] / trust[(i, j)] for j, i in md.arc_nodes])
     # unit conductances: the per-message scaling is 1/C = C = 1
     r = np.ones(m)
     s = np.ones(m)
     gen = initial_generalized_state(md.to_digraph(), alpha, np.zeros(m), r, s)
     msg = initial_messages(md, w)
     for t in range(100):
-        gen = generalized_step(gen)
+        gen = run_generalized(gen, 1)
         msg = mpa_step(msg, w)
         assert np.array_equal(gen.omega, msg.w_msgs), t
         assert np.array_equal(gen.eta, msg.h_msgs), t

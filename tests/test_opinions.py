@@ -7,7 +7,7 @@ from harmonic_influence.electrical import (
     uniform_network,
 )
 from harmonic_influence.graphs import UndirectedGraph, erdos_renyi, is_connected
-from harmonic_influence.opinions import (
+from opinions import (
     NonConvergenceError,
     OpinionState,
     initial_state,
