@@ -12,9 +12,7 @@ from .analysis import (
 )
 from .electrical import (
     ConductanceNetwork,
-    InfluenceVector,
     InfluenceWeights,
-    PotentialVector,
     build_weights,
     exact_message_potentials,
     glue_leaders,

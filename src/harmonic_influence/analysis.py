@@ -23,6 +23,13 @@ from .graphs import Digraph, _csr_rows, _strong_components, _with_source
 
 RS_TOL = 1e-12
 ALPHA_MONOTONE_TOL = 1e-15
+SPECTRAL_TOL = 1e-8
+SPECTRAL_MAX_ITER = 10**4
+# Neighbors in sorted order this close, relative to the larger magnitude,
+# rank as one tie.  Values equal in exact arithmetic, such as the
+# influences of leaves on one parent, come out of the solvers up to about
+# 2 eps apart; two more eps keep such ties whole.
+TIE_RTOL = 4.0 * np.finfo(np.float64).eps
 
 DrivingSequence = Union[np.ndarray, Sequence[float], Callable[[int], np.ndarray]]
 
@@ -160,12 +167,8 @@ def initial_generalized_state(
     )
 
 
-def run_generalized(
-    state: GeneralizedDynamicsState,
-    steps: int,
-    stop_eta_above: Optional[float] = None,
-) -> GeneralizedDynamicsState:
-    """Apply up to ``steps`` updates; optionally stop once eta crosses a bound.
+def run_generalized(state: GeneralizedDynamicsState, steps: int) -> GeneralizedDynamicsState:
+    """Apply ``steps`` updates.
 
     Under a constant alpha, once a step returns omega bitwise equal to its
     input, the later steps update eta alone (``_ArcGather.grow``); the
@@ -193,8 +196,6 @@ def run_generalized(
             omega = omega_new
         last_alpha = alpha_t
         t += 1
-        if stop_eta_above is not None and float(eta.max()) > stop_eta_above:
-            break
     return replace(state, omega=omega, eta=eta, t=t, _last_alpha=last_alpha, _gather=gather)
 
 
@@ -216,12 +217,7 @@ def check_convergence_hypothesis(d: Digraph, alpha_support: Iterable[int]) -> fr
     return frozenset(np.flatnonzero(suspects).tolist())
 
 
-def spectral_radius_diagnostic(
-    d: Digraph,
-    omega: Sequence[float],
-    tol: float = 1e-8,
-    max_iter: int = 10**4,
-) -> float:
+def spectral_radius_diagnostic(d: Digraph, omega: Sequence[float]) -> float:
     """Spectral radius of (adjacency matrix) * diag(omega), by power iteration.
 
     The iteration runs on the matrix plus the identity, which leaves the
@@ -245,23 +241,28 @@ def spectral_radius_diagnostic(
     x = np.ones(n) / np.sqrt(n)
     y = x + adjacency @ (w * x)
     estimate = 0.0
-    for _ in range(max_iter):
+    for _ in range(SPECTRAL_MAX_ITER):
         x = y / float(np.linalg.norm(y))
         y = x + adjacency @ (w * x)
         estimate = float(x @ y)
-        if float(np.linalg.norm(y - estimate * x)) <= tol:
+        if float(np.linalg.norm(y - estimate * x)) <= SPECTRAL_TOL:
             return max(estimate - 1.0, 0.0)
     raise ArithmeticError(
-        f"power iteration did not converge in {max_iter} steps; last estimate {estimate - 1.0:.6e}"
+        f"power iteration did not converge in {SPECTRAL_MAX_ITER} steps; last estimate {estimate - 1.0:.6e}"
     )
 
 
 def _fractional_ranks(x: np.ndarray) -> np.ndarray:
-    """Ranks from 1; equal values share the mean of the ranks they span."""
+    """Ranks from 1; tied values share the mean of the ranks they span.
+
+    Sorted neighbors within TIE_RTOL of each other are tied, so a chain of
+    them forms one tie group.
+    """
     order = np.argsort(x, kind="stable")
     s = x[order]
-    # Each run of equal sorted values spans positions start .. end - 1.
-    bounds = np.flatnonzero(s[1:] != s[:-1]) + 1
+    # Each tie group of sorted values spans positions start .. end - 1.
+    scale = np.maximum(np.abs(s[1:]), np.abs(s[:-1]))
+    bounds = np.flatnonzero(s[1:] - s[:-1] > TIE_RTOL * scale) + 1
     start = np.concatenate(([0], bounds))
     end = np.concatenate((bounds, [len(x)]))
     ranks = np.empty(len(x))
@@ -272,9 +273,9 @@ def _fractional_ranks(x: np.ndarray) -> np.ndarray:
 def spearman(a: Sequence[float], b: Sequence[float]) -> float:
     """Rank-order correlation: Pearson correlation of fractional ranks.
 
-    Ties receive the average of the ranks they span.  Raises on a NaN or
-    infinite input, and if either input has no rank variance (the
-    coefficient is undefined).
+    Ties, values within TIE_RTOL of each other, receive the average of the
+    ranks they span.  Raises on a NaN or infinite input, and if either
+    input has no rank variance (the coefficient is undefined).
     """
     x = np.asarray(a, dtype=np.float64)
     y = np.asarray(b, dtype=np.float64)

@@ -106,7 +106,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     net = gf.network(fallback_gamma=args.gamma)
     influence = harmonic_influence_exact(net)
     lines = ["node,influence"]
-    lines += [f"{i},{float(v)!r}" for i, v in enumerate(influence.values)]
+    lines += [f"{i},{float(v)!r}" for i, v in enumerate(influence)]
     text = "\n".join(lines) + "\n"
     if args.out is None:
         sys.stdout.write(text)

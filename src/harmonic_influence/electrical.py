@@ -6,6 +6,10 @@ a leader node at potential 1 and the field at potential 0, the
 potentials of the remaining nodes solve a grounded Laplacian system,
 and the harmonic influence of the leader is one plus the sum of those
 potentials.
+
+The exact results of all leaders come from one factorization per
+network, cached on it as O(n + m) floats; ``grounded_laplacian_solve`` is
+the independent per-leader reference they are checked against.
 """
 
 from __future__ import annotations
@@ -96,12 +100,23 @@ class ConductanceNetwork:
         rows = np.bincount(g._rows, weights=self.arc_conductance, minlength=g.node_count)
         return _read_only(rows + self.field_conductance)
 
+    @functools.cached_property
+    def _exact(self) -> tuple[np.ndarray, np.ndarray]:
+        """The influence of every node and the potential at every CSR entry.
 
-def uniform_network(g: UndirectedGraph, gamma: float, edge_value: float = 1.0) -> ConductanceNetwork:
-    """Network with one conductance value on every edge and gamma to the field."""
+        Entry p at row j and column i holds the potential of i with j as
+        leader.  The n x n potential matrix they come from is dropped.
+        """
+        g = self.graph
+        pot = _potential_matrix(self)
+        return _read_only(pot.sum(axis=1)), _read_only(pot[g._rows, g._csr.indices])
+
+
+def uniform_network(g: UndirectedGraph, gamma: float) -> ConductanceNetwork:
+    """Network with conductance 1 on every edge and gamma to the field."""
     return ConductanceNetwork(
         graph=g,
-        edge_conductance={e: edge_value for e in g.edges},
+        edge_conductance={e: 1.0 for e in g.edges},
         field_conductance=np.full(g.node_count, float(gamma)),
     )
 
@@ -118,21 +133,6 @@ class InfluenceWeights:
     graph: UndirectedGraph
     arc_trust: np.ndarray
     field_trust: np.ndarray
-
-
-@dataclass(frozen=True)
-class PotentialVector:
-    """Node potentials with the leader held at 1 and the field at 0."""
-
-    leader: int
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
-class InfluenceVector:
-    """Harmonic influence of every node: values[l] is the influence of l as leader."""
-
-    values: np.ndarray
 
 
 def build_weights(net: ConductanceNetwork) -> InfluenceWeights:
@@ -194,18 +194,19 @@ def _checked_potentials(values: np.ndarray) -> np.ndarray:
     return _read_only(values)
 
 
-def grounded_laplacian_solve(net: ConductanceNetwork, leader: int) -> PotentialVector:
+def grounded_laplacian_solve(net: ConductanceNetwork, leader: int) -> np.ndarray:
     """Potentials of all nodes with the leader at 1 and the field grounded.
 
-    Solves M_RR y_R = -M_{R,leader} where R excludes the leader: the
-    per-leader reference for ``harmonic_influence_exact`` and
-    ``exact_message_potentials``.
+    Solves M_RR y_R = -M_{R,leader} where R excludes the leader, with a
+    factorization of its own: the per-leader reference for
+    ``harmonic_influence_exact`` and ``exact_message_potentials``, which
+    it neither reads nor fills.
     """
     n = net.node_count
     if not 0 <= leader < n:
         raise ValueError(f"leader {leader} outside node range")
     if n == 1:
-        return PotentialVector(leader=leader, values=_checked_potentials(np.ones(1)))
+        return _checked_potentials(np.ones(1))
 
     m = _grounded_laplacian(net)
     keep = np.flatnonzero(np.arange(n) != leader)
@@ -222,7 +223,7 @@ def grounded_laplacian_solve(net: ConductanceNetwork, leader: int) -> PotentialV
     values = np.empty(n)
     values[keep] = y_r
     values[leader] = 1.0
-    return PotentialVector(leader=leader, values=_checked_potentials(values))
+    return _checked_potentials(values)
 
 
 def _potential_matrix(net: ConductanceNetwork) -> np.ndarray:
@@ -266,29 +267,27 @@ def _potential_matrix(net: ConductanceNetwork) -> np.ndarray:
     return _checked_potentials(pot)
 
 
-def _influence(pot: np.ndarray) -> InfluenceVector:
-    """Row sums of the potential matrix: H(l) = (M^-1 1)_l / (M^-1)_ll."""
-    return InfluenceVector(values=_read_only(pot.sum(axis=1)))
-
-
-def _message_potentials(pot: np.ndarray, md: MessageDigraph) -> np.ndarray:
-    """Entry [j, i] of the potential matrix for every message node (j, i)."""
-    return _read_only(pot[md.receivers(), md.senders()])
-
-
-def harmonic_influence_exact(net: ConductanceNetwork) -> InfluenceVector:
+def harmonic_influence_exact(net: ConductanceNetwork) -> np.ndarray:
     """Exact harmonic influence of every node: H(l) = (M^-1 1)_l / (M^-1)_ll,
-    the sum of all potentials with l as leader, its own 1 included."""
-    return _influence(_potential_matrix(net))
+    the sum of all potentials with l as leader, its own 1 included.
+
+    The first exact call on a network factors M once for both exact
+    results; later calls return the same read-only arrays.
+    """
+    return net._exact[0]
 
 
 def exact_message_potentials(net: ConductanceNetwork, md: MessageDigraph) -> np.ndarray:
-    """Exact counterpart of the converged potential messages.
+    """Exact counterpart of the converged potential messages, in message order.
 
     Entry for the message node (j, i) is the potential of i when j is
-    the leader, (M^-1)_ij / (M^-1)_jj: what the message from i to j estimates.
+    the leader, (M^-1)_ij / (M^-1)_jj: what the message from i to j
+    estimates.  Message p is CSR entry p of the graph, so this is the
+    network's cached entry potentials; ``md`` must be built on its graph.
     """
-    return _message_potentials(_potential_matrix(net), md)
+    if md.base != net.graph:
+        raise ValueError("network and message digraph cover different graphs")
+    return net._exact[1]
 
 
 def glue_leaders(

@@ -102,14 +102,13 @@ def _first_index_at_most(values: list[float], bound: float) -> Optional[int]:
 def _run_one_graph(name: str, g: UndirectedGraph, cfg: ExperimentConfig) -> GraphRunReport:
     net = uniform_network(g, cfg.gamma)
     weights = build_weights(net)
-    # One factorization serves both exact quantities.
-    pot = electrical._potential_matrix(net)
-    exact = electrical._influence(pot)
+    # The network factors M once; both exact calls read that one result.
+    h_exact = electrical.harmonic_influence_exact(net)
     result = mpa.run_mpa(g, weights, tol=cfg.tol, max_iter=cfg.max_iter, trace=True)
-    w_exact = electrical._message_potentials(pot, result.md)
+    w_exact = electrical.exact_message_potentials(net, result.md)
     errors = mpa.error_trace(result)
     try:
-        rho = analysis.spearman(exact.values, result.h_estimates)
+        rho = analysis.spearman(h_exact, result.h_estimates)
     except ValueError:
         rho = math.nan
     return GraphRunReport(
@@ -120,10 +119,10 @@ def _run_one_graph(name: str, g: UndirectedGraph, cfg: ExperimentConfig) -> Grap
         converged=result.converged,
         final_residual=result.final_residual,
         spearman_h=rho,
-        max_h_ratio=float(np.max(result.h_estimates / exact.values)),
+        max_h_ratio=float(np.max(result.h_estimates / h_exact)),
         h_negligible_iter=_first_index_at_most([e[1] for e in errors], NEGLIGIBLE_ERROR),
         w_negligible_iter=_first_index_at_most([e[2] for e in errors], NEGLIGIBLE_ERROR),
-        h_exact=exact.values,
+        h_exact=h_exact,
         h_estimates=result.h_estimates,
         w_exact=w_exact,
         w_limits=result.w_limits,

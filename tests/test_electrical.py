@@ -165,8 +165,8 @@ def test_weights_reciprocity_witness():
 
 def test_solve_two_node():
     pot = grounded_laplacian_solve(two_node_network(), leader=0)
-    assert pot.values[0] == 1.0
-    assert pot.values[1] == pytest.approx(1.0 / 1.04, abs=1e-14)
+    assert pot[0] == 1.0
+    assert pot[1] == pytest.approx(1.0 / 1.04, abs=1e-14)
 
 
 def test_solve_three_node_path_frozen_oracle():
@@ -174,8 +174,8 @@ def test_solve_three_node_path_frozen_oracle():
     #   [[2.04, -1.0], [-1.0, 1.04]] y = [1, 0]
     net = uniform_network(path_graph(3), GAMMA)
     pot = grounded_laplacian_solve(net, leader=0)
-    assert pot.values[1] == pytest.approx(0.927246790299572, abs=1e-12)
-    assert pot.values[2] == pytest.approx(0.8915834522111269, abs=1e-12)
+    assert pot[1] == pytest.approx(0.927246790299572, abs=1e-12)
+    assert pot[2] == pytest.approx(0.8915834522111269, abs=1e-12)
 
 
 def test_solve_potentials_within_unit_interval():
@@ -183,9 +183,9 @@ def test_solve_potentials_within_unit_interval():
         net = random_network(25, 0.15, seed=700 + seed)
         for leader in (0, 7, 24):
             pot = grounded_laplacian_solve(net, leader)
-            assert pot.values.min() >= 0.0
-            assert pot.values.max() <= 1.0
-            assert pot.values[leader] == 1.0
+            assert pot.min() >= 0.0
+            assert pot.max() <= 1.0
+            assert pot[leader] == 1.0
 
 
 def test_grounded_matrix_is_positive_definite():
@@ -213,8 +213,8 @@ def test_closed_form_matches_per_leader_solves():
     nets = [random_conductance_network(n, seed=300 + n) for n in (1, 2, 3, 9, 25, 40)]
     assert any(np.any(net.field_conductance == 0.0) for net in nets)
     for net in nets:
-        oracle = np.array([grounded_laplacian_solve(net, l).values for l in range(net.node_count)])
-        np.testing.assert_allclose(harmonic_influence_exact(net).values, oracle.sum(axis=1), rtol=1e-12, atol=0)
+        oracle = np.array([grounded_laplacian_solve(net, l) for l in range(net.node_count)])
+        np.testing.assert_allclose(harmonic_influence_exact(net), oracle.sum(axis=1), rtol=1e-12, atol=0)
         if net.graph.edge_count == 0:
             continue  # no messages
         md = message_digraph(net.graph)
@@ -271,9 +271,9 @@ def test_solve_leader_out_of_range():
 def test_single_node_network():
     # a lone node coupled only to the field: leader potential 1, influence 1
     net = ConductanceNetwork(UndirectedGraph(1, ()), {}, np.array([0.5]))
-    pot = grounded_laplacian_solve(net, 0).values
+    pot = grounded_laplacian_solve(net, 0)
     assert pot[0] == 1.0 and not pot.flags.writeable
-    assert harmonic_influence_exact(net).values[0] == 1.0
+    assert harmonic_influence_exact(net)[0] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -282,28 +282,28 @@ def test_single_node_network():
 
 def test_influence_two_node():
     inf = harmonic_influence_exact(two_node_network())
-    assert inf.values[0] == pytest.approx(1.0 + 1.0 / 1.04, abs=1e-14)
-    assert inf.values[1] == pytest.approx(1.0 + 1.0 / 1.04, abs=1e-14)
+    assert inf[0] == pytest.approx(1.0 + 1.0 / 1.04, abs=1e-14)
+    assert inf[1] == pytest.approx(1.0 + 1.0 / 1.04, abs=1e-14)
 
 
 def test_influence_three_node_path_frozen_oracle():
     inf = harmonic_influence_exact(uniform_network(path_graph(3), GAMMA))
-    assert inf.values[0] == pytest.approx(2.818830242510699, abs=1e-12)
-    assert inf.values[1] == pytest.approx(2.923076923076923, abs=1e-12)
-    assert inf.values[2] == pytest.approx(2.818830242510699, abs=1e-12)
+    assert inf[0] == pytest.approx(2.818830242510699, abs=1e-12)
+    assert inf[1] == pytest.approx(2.923076923076923, abs=1e-12)
+    assert inf[2] == pytest.approx(2.818830242510699, abs=1e-12)
 
 
 def test_influence_vertex_transitive_cycle_all_equal():
     inf = harmonic_influence_exact(uniform_network(cycle_graph(7), GAMMA))
-    assert np.allclose(inf.values, inf.values[0], atol=1e-11)
+    assert np.allclose(inf, inf[0], atol=1e-11)
 
 
 def test_influence_bounds():
     for seed in range(5):
         net = random_network(20, 0.2, seed=810 + seed)
         inf = harmonic_influence_exact(net)
-        assert np.all(inf.values >= 1.0)
-        assert np.all(inf.values <= net.node_count)
+        assert np.all(inf >= 1.0)
+        assert np.all(inf <= net.node_count)
 
 
 def test_exact_results_do_not_depend_on_edge_order():
@@ -317,7 +317,7 @@ def test_exact_results_do_not_depend_on_edge_order():
             net.field_conductance,
         )
         md = message_digraph(net.graph)
-        assert harmonic_influence_exact(shuffled).values.tobytes() == harmonic_influence_exact(net).values.tobytes()
+        assert harmonic_influence_exact(shuffled).tobytes() == harmonic_influence_exact(net).tobytes()
         assert exact_message_potentials(shuffled, md).tobytes() == exact_message_potentials(net, md).tobytes()
 
 
@@ -333,15 +333,41 @@ def test_scaling_all_conductances_leaves_everything_unchanged():
     assert w1.arc_trust.tolist() == pytest.approx(w0.arc_trust.tolist(), rel=1e-12)
     assert np.allclose(w0.field_trust, w1.field_trust, rtol=1e-12)
     assert np.allclose(
-        harmonic_influence_exact(net).values,
-        harmonic_influence_exact(scaled).values,
+        harmonic_influence_exact(net),
+        harmonic_influence_exact(scaled),
         rtol=1e-11,
     )
     assert np.allclose(
-        grounded_laplacian_solve(net, 3).values,
-        grounded_laplacian_solve(scaled, 3).values,
+        grounded_laplacian_solve(net, 3),
+        grounded_laplacian_solve(scaled, 3),
         atol=1e-11,
     )
+
+
+def test_exact_message_potentials_reject_another_graphs_digraph():
+    net = uniform_network(path_graph(4), GAMMA)
+    with pytest.raises(ValueError, match="different graphs"):
+        exact_message_potentials(net, message_digraph(UndirectedGraph(4, ((0, 2), (0, 3), (1, 3)))))
+    assert exact_message_potentials(net, message_digraph(path_graph(4))).shape == (6,)
+
+
+def test_exact_results_are_cached_per_network(monkeypatch):
+    import harmonic_influence.electrical as electrical
+
+    calls = []
+    factor = electrical._factor
+    monkeypatch.setattr(electrical, "_factor", lambda m, what: calls.append(what) or factor(m, what))
+    net = random_network(20, 0.2, seed=5)
+    md = message_digraph(net.graph)
+    grounded_laplacian_solve(net, 0)  # the per-leader reference neither reads nor fills the cache
+    assert len(calls) == 1
+    h = harmonic_influence_exact(net)
+    w = exact_message_potentials(net, md)
+    assert len(calls) == 2
+    assert harmonic_influence_exact(net) is h and exact_message_potentials(net, md) is w
+    assert len(calls) == 2
+    assert h.shape == (net.node_count,) and w.shape == (md.size,)
+    assert not h.flags.writeable and not w.flags.writeable
 
 
 def test_exact_message_potentials_match_per_leader_solves():
@@ -349,7 +375,7 @@ def test_exact_message_potentials_match_per_leader_solves():
     md = message_digraph(net.graph)
     w_star = exact_message_potentials(net, md)
     for idx, (j, i) in enumerate(md.arc_nodes):
-        assert w_star[idx] == pytest.approx(grounded_laplacian_solve(net, j).values[i], rel=1e-12, abs=0)
+        assert w_star[idx] == pytest.approx(grounded_laplacian_solve(net, j)[i], rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -447,11 +473,11 @@ def test_glue_round_trip_preserves_potentials_and_influence():
         assert glued.graph.edges == net.graph.edges
         assert np.allclose(glued.field_conductance, net.field_conductance)
         for leader in (0, 5):
-            a = grounded_laplacian_solve(net, leader).values
-            b = grounded_laplacian_solve(glued, leader).values
+            a = grounded_laplacian_solve(net, leader)
+            b = grounded_laplacian_solve(glued, leader)
             assert np.allclose(a, b, atol=1e-12)
         assert np.allclose(
-            harmonic_influence_exact(net).values,
-            harmonic_influence_exact(glued).values,
+            harmonic_influence_exact(net),
+            harmonic_influence_exact(glued),
             atol=1e-11,
         )

@@ -82,7 +82,7 @@ def test_limit_matches_grounded_solve():
         leader = seed % 14
         st = simulate_to_fixed_point(initial_state(14, leader=leader), w, tol=1e-12)
         pot = grounded_laplacian_solve(net, leader)
-        assert np.abs(st.opinions - pot.values).max() <= 1e-10
+        assert np.abs(st.opinions - pot).max() <= 1e-10
 
 
 def test_opinions_stay_in_unit_interval():
