@@ -45,10 +45,10 @@ class _ArcGather:
     instead of two halves the per-step dispatch cost, which dominates on
     small digraphs.
 
-    Once omega stops changing, the decay rows, half of the nonzeros, give
-    the same sums at every step.  ``grow`` then runs the growth rows
-    alone: ``growth`` is the top block, the same rows over the same
-    arrays in the same order, so its sums are bitwise those of ``step``.
+    Once omega stops changing, the decay rows give the same sums at every
+    step, and ``fixed`` folds omega into the growth rows: their stored
+    entries are exactly 1.0, so ``fixed(omega) @ eta`` is bitwise the
+    growth sums of ``step`` without forming omega * eta.
     """
 
     def __init__(self, tails: np.ndarray, heads: np.ndarray, size: int, coef: np.ndarray):
@@ -58,11 +58,6 @@ class _ArcGather:
             np.concatenate((heads, heads + size)),
             np.concatenate((np.ones(len(heads)), coef)),
             (2 * size, 2 * size),
-        )
-        top = self.matrix.indptr[size]
-        self.growth = scipy.sparse.csr_matrix(
-            (self.matrix.data[:top], self.matrix.indices[:top], self.matrix.indptr[: size + 1]),
-            shape=(size, size),
         )
 
     def step(self, omega: np.ndarray, eta: np.ndarray, alpha, beta) -> tuple[np.ndarray, ...]:
@@ -76,21 +71,14 @@ class _ArcGather:
         eta_new = 1.0 + beta + sums[:n]
         return omega_new, eta_new
 
-    def growth_over(self, below: scipy.sparse.csr_matrix) -> scipy.sparse.csr_matrix:
-        """The growth rows with further rows over the same nodes stacked under them."""
-        return scipy.sparse.vstack((self.growth, below), format="csr")
-
-    def grow(
-        self, omega: np.ndarray, eta: np.ndarray, beta, rows: Optional[scipy.sparse.csr_matrix] = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The eta update of ``step`` for an omega that no longer changes.
-
-        ``rows`` from ``growth_over`` replaces the growth rows; the sums of
-        omega * eta over the rows stacked below them come back second.
-        """
-        n = self.size
-        sums = (self.growth if rows is None else rows) @ (omega * eta)
-        return 1.0 + beta + sums[:n], sums[n:]
+    def fixed(self, omega: np.ndarray, below: Optional[scipy.sparse.csr_matrix] = None) -> scipy.sparse.csr_matrix:
+        """The growth rows, with the unit-entry rows ``below`` stacked under
+        them, each entry multiplied by the fixed omega of its column."""
+        f = self.matrix[: self.size, : self.size]
+        if below is not None:
+            f = scipy.sparse.vstack((f, below), format="csr")
+        f.data *= omega[f.indices]
+        return f
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -171,14 +159,14 @@ def run_generalized(state: GeneralizedDynamicsState, steps: int) -> GeneralizedD
     """Apply ``steps`` updates.
 
     Under a constant alpha, once a step returns omega bitwise equal to its
-    input, the later steps update eta alone (``_ArcGather.grow``); the
-    result is bitwise that of full steps.  A callable alpha may change, so
-    its runs always take full steps.
+    input, the later steps update eta alone through the growth rows with
+    omega folded in (``_ArcGather.fixed``); the result is bitwise that of
+    full steps.  A callable alpha may change, so it always takes them.
     """
     gather = state._gather or _generalized_gather(state.d, state.r, state.s)
     alpha, beta = state.alpha, state.beta
     omega, eta, t, last_alpha = state.omega, state.eta, state.t, state._last_alpha
-    omega_fixed = False
+    folded = None
     for _ in range(steps):
         alpha_t = alpha
         if callable(alpha):
@@ -186,13 +174,14 @@ def run_generalized(state: GeneralizedDynamicsState, steps: int) -> GeneralizedD
             if last_alpha is not None and np.any(alpha_t < last_alpha - ALPHA_MONOTONE_TOL):
                 raise ValueError(f"alpha decreased at t={t}; the driving sequence must be non-decreasing")
         beta_t = np.asarray(beta(t), dtype=np.float64) if callable(beta) else beta
-        if omega_fixed:
-            eta = gather.grow(omega, eta, beta_t)[0]
+        if folded is not None:
+            eta = 1.0 + beta_t + folded @ eta
         else:
             omega_new, eta = gather.step(omega, eta, alpha_t, beta_t)
             # Under a constant alpha omega_{t+1} is a function of omega_t
             # alone, so once it repeats bit for bit it never changes again.
-            omega_fixed = not callable(alpha) and _same_bits(omega_new, omega)
+            if not callable(alpha) and _same_bits(omega_new, omega):
+                folded = gather.fixed(omega)
             omega = omega_new
         last_alpha = alpha_t
         t += 1

@@ -11,9 +11,10 @@ The potential messages w are a closed recursion, w_{t+1} = f(w_t), and
 settle within a few dozen steps, while the influence messages creep
 towards their limit at the rate of rho(A diag(w)), close to 1, over
 thousands.  ``run_mpa`` watches for the first step that returns w
-bitwise equal to its input; every later w is then the same, and the
-remaining steps update h alone, skipping the decay half of the gather.
-The output is bitwise that of full steps.
+bitwise equal to its input; every later w is then the same.  The
+remaining steps fold w into one operator over h and the estimates, one
+matvec a step, and check the residuals of ``BLOCK`` steps at a time.
+The output is bitwise that of full steps checked one at a time.
 
 Summation order inside every update is ascending neighbor index, so
 runs are bitwise reproducible.
@@ -33,6 +34,7 @@ from .graphs import MessageDigraph, UndirectedGraph, _read_only, is_connected, m
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10**5
+BLOCK = 16  # steps whose residuals run_mpa checks at once after w is fixed
 
 
 class _Kernel:
@@ -57,8 +59,6 @@ class _Kernel:
         self.receive = scipy.sparse.csr_matrix(
             (np.ones(md.size), np.arange(md.size), md.base._csr.indptr), shape=(md.base.node_count, md.size)
         )
-        # Once w is fixed, one matvec gives the next h sums and the estimates.
-        self.growth_and_receive = self.gather.growth_over(self.receive)
 
     def estimates(self, w: np.ndarray, h: np.ndarray) -> np.ndarray:
         return 1.0 + self.receive @ (w * h)
@@ -119,7 +119,8 @@ def influence_estimates(state: MessageState, weights: InfluenceWeights) -> np.nd
 class MpaResult:
     """Outcome of a full message passing run.
 
-    ``iterations`` counts the synchronous steps executed.  When recorded,
+    ``iterations`` counts the synchronous steps executed, ``residuals``
+    holds the residual of each, ending in ``final_residual``.  When recorded,
     ``h_trace`` holds the estimates of every step, t=0 through
     t=iterations.  ``w_fixed_step`` is the first step whose potential
     messages equal the previous step's bit for bit, or None if they never
@@ -134,6 +135,7 @@ class MpaResult:
     iterations: int
     converged: bool
     final_residual: float
+    residuals: np.ndarray
     h_trace: Optional[np.ndarray] = None
     w_trace: Optional[np.ndarray] = None
     w_fixed_step: Optional[int] = None
@@ -153,10 +155,10 @@ def run_mpa(
     ``max_iter`` first is reported through ``converged=False`` rather
     than raised; the caller decides.
 
-    Once w is bitwise fixed, each step is one matvec over the growth
-    rows with the receiver rows stacked under them; the w term of the
-    residual is then exactly 0.0.  Every output is bitwise that of full
-    steps.
+    Once w is bitwise fixed, a step is one matvec of h by w folded into
+    the growth rows with the receiver rows under them; the w term of the
+    residual is then 0.0, and the residuals are checked ``BLOCK`` steps
+    at a time.  Every output is bitwise that of full steps.
     """
     if g != weights.graph:
         raise ValueError("graph and weights disagree")
@@ -175,34 +177,46 @@ def run_mpa(
     est = kernel.estimates(w, h)
     w_rows = [w] if trace else []
     est_rows = [est] if trace else []
+    residuals = []
 
-    converged = False
-    residual = np.inf
-    steps = 0
-    w_fixed_step = None
-    while steps < max_iter:
+    converged, steps, w_fixed_step = False, 0, None
+    while steps < max_iter and not converged:
+        w_new, h = kernel.gather.step(w, h, kernel.alpha, 0.0)
+        if trace:
+            w_rows.append(w_new)
+        if _same_bits(w_new, w):
+            # Step steps + 1 has its h but not yet its estimates.
+            w_fixed_step = steps + 1
+            break
+        est_new = kernel.estimates(w_new, h)
+        residuals.append(float(np.abs(w_new - w).sum() + np.abs(est_new - est).sum()))
         steps += 1
-        if w_fixed_step is None:
-            w_new, h = kernel.gather.step(w, h, kernel.alpha, 0.0)
-            w_change = np.abs(w_new - w).sum()
-            if _same_bits(w_new, w):
-                w_fixed_step = steps
-        if w_fixed_step is None:
-            est_new = kernel.estimates(w_new, h)
-        else:
-            # w_change stays 0.0.  From here on h runs one step ahead: the
-            # matvec over h_t gives h_{t+1} and the estimates at step t.
-            h, receive_sums = kernel.gather.grow(w, h, 0.0, kernel.growth_and_receive)
-            est_new = 1.0 + receive_sums
-        residual = float(w_change + np.abs(est_new - est).sum())
         w, est = w_new, est_new
         if trace:
             est_rows.append(est)
-            if w_fixed_step in (None, steps):
-                w_rows.append(w)
-        if residual <= tol:
-            converged = True
-            break
+        converged = residuals[-1] <= tol
+
+    if w_fixed_step is not None:
+        # From here on h runs one step ahead: y = folded @ h_t + 1 holds
+        # h_{t+1} over the messages and the estimates at step t below them.
+        folded, m = kernel.gather.fixed(w, below=kernel.receive), md.size
+        while steps < max_iter and not converged:
+            block = np.empty((min(BLOCK, max_iter - steps) + 1, len(est)))
+            block[0] = est
+            for row in block[1:]:
+                y = folded @ h
+                y += 1.0
+                h, row[:] = y[:m], y[m:]
+            # Row-wise sums are bitwise the per-step 1-D sums; steps after the first within tol are discarded.
+            block_residuals = np.abs(block[1:] - block[:-1]).sum(axis=1)
+            hits = np.flatnonzero(block_residuals <= tol)
+            converged = len(hits) > 0
+            done = int(hits[0]) + 1 if converged else len(block_residuals)
+            steps += done
+            est = block[done]
+            residuals.extend(block_residuals[:done].tolist())
+            if trace:
+                est_rows.extend(block[1 : done + 1])
 
     return MpaResult(
         md=md,
@@ -210,7 +224,8 @@ def run_mpa(
         w_limits=_read_only(w),
         iterations=steps,
         converged=converged,
-        final_residual=residual,
+        final_residual=residuals[-1],
+        residuals=_read_only(np.array(residuals)),
         h_trace=np.array(est_rows) if trace else None,
         w_trace=np.array(w_rows) if trace else None,
         w_fixed_step=w_fixed_step,

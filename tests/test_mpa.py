@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from harmonic_influence.analysis import initial_generalized_state, run_generalized
 from harmonic_influence.electrical import (
@@ -18,6 +20,7 @@ from harmonic_influence.graphs import (
     spanning_tree,
 )
 from harmonic_influence.mpa import (
+    BLOCK,
     error_trace,
     influence_estimates,
     initial_messages,
@@ -25,6 +28,7 @@ from harmonic_influence.mpa import (
     node_influence_estimate,
     run_mpa,
 )
+from test_properties import connected_networks
 
 GAMMA = 0.04
 
@@ -213,15 +217,16 @@ def same_bits(a, b):
 
 def stepped_run(g, weights, tol, max_iter):
     """run_mpa as a plain loop of full mpa_step updates and influence_estimates,
-    keeping the w rows through the step at which w fixes."""
+    keeping the w rows through the step at which w fixes and every residual."""
     state = initial_messages(message_digraph(g), weights)
     est = influence_estimates(state, weights)
-    w_rows, est_rows = [state.w_msgs], [est]
+    w_rows, est_rows, residuals = [state.w_msgs], [est], []
     converged, residual, w_fixed_step = False, np.inf, None
     while state.t < max_iter:
         nxt = mpa_step(state, weights)
         est_new = influence_estimates(nxt, weights)
         residual = float(np.abs(nxt.w_msgs - state.w_msgs).sum() + np.abs(est_new - est).sum())
+        residuals.append(residual)
         if w_fixed_step is None and same_bits(nxt.w_msgs, state.w_msgs):
             w_fixed_step = nxt.t
         state, est = nxt, est_new
@@ -237,6 +242,7 @@ def stepped_run(g, weights, tol, max_iter):
         "iterations": state.t,
         "converged": converged,
         "final_residual": residual,
+        "residuals": np.array(residuals),
         "h_trace": np.array(est_rows),
         "w_trace": np.array(w_rows),
         "w_fixed_step": w_fixed_step,
@@ -254,6 +260,9 @@ def assert_run_matches_stepped_run(g, weights, tol, max_iter):
     last_row = traced.iterations if traced.w_fixed_step is None else traced.w_fixed_step
     assert traced.w_trace.shape[0] == last_row + 1
     assert same_bits(traced.w_trace[-1], traced.w_limits)
+    assert type(plain.iterations) is int and type(plain.final_residual) is float
+    assert same_bits(plain.residuals[-1], plain.final_residual)
+    assert not plain.residuals.flags.writeable
     return ref
 
 
@@ -270,10 +279,22 @@ def test_run_mpa_matches_full_step_loop_bitwise():
         if fixed is not None and fixed < ref["iterations"]:
             fixed_in_run += 1
             assert len(ref["w_trace"]) == fixed + 1 < len(ref["h_trace"])
-            # max_iter cut-offs before (every w row kept), at and after the step at which w fixes
-            for max_iter in (fixed - 1, fixed, fixed + 1, fixed + 7):
+            # max_iter cut-offs before (every w row kept), at and after the
+            # step at which w fixes, and at, after and past the last step
+            # of the first block of fixed-w steps
+            last = fixed + BLOCK - 1
+            for max_iter in (fixed - 1, fixed, fixed + 1, fixed + 7, last, last + 1, last + 2):
                 assert_run_matches_stepped_run(g, build_weights(net), 1e-10, max_iter)
+            # a tol that the run first meets at that last step
+            assert ref["iterations"] > last
+            exact_stop = assert_run_matches_stepped_run(g, build_weights(net), ref["residuals"][last - 1], 10**5)
+            assert exact_stop["converged"] and exact_stop["iterations"] == last
     assert fixed_in_run >= 3
+
+
+@given(connected_networks(), st.integers(min_value=1, max_value=300))
+def test_run_mpa_matches_full_step_loop_on_drawn_networks(net, max_iter):
+    assert_run_matches_stepped_run(net.graph, build_weights(net), 1e-10, max_iter)
 
 
 def test_run_mpa_matches_full_step_loop_bitwise_on_trees():
