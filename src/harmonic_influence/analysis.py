@@ -17,9 +17,8 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.csgraph
 
-from .graphs import Digraph, _csr_rows, _strong_components, _with_source
+from .graphs import Digraph, _csr_rows, _strong_components
 
 RS_TOL = 1e-12
 ALPHA_MONOTONE_TOL = 1e-15
@@ -194,16 +193,26 @@ def check_convergence_hypothesis(d: Digraph, alpha_support: Iterable[int]) -> fr
     An empty result means the structural convergence hypothesis holds:
     from every node of every nontrivial strongly connected component
     some node with a nonzero driving sequence is reachable.
+
+    One strong-component labelling answers it, on d plus a hub node h
+    with an arc s -> h from every support node s and an arc h -> v to
+    every node v.  A node reaches the support exactly when it shares h's
+    component: a shortest path into h enters it from a support node, and
+    h reaches every node.  A node that cannot reach the support cannot
+    reach h either, so it keeps the component it has in d.
     """
     n = d.node_count
-    # On the reversed arcs, the nodes a search from the super-source n
-    # reaches are those that can reach the support; reversing keeps d's
-    # strong components.
+    support = np.array(sorted({int(v) for v in alpha_support}), dtype=np.intp)
+    outside = support[(support < 0) | (support >= n)]
+    if len(outside):
+        raise ValueError(f"support node {outside[0]} outside range")
     tails, heads = d._ends
-    reverse = _with_source(heads, tails, n, alpha_support)
-    _, suspects = _strong_components(reverse)
-    suspects[scipy.sparse.csgraph.breadth_first_order(reverse, n, return_predecessors=False)] = False
-    return frozenset(np.flatnonzero(suspects).tolist())
+    rows = np.concatenate((tails, support, np.full(n, n)))
+    cols = np.concatenate((heads, np.full(len(support), n), np.arange(n)))
+    order = np.argsort(rows, kind="stable")
+    hub = _csr_rows(rows[order], cols[order], np.ones(len(rows)), (n + 1, n + 1))
+    labels, nontrivial = _strong_components(hub)
+    return frozenset(np.flatnonzero(nontrivial[:n] & (labels[:n] != labels[n])).tolist())
 
 
 def spectral_radius_diagnostic(d: Digraph, omega: Sequence[float]) -> float:

@@ -40,17 +40,26 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT_ERROR)
 
 
+_DEFAULTS = ExperimentConfig()
+
+
 def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=50, help="number of nodes")
-    p.add_argument("--p", type=float, default=0.1, help="edge probability")
-    p.add_argument("--extra-edges", type=int, default=10, help="edges added back to the tree")
-    p.add_argument("--gamma", type=float, default=0.04, help="field conductance of every node")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
+    p.add_argument("--n", type=int, default=_DEFAULTS.n, help="number of nodes")
+    p.add_argument("--p", type=float, default=_DEFAULTS.p, help="edge probability")
+    p.add_argument("--extra-edges", type=int, default=_DEFAULTS.extra_edges, help="edges added back to the tree")
+    p.add_argument("--gamma", type=float, default=_DEFAULTS.gamma, help="field conductance of every node")
+    p.add_argument("--seed", type=int, default=_DEFAULTS.seed, help="random seed")
+
+
+def _add_graph_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("graph", type=Path, help="edge-list file")
+    p.add_argument("--gamma", type=float, default=_DEFAULTS.gamma,
+                   help="field conductance when the file declares none")
 
 
 def _add_mpa_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=1e-10, help="stopping tolerance (combined 1-norm)")
-    p.add_argument("--max-iter", type=int, default=10**5, help="step limit")
+    p.add_argument("--tol", type=float, default=_DEFAULTS.tol, help="stopping tolerance (combined 1-norm)")
+    p.add_argument("--max-iter", type=int, default=_DEFAULTS.max_iter, help="step limit")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,15 +71,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", type=Path, required=True, help="output directory")
 
     p_exact = sub.add_parser("exact", help="exact influence of every node")
-    p_exact.add_argument("graph", type=Path, help="edge-list file")
-    p_exact.add_argument("--gamma", type=float, default=0.04,
-                         help="field conductance when the file declares none")
+    _add_graph_args(p_exact)
     p_exact.add_argument("--out", type=Path, default=None, help="CSV output (default stdout)")
 
     p_mpa = sub.add_parser("mpa", help="message passing estimate with traces")
-    p_mpa.add_argument("graph", type=Path, help="edge-list file")
-    p_mpa.add_argument("--gamma", type=float, default=0.04,
-                       help="field conductance when the file declares none")
+    _add_graph_args(p_mpa)
     _add_mpa_args(p_mpa)
     p_mpa.add_argument("--out", type=Path, required=True, help="output directory")
 
@@ -81,9 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check",
                              help="structural convergence verdict for the message digraph")
-    p_check.add_argument("graph", type=Path, help="edge-list file")
-    p_check.add_argument("--gamma", type=float, default=0.04,
-                         help="field conductance when the file declares none")
+    _add_graph_args(p_check)
     return parser
 
 

@@ -136,12 +136,16 @@ class InfluenceWeights:
 
 
 def build_weights(net: ConductanceNetwork) -> InfluenceWeights:
-    """Normalize conductances into trust weights, row by row."""
+    """Normalize conductances into trust weights, row by row; a trust that underflows to 0 is rejected."""
     g = net.graph
     denom = net._totals
     if not np.all(denom > 0.0):
         raise ValueError(f"node {np.argmin(denom > 0.0)} is isolated: zero total conductance")
     arc_trust = _read_only(net.arc_conductance / denom[g._rows])
+    if not arc_trust.all():
+        p = np.flatnonzero(arc_trust == 0.0)[0]
+        j, i = int(g._rows[p]), int(g._csr.indices[p])
+        raise ValueError(f"edge {min(i, j)}-{max(i, j)}: trust of node {j} in node {i} underflows to 0")
     return InfluenceWeights(graph=g, arc_trust=arc_trust, field_trust=_read_only(net.field_conductance / denom))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -44,8 +44,8 @@ class ExperimentConfig:
     extra_edges: int = 10
     gamma: float = 0.04
     seed: int = 0
-    tol: float = 1e-10
-    max_iter: int = 10**5
+    tol: float = mpa.DEFAULT_TOL
+    max_iter: int = mpa.DEFAULT_MAX_ITER
     outputs: Optional[Path] = None
 
     def __post_init__(self) -> None:
@@ -145,12 +145,7 @@ def generate_graphs(cfg: ExperimentConfig) -> tuple[dict[str, UndirectedGraph], 
         )
     g_st = spanning_tree(g_er, cfg.seed + _TREE_SEED_OFFSET)
     g_fe = add_extra_edges(g_st, g_er, cfg.extra_edges, cfg.seed + _EXTRA_SEED_OFFSET)
-    graphs = {
-        "spanning_tree": g_st,
-        "few_extra_edges": g_fe,
-        "erdos_renyi": g_er,
-    }
-    return graphs, er_seed
+    return dict(zip(GRAPH_NAMES, (g_st, g_fe, g_er))), er_seed
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -313,17 +308,8 @@ def save_report(report: ExperimentReport, out_dir: Path | str) -> None:
     """Write report.json plus per-graph trace and scatter CSV files."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cfg = report.config
     summary = {
-        "config": {
-            "n": cfg.n,
-            "p": cfg.p,
-            "extra_edges": cfg.extra_edges,
-            "gamma": cfg.gamma,
-            "seed": cfg.seed,
-            "tol": cfg.tol,
-            "max_iter": cfg.max_iter,
-        },
+        "config": {k: v for k, v in asdict(report.config).items() if k != "outputs"},
         "er_seed_used": report.er_seed_used,
         "graphs": {},
     }

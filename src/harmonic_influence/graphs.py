@@ -5,13 +5,13 @@ connected component / condensation analysis.
 An undirected graph indexes its ordered arcs once, by its CSR adjacency
 (``UndirectedGraph._csr``, columns ascending in every row): entry p, at
 row j and column i, is the arc (j, i), and the messages and trust weights
-are arrays indexed by p.  Connected components, strong components,
-reachability and the diameter run in ``scipy.sparse.csgraph``.  Strong
-components come from Pearce's algorithm, which labels each component
-when it finishes it, so every arc between two components runs from a
-higher label to a lower one; ``condensation`` checks that property on
-every call (``AssertionError`` if it fails), then moves the sink
-components first, keeping label order within sinks and within the rest.
+are arrays indexed by p.  Connected components, strong components and
+the diameter run in ``scipy.sparse.csgraph``.  Strong components come
+from Pearce's algorithm, which labels each component when it finishes
+it, so every arc between two components runs from a higher label to a
+lower one; ``condensation`` checks that property on every call
+(``AssertionError`` if it fails), then moves the sink components first,
+keeping label order within sinks and within the rest.
 
 All random operations take an explicit integer seed and use numpy's
 PCG64 generator (``numpy.random.default_rng``), so identical seeds give
@@ -67,25 +67,6 @@ def _csr_rows(
     """
     indptr = np.searchsorted(tails, np.arange(shape[0] + 1))
     return scipy.sparse.csr_matrix((weights, heads, indptr), shape=shape)
-
-
-def _with_source(
-    tails: np.ndarray, heads: np.ndarray, node_count: int, sources: Iterable[int]
-) -> scipy.sparse.csr_matrix:
-    """CSR adjacency of the arcs plus a super-source, node ``node_count``, with an arc to every source.
-
-    The super-source has no in-arcs, so the other nodes keep their strong
-    components, and a search from it reaches exactly the nodes that some
-    source reaches.
-    """
-    starts = sorted({int(v) for v in sources})
-    for v in starts:
-        if not 0 <= v < node_count:
-            raise ValueError(f"support node {v} outside range")
-    rows = np.concatenate((tails, np.full(len(starts), node_count)))
-    cols = np.concatenate((heads, np.array(starts, dtype=np.intp)))
-    order = np.argsort(rows, kind="stable")
-    return _csr_rows(rows[order], cols[order], np.ones(len(rows)), (node_count + 1, node_count + 1))
 
 
 def _strong_components(adjacency: scipy.sparse.csr_matrix) -> tuple[np.ndarray, np.ndarray]:

@@ -22,6 +22,7 @@ runs are bitwise reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -87,6 +88,8 @@ def _kernel_for(state: MessageState, weights: InfluenceWeights) -> _Kernel:
     k = state._kernel
     if k is not None and k.weights is weights:
         return k
+    if weights.graph != state.md.base:
+        raise ValueError("weights and message digraph cover different graphs")
     return _Kernel(state.md, weights)
 
 
@@ -141,6 +144,14 @@ class MpaResult:
     w_fixed_step: Optional[int] = None
 
 
+def _finite(residuals: list[float], first_step: int) -> list[float]:
+    """The residuals of steps first_step, first_step + 1, ...; raises at the first NaN or infinite one."""
+    for k, r in enumerate(residuals):
+        if not math.isfinite(r):
+            raise ArithmeticError(f"message passing residual is {r} at step {first_step + k}: overflow or 0/0")
+    return residuals
+
+
 def run_mpa(
     g: UndirectedGraph,
     weights: InfluenceWeights,
@@ -153,7 +164,8 @@ def run_mpa(
     Stops when the 1-norm of successive differences of the potential
     messages plus that of the node estimates drops to ``tol``.  Hitting
     ``max_iter`` first is reported through ``converged=False`` rather
-    than raised; the caller decides.
+    than raised; the caller decides.  A residual that is NaN or infinite
+    raises ``ArithmeticError`` at its step.
 
     Once w is bitwise fixed, a step is one matvec of h by w folded into
     the growth rows with the receiver rows under them; the w term of the
@@ -189,7 +201,7 @@ def run_mpa(
             w_fixed_step = steps + 1
             break
         est_new = kernel.estimates(w_new, h)
-        residuals.append(float(np.abs(w_new - w).sum() + np.abs(est_new - est).sum()))
+        residuals += _finite([float(np.abs(w_new - w).sum() + np.abs(est_new - est).sum())], steps + 1)
         steps += 1
         w, est = w_new, est_new
         if trace:
@@ -212,9 +224,9 @@ def run_mpa(
             hits = np.flatnonzero(block_residuals <= tol)
             converged = len(hits) > 0
             done = int(hits[0]) + 1 if converged else len(block_residuals)
+            residuals += _finite(block_residuals[:done].tolist(), steps + 1)
             steps += done
             est = block[done]
-            residuals.extend(block_residuals[:done].tolist())
             if trace:
                 est_rows.extend(block[1 : done + 1])
 
@@ -243,7 +255,9 @@ def error_trace(result: MpaResult) -> list[tuple[int, float, float]]:
     """
     if result.h_trace is None or result.w_trace is None:
         raise ValueError("result carries no traces; rerun with trace=True")
-    h_err = np.abs(result.h_trace[:-1] - result.h_trace[-1]).sum(axis=1)
+    h_diff = result.h_trace[:-1] - result.h_trace[-1]
+    h_err = np.abs(h_diff, out=h_diff).sum(axis=1)
+    w_diff = result.w_trace[:-1] - result.w_trace[-1]
     w_err = np.zeros(result.iterations)
-    w_err[: len(result.w_trace) - 1] = np.abs(result.w_trace[:-1] - result.w_trace[-1]).sum(axis=1)
+    w_err[: len(result.w_trace) - 1] = np.abs(w_diff, out=w_diff).sum(axis=1)
     return list(zip(range(result.iterations), h_err.tolist(), w_err.tolist()))

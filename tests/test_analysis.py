@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given
+from hypothesis import strategies as st
 
 from harmonic_influence.analysis import (
     _fractional_ranks,
@@ -295,6 +297,24 @@ def brute_force_violations(d, support):
         if not any(reach[v, w] for w in support):
             out.add(v)
     return frozenset(out)
+
+
+@st.composite
+def digraphs_with_support(draw, max_nodes=12):
+    """A digraph with self-loops allowed, and a support list that may be
+    empty or name a node twice."""
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    node = st.integers(min_value=0, max_value=n - 1)
+    arcs = draw(st.sets(st.tuples(node, node), max_size=3 * n))
+    return Digraph(n, tuple(arcs)), draw(st.lists(node, max_size=n + 2))
+
+
+@given(digraphs_with_support())
+def test_hypothesis_matches_brute_force_on_drawn_digraphs(case):
+    d, support = case
+    violators = check_convergence_hypothesis(d, support)
+    assert violators == brute_force_violations(d, support)
+    assert all(type(v) is int for v in violators)
 
 
 def test_hypothesis_acyclic_always_satisfied():

@@ -123,6 +123,14 @@ def test_weights_two_node_example():
     assert w.field_trust[0] == pytest.approx(0.04 / 1.04, abs=1e-15)
 
 
+def test_weights_reject_trust_that_underflows_to_zero():
+    # each total is about 1e300, so every neighbor's trust 1e-300 / 1e300 rounds to 0
+    path = UndirectedGraph(3, ((0, 1), (1, 2)))
+    net = ConductanceNetwork(path, {(0, 1): 1e-300, (1, 2): 1e-300}, np.full(3, 1e300))
+    with pytest.raises(ValueError, match="edge 0-1: trust of node 0 in node 1 underflows to 0"):
+        build_weights(net)
+
+
 def test_weights_rows_sum_to_one():
     for seed in range(8):
         net = random_network(20, 0.2, seed=900 + seed)

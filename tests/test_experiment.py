@@ -16,7 +16,7 @@ from harmonic_influence.experiment import (
     save_report,
 )
 from harmonic_influence.graphs import UndirectedGraph, erdos_renyi
-from harmonic_influence.mpa import run_mpa
+from harmonic_influence.mpa import DEFAULT_MAX_ITER, DEFAULT_TOL, run_mpa
 
 SMALL_CFG = dict(n=16, p=0.25, extra_edges=3, gamma=0.04, seed=7)
 
@@ -255,6 +255,36 @@ def test_cli_nonpositive_max_iter_exits_one_with_error_line(tmp_path, capsys, co
     assert captured.err == "error: max_iter must be positive\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_cli_mpa_underflowing_trust_exits_one_with_error_line(tmp_path, capsys):
+    # trust 1e-300 / 1e300 underflows to 0; message passing would divide 0 by 0
+    src = tmp_path / "underflow.edges"
+    src.write_text("n 3\n0 1 1e-300\n1 2 1e-300\n0 f 1e300\n1 f 1e300\n2 f 1e300\n")
+    out = tmp_path / "out"
+    rc = cli.main(["mpa", str(src), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == "error: edge 0-1: trust of node 0 in node 1 underflows to 0\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_cli_defaults_are_the_config_defaults():
+    cfg = ExperimentConfig()
+    assert (cfg.tol, cfg.max_iter) == (DEFAULT_TOL, DEFAULT_MAX_ITER)
+    pipeline, stopping = ("n", "p", "extra_edges", "gamma", "seed"), ("tol", "max_iter")
+    cases = [
+        (["generate", "--out", "x"], pipeline),
+        (["experiment", "--out", "x"], pipeline + stopping),
+        (["exact", "g"], ("gamma",)),
+        (["mpa", "g", "--out", "x"], ("gamma",) + stopping),
+        (["check", "g"], ("gamma",)),
+    ]
+    parser = cli.build_parser()
+    for argv, names in cases:
+        args = parser.parse_args(argv)
+        assert {k: getattr(args, k) for k in names} == {k: getattr(cfg, k) for k in names}, argv
 
 
 def test_cli_experiment_smoke(tmp_path, capsys):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from harmonic_influence.analysis import initial_generalized_state, run_generalized
 from harmonic_influence.electrical import (
     ConductanceNetwork,
+    InfluenceWeights,
     build_weights,
     exact_message_potentials,
     harmonic_influence_exact,
@@ -208,6 +209,39 @@ def test_run_rejects_nonpositive_max_iter(max_iter):
     _, w, _ = setup(g)
     with pytest.raises(ValueError, match="max_iter must be positive"):
         run_mpa(g, w, max_iter=max_iter)
+
+
+def test_steps_reject_weights_of_another_graph():
+    # a path and a star on 4 nodes both have 6 messages
+    path, star = path_graph(4), UndirectedGraph(4, ((0, 1), (0, 2), (0, 3)))
+    _, w_path, md = setup(path)
+    _, w_star, _ = setup(star)
+    with pytest.raises(ValueError, match="different graphs"):
+        initial_messages(md, w_star)
+    state = initial_messages(md, w_path)
+    for update in (mpa_step, influence_estimates):
+        with pytest.raises(ValueError, match="different graphs"):
+            update(state, w_star)
+    # new weights of the same graph rebuild the kernel
+    _, w_again, _ = setup(path)
+    assert same_bits(mpa_step(state, w_again).h_msgs, mpa_step(state, w_path).h_msgs)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_raises_at_first_non_finite_residual():
+    # zero trust: the kernel divides 0 by 0 and w is NaN after one step
+    path = path_graph(3)
+    nan_weights = InfluenceWeights(path, np.zeros(4), np.ones(3))
+    with pytest.raises(ArithmeticError, match="residual is nan at step 1:"):
+        run_mpa(path, nan_weights)
+    # no field trust on K4: w is fixed at 1 from step 1 and h doubles each
+    # step until it overflows inside a block of the fixed-w phase
+    k4 = UndirectedGraph(4, tuple((i, j) for i in range(4) for j in range(i + 1, 4)))
+    growing = InfluenceWeights(k4, np.full(12, 1.0 / 3.0), np.zeros(4))
+    finite = run_mpa(k4, growing, max_iter=1020)
+    assert finite.w_fixed_step == 1 and np.isfinite(finite.residuals).all()
+    with pytest.raises(ArithmeticError, match="residual is inf at step 1021:"):
+        run_mpa(k4, growing, max_iter=5000)
 
 
 def same_bits(a, b):

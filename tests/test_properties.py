@@ -1,7 +1,8 @@
 """Property tests on drawn connected networks: the array forms of the
 graph, message and weight code against the plain Python loops they
-replaced, the exact layer against per-leader and dense solves, and the
-one-sided bound of message passing."""
+replaced, the exact layer against per-leader and dense solves, leader
+gluing against the network it collapses, and the one-sided bound of
+message passing."""
 
 import numpy as np
 from hypothesis import assume, given
@@ -13,6 +14,7 @@ from harmonic_influence.electrical import (
     _potential_matrix,
     build_weights,
     exact_message_potentials,
+    glue_leaders,
     grounded_laplacian_solve,
     harmonic_influence_exact,
 )
@@ -200,6 +202,35 @@ def test_potential_matrix_matches_per_leader_and_dense_solves(net):
     np.testing.assert_allclose(pot, x.T / x.diagonal()[:, None], rtol=rtol, atol=0)
     assert np.all((pot >= 0.0) & (pot <= 1.0))
     assert np.all(pot.diagonal() == 1.0)
+
+
+@given(connected_networks())
+def test_glue_leaders_restores_the_network_its_field_edges_were_split_from(net):
+    # Each field edge becomes an edge to a fresh leaf leader, numbered after the nodes.
+    n = net.node_count
+    fields = np.flatnonzero(net.field_conductance > 0.0).tolist()
+    leaf_edges = {(i, n + k): float(net.field_conductance[i]) for k, i in enumerate(fields)}
+    cond = {**net.edge_conductance, **leaf_edges}
+    split = UndirectedGraph(n + len(fields), tuple(cond))
+    glued = glue_leaders(split, cond, set(range(n, split.node_count)))
+    assert glued.graph == net.graph
+    assert same_bits(glued.field_conductance, net.field_conductance)
+
+    # The uncollapsed reference: a dense Dirichlet solve on the split graph's
+    # Laplacian, the leaf leaders held at 0 and the leader at 1.
+    lap = np.zeros((split.node_count, split.node_count))
+    for (u, v), c in cond.items():
+        lap[[u, v], [v, u]] -= c
+        lap[[u, v], [u, v]] += c
+    rtol = exact_rtol(net)
+    influence = harmonic_influence_exact(glued)
+    np.testing.assert_allclose(influence, harmonic_influence_exact(net), rtol=rtol, atol=0)
+    for leader in range(n):
+        rest = [v for v in range(n) if v != leader]
+        expected = np.ones(n)
+        expected[rest] = np.linalg.solve(lap[np.ix_(rest, rest)], -lap[rest, leader])
+        np.testing.assert_allclose(grounded_laplacian_solve(glued, leader), expected, rtol=rtol, atol=0)
+        np.testing.assert_allclose(influence[leader], expected.sum(), rtol=rtol, atol=0)
 
 
 @given(connected_networks())
