@@ -18,9 +18,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import analysis, mpa
-from .electrical import build_weights, harmonic_influence_exact
+from .electrical import ConductanceNetwork, build_weights, harmonic_influence_exact, uniform_network
 from .experiment import (
     ExperimentConfig,
+    _csv_text,
     generate_graphs,
     load_graph,
     run_experiment,
@@ -90,27 +91,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config(args: argparse.Namespace, **extra) -> ExperimentConfig:
+    """The pipeline settings the command takes from its arguments; the rest keep their defaults."""
+    names = ("n", "p", "extra_edges", "gamma", "seed", "tol", "max_iter")
+    return ExperimentConfig(**{k: getattr(args, k) for k in names if hasattr(args, k)}, **extra)
+
+
+def _network(args: argparse.Namespace) -> ConductanceNetwork:
+    return load_graph(args.graph).network(fallback_gamma=args.gamma)
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
-    cfg = ExperimentConfig(n=args.n, p=args.p, extra_edges=args.extra_edges,
-                           gamma=args.gamma, seed=args.seed)
+    cfg = _config(args)
     graphs, er_seed = generate_graphs(cfg)
     args.out.mkdir(parents=True, exist_ok=True)
-    gamma = np.full(cfg.n, cfg.gamma)
     for name, g in graphs.items():
         path = args.out / f"{name}.edges"
-        save_graph(path, g, edge_conductance={e: 1.0 for e in g.edges}, field_conductance=gamma)
+        net = uniform_network(g, cfg.gamma)
+        save_graph(path, g, edge_conductance=net.edge_conductance, field_conductance=net.field_conductance)
         print(f"{name}: {g.node_count} nodes, {g.edge_count} edges -> {path}")
     print(f"erdos_renyi seed used: {er_seed}")
     return EXIT_OK
 
 
 def _cmd_exact(args: argparse.Namespace) -> int:
-    gf = load_graph(args.graph)
-    net = gf.network(fallback_gamma=args.gamma)
-    influence = harmonic_influence_exact(net)
-    lines = ["node,influence"]
-    lines += [f"{i},{float(v)!r}" for i, v in enumerate(influence)]
-    text = "\n".join(lines) + "\n"
+    influence = harmonic_influence_exact(_network(args))
+    text = _csv_text("node,influence", np.arange(len(influence)), influence)
     if args.out is None:
         sys.stdout.write(text)
     else:
@@ -120,17 +126,14 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 
 
 def _cmd_mpa(args: argparse.Namespace) -> int:
-    gf = load_graph(args.graph)
-    net = gf.network(fallback_gamma=args.gamma)
-    weights = build_weights(net)
-    result = mpa.run_mpa(net.graph, weights, tol=args.tol, max_iter=args.max_iter, trace=True)
+    net = _network(args)
+    result = mpa.run_mpa(net.graph, build_weights(net), tol=args.tol, max_iter=args.max_iter, trace=True)
     args.out.mkdir(parents=True, exist_ok=True)
-    est_lines = ["node,estimate"]
-    est_lines += [f"{i},{float(v)!r}" for i, v in enumerate(result.h_estimates)]
-    (args.out / "estimates.csv").write_text("\n".join(est_lines) + "\n", encoding="ascii")
-    trace_lines = ["t,h_err_l1,w_err_l1"]
-    trace_lines += [f"{t},{h!r},{w!r}" for t, h, w in mpa.error_trace(result)]
-    (args.out / "trace.csv").write_text("\n".join(trace_lines) + "\n", encoding="ascii")
+    h = result.h_estimates
+    (args.out / "estimates.csv").write_text(_csv_text("node,estimate", np.arange(len(h)), h), encoding="ascii")
+    errors = mpa.error_trace(result)
+    trace = _csv_text("t,h_err_l1,w_err_l1", np.arange(len(errors)), errors[:, 0], errors[:, 1])
+    (args.out / "trace.csv").write_text(trace, encoding="ascii")
     print(f"iterations: {result.iterations}  converged: {result.converged}  "
           f"final residual: {result.final_residual:.3e}")
     if not result.converged:
@@ -140,10 +143,7 @@ def _cmd_mpa(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    cfg = ExperimentConfig(n=args.n, p=args.p, extra_edges=args.extra_edges,
-                           gamma=args.gamma, seed=args.seed, tol=args.tol,
-                           max_iter=args.max_iter, outputs=args.out)
-    report = run_experiment(cfg)
+    report = run_experiment(_config(args, outputs=args.out))
     for name, run in report.graphs.items():
         rho = "undefined" if run.spearman_h != run.spearman_h else f"{run.spearman_h:.4f}"
         print(f"{name}: edges={run.edge_count} diameter={run.diameter} "
@@ -156,8 +156,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    gf = load_graph(args.graph)
-    net = gf.network(fallback_gamma=args.gamma)
+    net = _network(args)
     md = message_digraph(net.graph)
     support = np.flatnonzero(net.field_conductance[md.senders()] > 0.0)
     violating = analysis.check_convergence_hypothesis(md.to_digraph(), support)

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .graphs import Edge, MessageDigraph, UndirectedGraph, _csr_rows, _read_only, connected_components
+from .graphs import Edge, MessageDigraph, UndirectedGraph, _csr_rows, _read_only
 
 # Bound on the backward error of every grounded solve A y = b: the
 # residual ||A y - b||_1 over the size || |A| |y| ||_1 of the terms it sums.
@@ -68,14 +68,19 @@ class ConductanceNetwork:
             raise ValueError("field_conductance must have one entry per node")
         if not np.all((gamma >= 0.0) & (gamma < np.inf)):
             raise ValueError("field conductances must be nonnegative and finite")
-        for comp in connected_components(g):
-            if not any(gamma[i] > 0.0 for i in comp):
-                raise ValueError(
-                    "extended network is disconnected: component containing node "
-                    f"{min(comp)} has no field conductance"
-                )
+        labels = g._component_labels
+        # The first unfed node is the smallest node of its component.
+        unfed = np.flatnonzero(np.bincount(labels, weights=gamma > 0.0)[labels] == 0.0)
+        if unfed.size:
+            raise ValueError(
+                "extended network is disconnected: component containing node "
+                f"{unfed[0]} has no field conductance"
+            )
         object.__setattr__(self, "edge_conductance", cond)
         object.__setattr__(self, "field_conductance", _read_only(gamma))
+        overflow = np.flatnonzero(self._totals == np.inf)
+        if overflow.size:
+            raise ValueError(f"total conductance of node {overflow[0]} overflows to inf")
 
     @property
     def node_count(self) -> int:
@@ -127,12 +132,26 @@ class InfluenceWeights:
 
     ``arc_trust[p]`` is how much j trusts neighbor i, p being the graph's
     CSR entry at row j and column i (the message (j, i)); ``field_trust[j]``
-    is how much j trusts the opinion field.  Each row sums to one.
+    is how much j trusts the opinion field.  Each row sums to one; construction
+    checks the shapes and that arc trusts lie in (0, 1] and field trusts in [0, 1].
     """
 
     graph: UndirectedGraph
     arc_trust: np.ndarray
     field_trust: np.ndarray
+
+    def __post_init__(self) -> None:
+        g = self.graph
+        for name, size, above_low, bounds in (("arc_trust", 2 * g.edge_count, np.greater, "(0, 1]"),
+                                              ("field_trust", g.node_count, np.greater_equal, "[0, 1]")):
+            values = np.asarray(getattr(self, name))
+            if values.shape != (size,):
+                raise ValueError(f"{name} must have shape ({size},), got {values.shape}")
+            # NaN and inf fail the range test too.
+            bad = ~(above_low(values, 0.0) & (values <= 1.0))
+            if bad.any():
+                p = int(np.argmax(bad))
+                raise ValueError(f"{name}[{p}] is {values[p]}: a trust must be finite and lie in {bounds}")
 
 
 def build_weights(net: ConductanceNetwork) -> InfluenceWeights:

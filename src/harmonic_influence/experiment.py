@@ -4,8 +4,8 @@ Generates an Erdos-Renyi graph, extracts a spanning tree, reintroduces
 a few of the removed edges, and on each of the three nested graphs
 compares the exact harmonic influence (grounded Laplacian solves)
 against the message passing estimate: convergence traces, scatter
-pairs, rank correlation.  Also owns the edge-list file format and the
-plot-ready CSV/JSON report files.
+pairs, rank correlation.  Also owns the edge-list file format, the
+plot-ready CSV/JSON report files and the one CSV formatter, the CLI's too.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ class GraphRunReport:
     w_exact: np.ndarray
     w_limits: np.ndarray
     arc_nodes: tuple[tuple[int, int], ...]
-    error_rows: list[tuple[int, float, float]]
+    errors: np.ndarray          # mpa.error_trace: row t holds the h and w errors of step t
 
 
 @dataclass(frozen=True)
@@ -90,13 +90,6 @@ class ExperimentReport:
     config: ExperimentConfig
     er_seed_used: int
     graphs: dict[str, GraphRunReport]
-
-
-def _first_index_at_most(values: list[float], bound: float) -> Optional[int]:
-    for t, v in enumerate(values):
-        if v <= bound:
-            return t
-    return None
 
 
 def _run_one_graph(name: str, g: UndirectedGraph, cfg: ExperimentConfig) -> GraphRunReport:
@@ -111,6 +104,8 @@ def _run_one_graph(name: str, g: UndirectedGraph, cfg: ExperimentConfig) -> Grap
         rho = analysis.spearman(h_exact, result.h_estimates)
     except ValueError:
         rho = math.nan
+    hits = [np.flatnonzero(col <= NEGLIGIBLE_ERROR) for col in errors.T]
+    h_negligible, w_negligible = (int(h[0]) if h.size else None for h in hits)
     return GraphRunReport(
         name=name,
         edge_count=g.edge_count,
@@ -120,14 +115,14 @@ def _run_one_graph(name: str, g: UndirectedGraph, cfg: ExperimentConfig) -> Grap
         final_residual=result.final_residual,
         spearman_h=rho,
         max_h_ratio=float(np.max(result.h_estimates / h_exact)),
-        h_negligible_iter=_first_index_at_most([e[1] for e in errors], NEGLIGIBLE_ERROR),
-        w_negligible_iter=_first_index_at_most([e[2] for e in errors], NEGLIGIBLE_ERROR),
+        h_negligible_iter=h_negligible,
+        w_negligible_iter=w_negligible,
         h_exact=h_exact,
         h_estimates=result.h_estimates,
         w_exact=w_exact,
         w_limits=result.w_limits,
         arc_nodes=result.md.arc_nodes,
-        error_rows=errors,
+        errors=errors,
     )
 
 
@@ -285,23 +280,17 @@ def _json_float(x: float) -> Optional[float]:
     return None if math.isnan(x) else x
 
 
-def _write_trace_csv(path: Path, rows: list[tuple[int, float, float]]) -> None:
-    lines = [
-        f"# rows beyond t={TRACE_THIN_START} keep every {TRACE_THIN_STRIDE}th step",
-        "t,h_err_l1,w_err_l1",
-    ]
-    for t, h_err, w_err in rows:
-        if t > TRACE_THIN_START and t % TRACE_THIN_STRIDE != 0:
-            continue
-        lines.append(f"{t},{h_err!r},{w_err!r}")
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+def _csv_text(header: str, *columns) -> str:
+    """A header, then one comma-joined row per entry of the columns; through ``tolist`` a float prints as its repr."""
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    return "\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n"
 
 
-def _write_scatter_csv(path: Path, labels: list[str], exact: np.ndarray, approx: np.ndarray, kind: str) -> None:
-    lines = [f"{kind},exact,approx"]
-    for label, e, a in zip(labels, exact, approx):
-        lines.append(f"{label},{float(e)!r},{float(a)!r}")
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+def _write_trace_csv(path: Path, errors: np.ndarray) -> None:
+    t = np.arange(len(errors))
+    keep = (t <= TRACE_THIN_START) | (t % TRACE_THIN_STRIDE == 0)
+    header = f"# rows beyond t={TRACE_THIN_START} keep every {TRACE_THIN_STRIDE}th step\nt,h_err_l1,w_err_l1"
+    path.write_text(_csv_text(header, t[keep], errors[keep, 0], errors[keep, 1]), encoding="ascii")
 
 
 def save_report(report: ExperimentReport, out_dir: Path | str) -> None:
@@ -325,11 +314,11 @@ def save_report(report: ExperimentReport, out_dir: Path | str) -> None:
             "h_negligible_iter": run.h_negligible_iter,
             "w_negligible_iter": run.w_negligible_iter,
         }
-        _write_trace_csv(out / f"{name}_trace.csv", run.error_rows)
-        node_labels = [str(i) for i in range(len(run.h_exact))]
-        _write_scatter_csv(out / f"{name}_scatter_h.csv", node_labels, run.h_exact, run.h_estimates, "node")
-        arc_labels = [f"{i}->{j}" for j, i in run.arc_nodes]
-        _write_scatter_csv(out / f"{name}_scatter_w.csv", arc_labels, run.w_exact, run.w_limits, "arc")
+        _write_trace_csv(out / f"{name}_trace.csv", run.errors)
+        scatter_h = _csv_text("node,exact,approx", np.arange(len(run.h_exact)), run.h_exact, run.h_estimates)
+        (out / f"{name}_scatter_h.csv").write_text(scatter_h, encoding="ascii")
+        scatter_w = _csv_text("arc,exact,approx", [f"{i}->{j}" for j, i in run.arc_nodes], run.w_exact, run.w_limits)
+        (out / f"{name}_scatter_w.csv").write_text(scatter_w, encoding="ascii")
     (out / "report.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="ascii"
     )

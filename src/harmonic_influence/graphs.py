@@ -251,25 +251,16 @@ def erdos_renyi(n: int, p: float, seed: int) -> UndirectedGraph:
     return UndirectedGraph(n, tuple(zip(rows[keep].tolist(), cols[keep].tolist())))
 
 
-def connected_components(g: UndirectedGraph) -> list[set[int]]:
-    """Node sets of the connected components, listed by their smallest node."""
-    # Scanning the nodes in ascending order meets each component first at its smallest node.
-    comps: dict[int, set[int]] = {}
-    for v, label in enumerate(g._component_labels.tolist()):
-        comps.setdefault(label, set()).add(v)
-    return list(comps.values())
-
-
 def is_connected(g: UndirectedGraph) -> bool:
     return not g._component_labels.any()
 
 
 def _require_connected(g: UndirectedGraph) -> None:
-    comps = connected_components(g)
-    if len(comps) > 1:
-        u = min(comps[0])
-        v = min(comps[1])
-        raise ValueError(f"graph is disconnected: no path between nodes {u} and {v}")
+    labels = g._component_labels
+    if labels.any():
+        # The first node outside node 0's component is the smallest node of the next component.
+        v = int(np.argmax(labels != labels[0]))
+        raise ValueError(f"graph is disconnected: no path between nodes 0 and {v}")
 
 
 def diameter(g: UndirectedGraph) -> int:

@@ -17,7 +17,8 @@ matvec a step, and check the residuals of ``BLOCK`` steps at a time.
 The output is bitwise that of full steps checked one at a time.
 
 Summation order inside every update is ascending neighbor index, so
-runs are bitwise reproducible.
+runs are bitwise reproducible.  ``error_trace`` reduces a traced run to
+one ``(iterations, 2)`` array of h and w errors.
 """
 
 from __future__ import annotations
@@ -244,20 +245,20 @@ def run_mpa(
     )
 
 
-def error_trace(result: MpaResult) -> list[tuple[int, float, float]]:
+def error_trace(result: MpaResult) -> np.ndarray:
     """Distance of each recorded step to the final iterate, in 1-norm.
 
-    The final iterate stands in for the unknown limit.  One entry per
-    executed step, t = 0 .. iterations-1; the last entry is therefore
-    bounded by the stopping tolerance whenever the run converged.  The
-    w error is exactly 0.0 from ``w_fixed_step`` on, where ``w_trace``
-    ends.
+    The final iterate stands in for the unknown limit.  A read-only
+    ``(iterations, 2)`` array: row t, t = 0 .. iterations-1, holds the h
+    error and the w error of step t, so the last row is bounded by the
+    stopping tolerance whenever the run converged.  The w error is
+    exactly 0.0 from ``w_fixed_step`` on, where ``w_trace`` ends.
     """
     if result.h_trace is None or result.w_trace is None:
         raise ValueError("result carries no traces; rerun with trace=True")
+    errors = np.zeros((result.iterations, 2))
     h_diff = result.h_trace[:-1] - result.h_trace[-1]
-    h_err = np.abs(h_diff, out=h_diff).sum(axis=1)
+    errors[:, 0] = np.abs(h_diff, out=h_diff).sum(axis=1)
     w_diff = result.w_trace[:-1] - result.w_trace[-1]
-    w_err = np.zeros(result.iterations)
-    w_err[: len(result.w_trace) - 1] = np.abs(w_diff, out=w_diff).sum(axis=1)
-    return list(zip(range(result.iterations), h_err.tolist(), w_err.tolist()))
+    errors[: len(w_diff), 1] = np.abs(w_diff, out=w_diff).sum(axis=1)
+    return _read_only(errors)

@@ -4,6 +4,7 @@ import scipy.sparse.linalg
 
 from harmonic_influence.electrical import (
     ConductanceNetwork,
+    InfluenceWeights,
     build_weights,
     exact_message_potentials,
     glue_leaders,
@@ -113,6 +114,13 @@ def test_network_error_names_first_component_without_field():
         assert str(err.value) == message, fielded
 
 
+def test_network_rejects_node_total_that_overflows():
+    # each edge is finite, but node 1's two conductances sum past the largest float
+    path = path_graph(3)
+    with pytest.raises(ValueError, match="total conductance of node 1 overflows to inf"):
+        ConductanceNetwork(path, {(0, 1): 1e308, (1, 2): 1e308}, np.full(3, GAMMA))
+
+
 # ---------------------------------------------------------------------------
 # build_weights
 # ---------------------------------------------------------------------------
@@ -129,6 +137,29 @@ def test_weights_reject_trust_that_underflows_to_zero():
     net = ConductanceNetwork(path, {(0, 1): 1e-300, (1, 2): 1e-300}, np.full(3, 1e300))
     with pytest.raises(ValueError, match="edge 0-1: trust of node 0 in node 1 underflows to 0"):
         build_weights(net)
+
+
+@pytest.mark.parametrize("arc, field, message", [
+    # trust 0 makes message passing divide 0 by 0; trust -1 sends every w to 2
+    (np.zeros(4), None, r"arc_trust\[0\] is 0.0: a trust must be finite and lie in \(0, 1\]"),
+    (np.full(4, -1.0), None, r"arc_trust\[0\] is -1.0: a trust must be finite and lie in \(0, 1\]"),
+    (None, np.array([0.5, np.nan, 0.5]), r"field_trust\[1\] is nan: a trust must be finite and lie in \[0, 1\]"),
+    (None, np.array([0.5, 0.5, 1.5]), r"field_trust\[2\] is 1.5"),
+    (np.ones(3), None, r"arc_trust must have shape \(4,\), got \(3,\)"),
+    (None, np.ones(2), r"field_trust must have shape \(3,\), got \(2,\)"),
+])
+def test_hand_built_weights_reject_bad_trust(arc, field, message):
+    w = build_weights(uniform_network(path_graph(3), GAMMA))
+    arc = w.arc_trust if arc is None else arc
+    field = w.field_trust if field is None else field
+    with pytest.raises(ValueError, match=message):
+        InfluenceWeights(w.graph, arc, field)
+
+
+def test_hand_built_weights_accept_isolated_node():
+    # an isolated node trusts only the field
+    w = InfluenceWeights(UndirectedGraph(1, ()), np.zeros(0), np.ones(1))
+    assert w.field_trust.tolist() == [1.0]
 
 
 def test_weights_rows_sum_to_one():

@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from harmonic_influence import cli
 from harmonic_influence.electrical import build_weights, uniform_network
 from harmonic_influence.experiment import (
     ExperimentConfig,
+    _csv_text,
     _write_trace_csv,
     generate_graphs,
     load_graph,
@@ -16,7 +19,7 @@ from harmonic_influence.experiment import (
     save_report,
 )
 from harmonic_influence.graphs import UndirectedGraph, erdos_renyi
-from harmonic_influence.mpa import DEFAULT_MAX_ITER, DEFAULT_TOL, run_mpa
+from harmonic_influence.mpa import DEFAULT_MAX_ITER, DEFAULT_TOL, error_trace, run_mpa
 
 SMALL_CFG = dict(n=16, p=0.25, extra_edges=3, gamma=0.04, seed=7)
 
@@ -127,13 +130,36 @@ def test_report_json_summary(tmp_path):
 
 
 def test_trace_csv_thinning(tmp_path):
-    rows = [(t, 1.0 / (t + 1), 2.0 / (t + 1)) for t in range(10060)]
+    t = np.arange(10060)
+    errors = np.column_stack((1.0 / (t + 1), 2.0 / (t + 1)))
     path = tmp_path / "trace.csv"
-    _write_trace_csv(path, rows)
+    _write_trace_csv(path, errors)
     kept = [line.split(",")[0] for line in path.read_text().splitlines()[2:]]
     ts = [int(t) for t in kept]
     assert all(t % 10 == 0 for t in ts if t > 10000)
     assert 10001 not in ts and 10010 in ts and 9999 in ts
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+def read_csv(path):
+    """The header line and the columns of a table, numbers parsed back as floats."""
+    header, *rows = path.read_text().splitlines()
+    return header, np.array([[float(x) for x in row.split(",")] for row in rows]).T
+
+
+TINY, HUGE = np.finfo(np.float64).smallest_subnormal, np.finfo(np.float64).max
+edge_floats = st.sampled_from([TINY, 3 * TINY, np.finfo(np.float64).tiny, HUGE, np.nextafter(HUGE, 0.0), -0.0])
+
+
+@given(st.lists(st.one_of(st.floats(allow_nan=False), edge_floats, edge_floats.map(lambda x: -x)), max_size=40))
+def test_csv_float_fields_read_back_bitwise(values):
+    values = np.array(values, dtype=np.float64)
+    _, *rows = _csv_text("i,x", np.arange(len(values)), values).splitlines()
+    assert [int(row.split(",")[0]) for row in rows] == list(range(len(values)))
+    assert same_bits([float(row.split(",")[1]) for row in rows], values)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +253,16 @@ def test_cli_mpa_writes_traces(tmp_path, capsys):
     out = tmp_path / "mpa"
     rc = cli.main(["mpa", str(gdir / "few_extra_edges.edges"), "--out", str(out)])
     assert rc == 0
-    assert (out / "estimates.csv").exists()
-    assert (out / "trace.csv").exists()
+    net = load_graph(gdir / "few_extra_edges.edges").network()
+    result = run_mpa(net.graph, build_weights(net), trace=True)
+    header, (nodes, h) = read_csv(out / "estimates.csv")
+    assert header == "node,estimate"
+    assert nodes.tolist() == list(range(net.node_count))
+    assert same_bits(h, result.h_estimates)
+    header, (t, h_err, w_err) = read_csv(out / "trace.csv")
+    assert header == "t,h_err_l1,w_err_l1"
+    assert t.tolist() == list(range(result.iterations))
+    assert same_bits(np.column_stack((h_err, w_err)), error_trace(result))
 
 
 def test_cli_mpa_nonconvergence_exit_code(tmp_path, capsys):
@@ -268,6 +302,15 @@ def test_cli_mpa_underflowing_trust_exits_one_with_error_line(tmp_path, capsys):
     assert captured.err == "error: edge 0-1: trust of node 0 in node 1 underflows to 0\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_cli_exact_overflowing_node_total_exits_one_with_error_line(tmp_path, capsys):
+    src = tmp_path / "overflow.edges"
+    src.write_text("n 3\n0 1 1e308\n1 2 1e308\n")
+    assert cli.main(["exact", str(src)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: total conductance of node 1 overflows to inf\n"
+    assert captured.out == ""
 
 
 def test_cli_defaults_are_the_config_defaults():

@@ -9,7 +9,6 @@ from harmonic_influence.graphs import (
     UndirectedGraph,
     add_extra_edges,
     condensation,
-    connected_components,
     diameter,
     erdos_renyi,
     is_connected,
@@ -368,10 +367,15 @@ def test_diameter_matches_all_pairs_bfs():
     assert diameter(UndirectedGraph(1, ())) == 0
 
 
+def components(g):
+    """Node sets of the connected components, by their labels, listed by smallest node."""
+    labels = g._component_labels
+    return [set(np.flatnonzero(labels == c).tolist()) for c in dict.fromkeys(labels.tolist())]
+
+
 def test_connected_components_partition():
     g = UndirectedGraph(5, ((0, 1), (2, 3)))
-    comps = connected_components(g)
-    assert sorted(sorted(c) for c in comps) == [[0, 1], [2, 3], [4]]
+    assert sorted(sorted(c) for c in components(g)) == [[0, 1], [2, 3], [4]]
 
 
 def test_connected_components_match_bfs_oracle():
@@ -382,7 +386,7 @@ def test_connected_components_match_bfs_oracle():
         for root in range(n):
             if not any(root in c for c in expected):
                 expected.append(set(np.flatnonzero(bfs_distances(g, root) >= 0).tolist()))
-        assert connected_components(g) == expected, seed
+        assert components(g) == expected, seed
         assert is_connected(g) == (len(expected) == 1)
         if len(expected) > 1:
             pair = f"no path between nodes {min(expected[0])} and {min(expected[1])}"

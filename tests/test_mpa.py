@@ -229,9 +229,10 @@ def test_steps_reject_weights_of_another_graph():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_raises_at_first_non_finite_residual():
-    # zero trust: the kernel divides 0 by 0 and w is NaN after one step
+    # node 1 trusts node 0 about 1e-310, so the kernel's ratio
+    # trust[(1, 2)] / trust[(1, 0)] overflows and inf * 0 makes w NaN after one step
     path = path_graph(3)
-    nan_weights = InfluenceWeights(path, np.zeros(4), np.ones(3))
+    nan_weights = build_weights(ConductanceNetwork(path, {(0, 1): 1e-310, (1, 2): 1.0}, np.full(3, 0.04)))
     with pytest.raises(ArithmeticError, match="residual is nan at step 1:"):
         run_mpa(path, nan_weights)
     # no field trust on K4: w is fixed at 1 from step 1 and h doubles each
@@ -445,9 +446,8 @@ def test_error_trace_lengths_and_final_entry():
     tol = 1e-10
     result = run_mpa(g, w, tol=tol, trace=True)
     errors = error_trace(result)
-    assert len(errors) == result.iterations
-    t_last, h_last, w_last = errors[-1]
-    assert t_last == result.iterations - 1
+    assert errors.shape == (result.iterations, 2) and not errors.flags.writeable
+    h_last, w_last = errors[-1]
     assert h_last <= tol and w_last <= tol
 
 
@@ -457,7 +457,7 @@ def test_error_trace_tree_zero_from_diameter():
     d = diameter(tree)
     result = run_mpa(tree, w, tol=0.0, max_iter=100, trace=True)
     errors = error_trace(result)
-    for t, h_err, w_err in errors:
+    for t, (h_err, w_err) in enumerate(errors):
         if t >= d:
             assert h_err == 0.0 and w_err == 0.0
         else:
