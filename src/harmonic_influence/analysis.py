@@ -34,15 +34,23 @@ DrivingSequence = Union[np.ndarray, Sequence[float], Callable[[int], np.ndarray]
 
 
 class _ArcGather:
-    """The synchronous decay/growth step on a digraph's arcs, one CSR matvec a step.
+    """The synchronous decay/growth step on a digraph's arcs, one CSC matvec a step.
 
     Node v gathers from every w with an arc (v, w): the growth term sums
     omega_w * eta_w, the decay term sums coef * (1 - omega_w).  Both are
-    rows of one block-diagonal CSR matrix built once: rows 0..size-1 hold
-    the unit-weighted arcs and act on omega * eta, rows size..2*size-1
-    hold the ``coef``-weighted arcs and act on 1 - omega.  One matvec
-    instead of two halves the per-step dispatch cost, which dominates on
-    small digraphs.
+    rows of one block-diagonal matrix built once: rows 0..size-1 hold the
+    unit-weighted arcs and act on omega * eta, rows size..2*size-1 hold
+    the ``coef``-weighted arcs and act on 1 - omega.  One matvec instead
+    of two halves the per-step dispatch cost, which dominates on small
+    digraphs.
+
+    The matrix is stored by columns (CSC).  Its matvec zeroes the output
+    and scatters column w, in ascending w, into the rows of the arcs
+    (v, w), so row v starts at 0.0 and adds its rounded products in
+    ascending head order: the arc order, since arcs come sorted by
+    (tail, head) without duplicates.  A CSR matvec sums the same terms in
+    the same order, but every row is one chain of dependent additions;
+    the scatter's consecutive additions go to different rows and overlap.
 
     Once omega stops changing, the decay rows give the same sums at every
     step, and ``fixed`` folds omega into the growth rows: their stored
@@ -57,7 +65,7 @@ class _ArcGather:
             np.concatenate((heads, heads + size)),
             np.concatenate((np.ones(len(heads)), coef)),
             (2 * size, 2 * size),
-        )
+        ).tocsc()
 
     def step(self, omega: np.ndarray, eta: np.ndarray, alpha, beta) -> tuple[np.ndarray, ...]:
         """One synchronous decay/growth update from the step-t buffers."""
@@ -70,13 +78,17 @@ class _ArcGather:
         eta_new = 1.0 + beta + sums[:n]
         return omega_new, eta_new
 
-    def fixed(self, omega: np.ndarray, below: Optional[scipy.sparse.csr_matrix] = None) -> scipy.sparse.csr_matrix:
+    def fixed(self, omega: np.ndarray, below: Optional[scipy.sparse.csc_matrix] = None) -> scipy.sparse.csc_matrix:
         """The growth rows, with the unit-entry rows ``below`` stacked under
-        them, each entry multiplied by the fixed omega of its column."""
+        them, each entry multiplied by the fixed omega of its column.
+
+        CSC stores the entries of column w together, so one repeat of
+        omega_w per entry scales them; every row keeps its column order.
+        """
         f = self.matrix[: self.size, : self.size]
         if below is not None:
-            f = scipy.sparse.vstack((f, below), format="csr")
-        f.data *= omega[f.indices]
+            f = scipy.sparse.vstack((f, below), format="csc")
+        f.data *= np.repeat(omega, np.diff(f.indptr))
         return f
 
 
@@ -235,6 +247,8 @@ def spectral_radius_diagnostic(d: Digraph, omega: Sequence[float]) -> float:
     adjacency = _csr_rows(tails, heads, np.ones(len(tails)), (n, n))
     if not _strong_components(adjacency)[1].any():
         return 0.0
+    # The products gather by columns, like the arc-gather kernel.
+    adjacency = adjacency.tocsc()
 
     x = np.ones(n) / np.sqrt(n)
     y = x + adjacency @ (w * x)

@@ -16,9 +16,13 @@ remaining steps fold w into one operator over h and the estimates, one
 matvec a step, and check the residuals of ``BLOCK`` steps at a time.
 The output is bitwise that of full steps checked one at a time.
 
-Summation order inside every update is ascending neighbor index, so
-runs are bitwise reproducible.  ``error_trace`` reduces a traced run to
-one ``(iterations, 2)`` array of h and w errors.
+Every per-step product is a matvec of a matrix stored by columns (CSC):
+each product goes to its own output row, so consecutive additions do
+not wait on each other, and every row still sums its terms in ascending
+column order.  Summation order inside every update is therefore
+ascending neighbor index, so runs are bitwise reproducible.
+``error_trace`` reduces a traced run to one ``(iterations, 2)`` array
+of h and w errors.
 """
 
 from __future__ import annotations
@@ -46,20 +50,32 @@ class _Kernel:
     (i, k), k != j, with coefficient trust[(i, k)] / trust[(i, j)], is
     driven by alpha = q_i / trust[(i, j)], and its influence message has
     no driving term (beta = 0).  Message p and ``arc_trust[p]`` share the
-    graph's CSR entry, so trust[(i, j)] is ``arc_trust[reverse[p]]``.
+    graph's CSR entry, so trust[(i, j)] is ``arc_trust[reverse[p]]``.  A
+    trust so small that one of these quotients overflows is rejected.
     """
 
     def __init__(self, md: MessageDigraph, weights: InfluenceWeights):
         self.weights = weights
         sender_trust = weights.arc_trust[md.reverse]
-        self.alpha = weights.field_trust[md.senders()] / sender_trust
         # Arcs run by message, then ascending sender: every gather sums in ascending neighbor order.
         arc_from, arc_to = md.dependencies._ends
-        coef = weights.arc_trust[arc_to] / sender_trust[arc_from]
+        with np.errstate(over="ignore"):
+            self.alpha = weights.field_trust[md.senders()] / sender_trust
+            coef = weights.arc_trust[arc_to] / sender_trust[arc_from]
+        overflow = ~np.isfinite(self.alpha)
+        overflow[arc_from[~np.isfinite(coef)]] = True
+        if overflow.any():
+            p = int(np.argmax(overflow))
+            j, i = int(md.receivers()[p]), int(md.senders()[p])
+            raise ValueError(
+                f"edge {min(i, j)}-{max(i, j)}: trust of node {i} in node {j} is {sender_trust[p]:.3g}, "
+                "and dividing by it overflows to inf"
+            )
         self.gather = _ArcGather(arc_from, arc_to, md.size, coef)
-        # Row j sums the messages (j, i) to node j, ascending in i: the graph's CSR rows.
-        self.receive = scipy.sparse.csr_matrix(
-            (np.ones(md.size), np.arange(md.size), md.base._csr.indptr), shape=(md.base.node_count, md.size)
+        # Column p holds message p's one entry, at its receiver's row, so row j
+        # sums the messages (j, i) in ascending p, which is ascending i.
+        self.receive = scipy.sparse.csc_matrix(
+            (np.ones(md.size), md.receivers(), np.arange(md.size + 1)), shape=(md.base.node_count, md.size)
         )
 
     def estimates(self, w: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -168,10 +184,12 @@ def run_mpa(
     than raised; the caller decides.  A residual that is NaN or infinite
     raises ``ArithmeticError`` at its step.
 
-    Once w is bitwise fixed, a step is one matvec of h by w folded into
-    the growth rows with the receiver rows under them; the w term of the
-    residual is then 0.0, and the residuals are checked ``BLOCK`` steps
-    at a time.  Every output is bitwise that of full steps.
+    Once w is bitwise fixed, a step is one matvec of h by the CSC operator
+    of w folded into the growth rows with the receiver rows under them;
+    the w term of the residual is then 0.0, and the residuals are checked
+    ``BLOCK`` steps at a time.  Every output is bitwise that of full steps.
+    A trust small enough that the kernel's quotients overflow raises
+    ``ValueError`` before the first step.
     """
     if g != weights.graph:
         raise ValueError("graph and weights disagree")

@@ -258,6 +258,50 @@ def test_run_generalized_matches_single_step_loop_bitwise():
             assert_same_state(run_generalized(mid, 300 - mid.t), ref)
 
 
+def bincount_generalized_steps(d, alpha, beta, r, s, steps):
+    """The decay/growth recursion as per-arc bincount gathers, in arc order."""
+    n = d.node_count
+    arc_from = np.array([v for v, _ in d.arcs], dtype=np.intp)
+    arc_to = np.array([w for _, w in d.arcs], dtype=np.intp)
+    coef = r[arc_from] * s[arc_to]
+    omega, eta = np.ones(n), np.ones(n)
+    for t in range(steps):
+        beta_t = beta(t) if callable(beta) else beta
+        contrib = np.bincount(arc_from, weights=coef * (1.0 - omega)[arc_to], minlength=n)
+        omega, eta = (
+            1.0 / (1.0 + alpha + contrib),
+            1.0 + beta_t + np.bincount(arc_from, weights=(omega * eta)[arc_to], minlength=n),
+        )
+        yield omega, eta
+
+
+def test_run_generalized_past_fixed_omega_matches_bincount_reference_bitwise():
+    """The folded fixed-omega steps against the bincount loop, which shares no code with them."""
+    rng = np.random.default_rng(517)
+    for n in (2, 15, 80):
+        d = random_digraph(rng, n, 3 * n, self_loops=max(1, n // 4))
+        assert any(v == w for v, w in d.arcs)
+        r = rng.uniform(0.2, 5.0, size=n)
+        s = 1.0 / r
+        alpha = rng.uniform(0.01, 0.6, size=n)
+        beta = rng.uniform(-0.2, 0.4, size=n)
+        for b in (beta, lambda t: beta / (1.0 + t)):
+            ref = [(np.ones(n), np.ones(n))] + list(bincount_generalized_steps(d, alpha, b, r, s, 300))
+            fixed = next(t for t in range(1, 301) if same_bits(ref[t][0], ref[t - 1][0]))
+            assert fixed < 250, n
+            start = initial_generalized_state(d, alpha, b, r, s)
+            for steps in (fixed - 1, fixed, fixed + 1, fixed + 2, 300):
+                state = run_generalized(start, steps)
+                assert state.t == steps
+                assert same_bits(state.omega, ref[steps][0]), (n, steps)
+                assert same_bits(state.eta, ref[steps][1]), (n, steps)
+            # split calls: each one detects the fixed omega anew
+            state = start
+            for steps in (fixed + 1, 7, 300 - fixed - 8):
+                state = run_generalized(state, steps)
+                assert same_bits(state.omega, ref[state.t][0]) and same_bits(state.eta, ref[state.t][1])
+
+
 def test_run_generalized_callable_alpha_takes_full_steps():
     rng = np.random.default_rng(516)
     n = 30

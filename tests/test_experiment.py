@@ -304,6 +304,19 @@ def test_cli_mpa_underflowing_trust_exits_one_with_error_line(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_mpa_subnormal_trust_exits_one_with_error_line(tmp_path, capsys):
+    # node 1 trusts node 0 about 1e-310; message passing would divide by it and overflow
+    src = tmp_path / "subnormal.edges"
+    src.write_text("n 3\n0 1 1e-310\n1 2 1.0\n0 f 0.04\n1 f 0.04\n2 f 0.04\n")
+    out = tmp_path / "out"
+    rc = cli.main(["mpa", str(src), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == "error: edge 0-1: trust of node 1 in node 0 is 9.62e-311, and dividing by it overflows to inf\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_cli_exact_overflowing_node_total_exits_one_with_error_line(tmp_path, capsys):
     src = tmp_path / "overflow.edges"
     src.write_text("n 3\n0 1 1e308\n1 2 1e308\n")

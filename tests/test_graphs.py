@@ -74,6 +74,49 @@ def test_digraph_allows_self_loops_rejects_duplicates():
         Digraph(2, ((0, 1), (0, 1)))
 
 
+def per_arc_digraph_arcs(node_count, arcs):
+    """Digraph's former per-arc checks: the sorted arcs, or the error of the first offending arc."""
+    seen = set()
+    for a in arcs:
+        v, w = int(a[0]), int(a[1])
+        if not (0 <= v < node_count and 0 <= w < node_count):
+            raise ValueError(f"arc {v}->{w} outside node range")
+        if (v, w) in seen:
+            raise ValueError(f"duplicate arc {v}->{w}")
+        seen.add((v, w))
+    return tuple(sorted(seen))
+
+
+def test_digraph_matches_per_arc_checks_on_random_arc_lists():
+    rng = np.random.default_rng(71)
+    outcomes = set()
+    for trial in range(600):
+        n = int(rng.integers(1, 9))
+        pairs = rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2)).tolist()
+        pairs += [[v, v] for v in rng.integers(0, n, size=int(rng.integers(0, 3))).tolist()]
+        if trial % 2:
+            pairs = [list(a) for a in dict.fromkeys(map(tuple, pairs))]  # no duplicates
+        if trial % 3 == 0 and pairs:
+            pairs[int(rng.integers(len(pairs)))][int(rng.integers(2))] = int(rng.choice([-3, -1, n, n + 2]))
+        rng.shuffle(pairs)
+        arcs = tuple(map(tuple, pairs))
+        try:
+            expected = per_arc_digraph_arcs(n, arcs)
+        except ValueError as exc:
+            outcomes.add(str(exc).split()[0])
+            with pytest.raises(ValueError) as info:
+                Digraph(n, arcs)
+            assert str(info.value) == str(exc), arcs
+            continue
+        outcomes.add("ok")
+        d = Digraph(n, arcs)
+        assert d.arcs == expected and all(type(v) is int and type(w) is int for v, w in d.arcs)
+        tails, heads = d._ends
+        assert tails.tolist() == [v for v, _ in expected] and heads.tolist() == [w for _, w in expected]
+        assert not (tails.flags.writeable or heads.flags.writeable)
+    assert outcomes == {"ok", "arc", "duplicate"}
+
+
 # ---------------------------------------------------------------------------
 # erdos_renyi
 # ---------------------------------------------------------------------------

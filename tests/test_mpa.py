@@ -22,6 +22,7 @@ from harmonic_influence.graphs import (
 )
 from harmonic_influence.mpa import (
     BLOCK,
+    _finite,
     error_trace,
     influence_estimates,
     initial_messages,
@@ -189,6 +190,43 @@ def test_csr_kernel_matches_bincount_reference_bitwise():
             assert np.array_equal(influence_estimates(state, w), est_ref), (n, t)
 
 
+def test_run_mpa_past_fixed_w_matches_bincount_reference_bitwise():
+    """The folded fixed-w phase against the bincount loop, which shares no code with it."""
+    rng = np.random.default_rng(43)
+    runs_past_blocks = 0
+    for n, p, seed in ((9, 0.4, 11), (40, 0.12, 12), (110, 0.05, 13)):
+        g = random_connected(n, p, seed)
+        conductance = {e: float(rng.uniform(0.05, 5.0)) for e in g.edges}
+        w = build_weights(ConductanceNetwork(g, conductance, rng.uniform(0.001, 0.8, size=n)))
+        md = message_digraph(g)
+        # (w, estimates) of steps 0 .. 400
+        steps = [(np.ones(md.size), 1.0 + np.bincount(md.receivers(), weights=np.ones(md.size), minlength=n))]
+        steps += [(w_t, est_t) for w_t, _, est_t in bincount_reference_steps(md, w, 400)]
+        fixed = next(t for t in range(1, len(steps)) if same_bits(steps[t][0], steps[t - 1][0]))
+        assert fixed + 4 * BLOCK < 400, n
+        residuals = [
+            float(np.abs(w_t - w_prev).sum() + np.abs(est_t - est_prev).sum())
+            for (w_prev, est_prev), (w_t, est_t) in zip(steps, steps[1:])
+        ]
+        # with tol=0.0 a run stops at its first zero residual, if any
+        zero = next((t for t, r in enumerate(residuals, 1) if r == 0.0), None)
+        last = fixed + BLOCK - 1  # the last step of the first block of fixed-w steps
+        for max_iter in (fixed - 1, fixed, fixed + 1, last, last + 1, last + 2, last + BLOCK, 400):
+            t = max_iter if zero is None else min(max_iter, zero)
+            for traced in (True, False):
+                result = run_mpa(g, w, tol=0.0, max_iter=max_iter, trace=traced)
+                assert result.iterations == t and result.converged == (t == zero), (n, max_iter)
+                assert same_bits(result.w_limits, steps[min(fixed, t)][0]), (n, max_iter)
+                assert same_bits(result.h_estimates, steps[t][1]), (n, max_iter)
+                assert same_bits(result.residuals, np.array(residuals[:t])), (n, max_iter)
+                assert result.w_fixed_step == (fixed if t >= fixed else None), (n, max_iter)
+                if traced:
+                    assert same_bits(result.h_trace, np.array([e for _, e in steps[: t + 1]])), (n, max_iter)
+                    assert same_bits(result.w_trace, np.array([w_t for w_t, _ in steps[: min(fixed, t) + 1]]))
+        runs_past_blocks += zero is None or zero > last + BLOCK
+    assert runs_past_blocks >= 2
+
+
 # ---------------------------------------------------------------------------
 # run_mpa
 # ---------------------------------------------------------------------------
@@ -229,12 +267,9 @@ def test_steps_reject_weights_of_another_graph():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_raises_at_first_non_finite_residual():
-    # node 1 trusts node 0 about 1e-310, so the kernel's ratio
-    # trust[(1, 2)] / trust[(1, 0)] overflows and inf * 0 makes w NaN after one step
-    path = path_graph(3)
-    nan_weights = build_weights(ConductanceNetwork(path, {(0, 1): 1e-310, (1, 2): 1.0}, np.full(3, 0.04)))
-    with pytest.raises(ArithmeticError, match="residual is nan at step 1:"):
-        run_mpa(path, nan_weights)
+    # a trust small enough to make w NaN at step 1 is now rejected by the kernel
+    with pytest.raises(ArithmeticError, match="residual is nan at step 8:"):
+        _finite([0.5, float("nan"), float("inf")], 7)
     # no field trust on K4: w is fixed at 1 from step 1 and h doubles each
     # step until it overflows inside a block of the fixed-w phase
     k4 = UndirectedGraph(4, tuple((i, j) for i in range(4) for j in range(i + 1, 4)))
@@ -243,6 +278,28 @@ def test_run_raises_at_first_non_finite_residual():
     assert finite.w_fixed_step == 1 and np.isfinite(finite.residuals).all()
     with pytest.raises(ArithmeticError, match="residual is inf at step 1021:"):
         run_mpa(k4, growing, max_iter=5000)
+
+
+def test_kernel_rejects_a_trust_whose_quotients_overflow():
+    # node 1 trusts node 0 about 1e-310: the kernel divides by it, and both
+    # q_1 / trust[(1, 0)] and trust[(1, 2)] / trust[(1, 0)] overflow to inf
+    path = path_graph(3)
+    message = r"^edge 0-1: trust of node 1 in node 0 is 9\.62e-311, and dividing by it overflows to inf$"
+    weights = build_weights(ConductanceNetwork(path, {(0, 1): 1e-310, (1, 2): 1.0}, np.full(3, 0.04)))
+    assert weights.arc_trust.min() > 0.0
+    md = message_digraph(path)
+    for call in (lambda: run_mpa(path, weights), lambda: initial_messages(md, weights)):
+        with pytest.raises(ValueError, match=message):
+            call()
+    # trusts of another network's kernel are checked when a step rebuilds it
+    state = initial_messages(md, build_weights(uniform_network(path, GAMMA)))
+    with pytest.raises(ValueError, match=message):
+        mpa_step(state, weights)
+    # without a field at node 1 only the gather coefficient overflows
+    no_field = build_weights(ConductanceNetwork(path, {(0, 1): 1e-310, (1, 2): 1.0}, np.array([0.0, 0.0, 0.04])))
+    assert no_field.field_trust[1] == 0.0
+    with pytest.raises(ValueError, match=r"^edge 0-1: trust of node 1 in node 0 is 1e-310, and dividing"):
+        run_mpa(path, no_field)
 
 
 def same_bits(a, b):
