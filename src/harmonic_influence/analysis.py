@@ -44,13 +44,15 @@ class _ArcGather:
     of two halves the per-step dispatch cost, which dominates on small
     digraphs.
 
-    The matrix is stored by columns (CSC).  Its matvec zeroes the output
-    and scatters column w, in ascending w, into the rows of the arcs
-    (v, w), so row v starts at 0.0 and adds its rounded products in
-    ascending head order: the arc order, since arcs come sorted by
-    (tail, head) without duplicates.  A CSR matvec sums the same terms in
-    the same order, but every row is one chain of dependent additions;
-    the scatter's consecutive additions go to different rows and overlap.
+    The matrix is stored by columns (CSC), built once from the arcs' CSR
+    pattern, whose transpose lists each column's tails ascending.  Its
+    matvec zeroes the output and scatters column w, in ascending w, into
+    the rows of the arcs (v, w), so row v starts at 0.0 and adds its
+    rounded products in ascending head order: the arc order, since arcs
+    come sorted by (tail, head) without duplicates.  A CSR matvec sums
+    the same terms in the same order, but every row is one chain of
+    dependent additions; the scatter's consecutive additions go to
+    different rows and overlap.
 
     Once omega stops changing, the decay rows give the same sums at every
     step, and ``fixed`` folds omega into the growth rows: their stored
@@ -60,12 +62,19 @@ class _ArcGather:
 
     def __init__(self, tails: np.ndarray, heads: np.ndarray, size: int, coef: np.ndarray):
         self.size = size
-        self.matrix = _csr_rows(
-            np.concatenate((tails, tails + size)),
-            np.concatenate((heads, heads + size)),
-            np.concatenate((np.ones(len(heads)), coef)),
-            (2 * size, 2 * size),
-        ).tocsc()
+        # Column w lists the arcs (v, w) in ascending v; the data are their arc
+        # numbers.  With 2 * size rows, scipy's index type holds the second
+        # block's rows too; the column pointers are doubled in intp.
+        by_head = _csr_rows(tails, heads, np.arange(len(heads)), (2 * size, size)).tocsc()
+        arc, rows, indptr = by_head.data, by_head.indices, by_head.indptr.astype(np.intp)
+        self.matrix = scipy.sparse.csc_matrix(
+            (
+                np.concatenate((np.ones(len(arc)), coef[arc])),
+                np.concatenate((rows, rows + size)),
+                np.concatenate((indptr, indptr[1:] + len(arc))),
+            ),
+            shape=(2 * size, 2 * size),
+        )
 
     def step(self, omega: np.ndarray, eta: np.ndarray, alpha, beta) -> tuple[np.ndarray, ...]:
         """One synchronous decay/growth update from the step-t buffers."""
@@ -79,17 +88,25 @@ class _ArcGather:
         return omega_new, eta_new
 
     def fixed(self, omega: np.ndarray, below: Optional[scipy.sparse.csc_matrix] = None) -> scipy.sparse.csc_matrix:
-        """The growth rows, with the unit-entry rows ``below`` stacked under
-        them, each entry multiplied by the fixed omega of its column.
+        """The growth rows, with the rows of ``below`` stacked under them,
+        each entry multiplied by the fixed omega of its column.
 
-        CSC stores the entries of column w together, so one repeat of
-        omega_w per entry scales them; every row keeps its column order.
+        Built from the stored arrays: column w holds its growth entries,
+        then its entries of ``below`` shifted down by ``size`` rows, and one
+        repeat of omega_w per entry scales them.  Every row keeps its
+        column order.
         """
-        f = self.matrix[: self.size, : self.size]
+        n = self.size
+        indptr = self.matrix.indptr[: n + 1]
+        rows, data = self.matrix.indices[: indptr[-1]], self.matrix.data[: indptr[-1]]
+        height = n
         if below is not None:
-            f = scipy.sparse.vstack((f, below), format="csc")
-        f.data *= np.repeat(omega, np.diff(f.indptr))
-        return f
+            at = np.repeat(indptr[1:], np.diff(below.indptr))
+            rows = np.insert(rows, at, below.indices + n)
+            data = np.insert(data, at, below.data)
+            indptr = indptr + below.indptr
+            height += below.shape[0]
+        return scipy.sparse.csc_matrix((data * np.repeat(omega, np.diff(indptr)), rows, indptr), shape=(height, n))
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:

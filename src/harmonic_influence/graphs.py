@@ -61,12 +61,9 @@ def _csr_rows(
 ) -> scipy.sparse.csr_matrix:
     """CSR matrix whose row v holds the weighted arcs (v, w), in the given order.
 
-    The arcs must come sorted by tail.  The graph searches read this form.
-    The per-step products of message passing convert it once to CSC
-    (``tocsc``), whose matvec starts every row at 0.0 and adds its rounded
-    products in ascending column order: with arcs sorted by (tail, head)
-    and no duplicates, that is arc order, so the sums are bitwise
-    reproducible.
+    The arcs must come sorted by tail.  The graph searches read this form;
+    the per-step products of message passing use the CSC form that
+    ``analysis._ArcGather`` builds from the same sorted arcs.
     """
     indptr = np.searchsorted(tails, np.arange(shape[0] + 1))
     return scipy.sparse.csr_matrix((weights, heads, indptr), shape=shape)
@@ -144,8 +141,12 @@ class Digraph:
     def __post_init__(self) -> None:
         if self.node_count < 1:
             raise ValueError("node_count must be >= 1")
-        # fromiter reads the flat stream about three times faster than np.asarray(arcs)
-        ends = np.fromiter(itertools.chain.from_iterable(self.arcs), dtype=np.intp)
+        try:
+            # fromiter reads the flat stream about three times faster than np.asarray(arcs)
+            ends = np.fromiter(itertools.chain.from_iterable(self.arcs), dtype=np.intp)
+        except OverflowError:
+            # An end beyond the index range reads as one just outside the node range.
+            ends = np.array([min(max(int(x), -1), self.node_count) for a in self.arcs for x in a], dtype=np.intp)
         tails, heads = ends[0::2], ends[1::2]
         # A stable sort keeps equal arcs in input order, so each copy after the first is a duplicate.
         order = np.lexsort((heads, tails))
@@ -155,7 +156,7 @@ class Digraph:
         if bad.any():
             # The first offending arc in input order; one out of range is reported as such.
             k = int(order[bad].min())
-            v, w = int(ends[2 * k]), int(ends[2 * k + 1])
+            v, w = (int(x) for x in self.arcs[k])
             if not (0 <= v < self.node_count and 0 <= w < self.node_count):
                 raise ValueError(f"arc {v}->{w} outside node range")
             raise ValueError(f"duplicate arc {v}->{w}")

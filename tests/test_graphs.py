@@ -97,7 +97,7 @@ def test_digraph_matches_per_arc_checks_on_random_arc_lists():
         if trial % 2:
             pairs = [list(a) for a in dict.fromkeys(map(tuple, pairs))]  # no duplicates
         if trial % 3 == 0 and pairs:
-            pairs[int(rng.integers(len(pairs)))][int(rng.integers(2))] = int(rng.choice([-3, -1, n, n + 2]))
+            pairs[int(rng.integers(len(pairs)))][int(rng.integers(2))] = [-3, -1, n, n + 2, 2**70, -(2**70)][int(rng.integers(6))]
         rng.shuffle(pairs)
         arcs = tuple(map(tuple, pairs))
         try:
@@ -115,6 +115,13 @@ def test_digraph_matches_per_arc_checks_on_random_arc_lists():
         assert tails.tolist() == [v for v, _ in expected] and heads.tolist() == [w for _, w in expected]
         assert not (tails.flags.writeable or heads.flags.writeable)
     assert outcomes == {"ok", "arc", "duplicate"}
+    # ends beyond the 64-bit range fail with the same first offending arc
+    for arcs in (((0, 1), (1, 2**70), (0, 1)), ((0, 1), (0, 1), (-(2**70), 0)), ((2**70, 2**71), (2**70, 2**71))):
+        with pytest.raises(ValueError) as info:
+            Digraph(3, arcs)
+        with pytest.raises(ValueError) as expected:
+            per_arc_digraph_arcs(3, arcs)
+        assert str(info.value) == str(expected.value)
 
 
 # ---------------------------------------------------------------------------

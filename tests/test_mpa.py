@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from harmonic_influence import mpa
 from harmonic_influence.analysis import initial_generalized_state, run_generalized
 from harmonic_influence.electrical import (
     ConductanceNetwork,
@@ -266,8 +267,19 @@ def test_steps_reject_weights_of_another_graph():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_run_raises_at_first_non_finite_residual():
-    # a trust small enough to make w NaN at step 1 is now rejected by the kernel
+def test_run_raises_at_first_non_finite_residual(monkeypatch):
+    # a NaN driving term makes one w NaN after step 1 of the full-step phase
+    # (the kernel rejects the trusts that used to produce it, so it is planted)
+    class NanAlphaKernel(mpa._Kernel):
+        def __init__(self, md, weights):
+            super().__init__(md, weights)
+            self.alpha[0] = np.nan
+
+    path = path_graph(3)
+    with monkeypatch.context() as m:
+        m.setattr(mpa, "_Kernel", NanAlphaKernel)
+        with pytest.raises(ArithmeticError, match="residual is nan at step 1:"):
+            run_mpa(path, build_weights(uniform_network(path, GAMMA)))
     with pytest.raises(ArithmeticError, match="residual is nan at step 8:"):
         _finite([0.5, float("nan"), float("inf")], 7)
     # no field trust on K4: w is fixed at 1 from step 1 and h doubles each
