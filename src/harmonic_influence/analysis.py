@@ -38,75 +38,68 @@ class _ArcGather:
 
     Node v gathers from every w with an arc (v, w): the growth term sums
     omega_w * eta_w, the decay term sums coef * (1 - omega_w).  Both are
-    rows of one block-diagonal matrix built once: rows 0..size-1 hold the
-    unit-weighted arcs and act on omega * eta, rows size..2*size-1 hold
-    the ``coef``-weighted arcs and act on 1 - omega.  One matvec instead
-    of two halves the per-step dispatch cost, which dominates on small
-    digraphs.
+    rows of one block-diagonal matrix built once: the unit block acts on
+    omega * eta, with the unit-weighted arcs in rows 0..size-1 and, given
+    ``receivers``, ``readouts`` rows below them, where column w has one
+    more entry at row size + receivers[w]; the decay block acts
+    on 1 - omega, with the ``coef``-weighted arcs in the last size rows.
+    One matvec a step keeps the dispatch cost, which dominates on small
+    digraphs, to one call.
 
     The matrix is stored by columns (CSC), built once from the arcs' CSR
     pattern, whose transpose lists each column's tails ascending.  Its
     matvec zeroes the output and scatters column w, in ascending w, into
     the rows of the arcs (v, w), so row v starts at 0.0 and adds its
     rounded products in ascending head order: the arc order, since arcs
-    come sorted by (tail, head) without duplicates.  A CSR matvec sums
-    the same terms in the same order, but every row is one chain of
-    dependent additions; the scatter's consecutive additions go to
-    different rows and overlap.
+    come sorted by (tail, head) without duplicates.  A CSR matvec would
+    chain each row's additions; the scatter's go to different rows.
 
     Once omega stops changing, the decay rows give the same sums at every
-    step, and ``fixed`` folds omega into the growth rows: their stored
-    entries are exactly 1.0, so ``fixed(omega) @ eta`` is bitwise the
-    growth sums of ``step`` without forming omega * eta.
+    step, and ``fixed`` folds omega into the growth and readout rows: their
+    stored entries are exactly 1.0, so ``fixed(omega) @ eta`` is bitwise
+    their sums in ``step`` without forming omega * eta.
     """
 
-    def __init__(self, tails: np.ndarray, heads: np.ndarray, size: int, coef: np.ndarray):
-        self.size = size
-        # Column w lists the arcs (v, w) in ascending v; the data are their arc
-        # numbers.  With 2 * size rows, scipy's index type holds the second
-        # block's rows too; the column pointers are doubled in intp.
-        by_head = _csr_rows(tails, heads, np.arange(len(heads)), (2 * size, size)).tocsc()
+    def __init__(self, tails: np.ndarray, heads: np.ndarray, size: int, coef: np.ndarray, receivers=(), readouts=0):
+        self.size, self.top = size, size + readouts
+        # The readout arcs (size + receivers[w], w) follow the real ones with larger tails, so the
+        # arcs stay sorted by tail; column w lists its arcs by ascending tail, readout last, with
+        # their arc numbers as data.  With the decay rows in the shape, scipy's index type holds them.
+        by_head = _csr_rows(
+            np.concatenate((tails, size + np.asarray(receivers, dtype=np.intp))),
+            np.concatenate((heads, np.arange(len(receivers)))),
+            np.arange(len(tails) + len(receivers)), (self.top + size, size),
+        ).tocsc()
         arc, rows, indptr = by_head.data, by_head.indices, by_head.indptr.astype(np.intp)
+        decay = arc < len(tails)
+        decay_indptr = indptr - np.minimum(np.arange(size + 1), len(receivers))
         self.matrix = scipy.sparse.csc_matrix(
             (
-                np.concatenate((np.ones(len(arc)), coef[arc])),
-                np.concatenate((rows, rows + size)),
-                np.concatenate((indptr, indptr[1:] + len(arc))),
+                np.concatenate((np.ones(len(arc)), coef[arc[decay]])),
+                np.concatenate((rows, rows[decay] + self.top)),
+                np.concatenate((indptr, decay_indptr[1:] + len(arc))),
             ),
-            shape=(2 * size, 2 * size),
+            shape=(self.top + size, 2 * size),
         )
 
     def step(self, omega: np.ndarray, eta: np.ndarray, alpha, beta) -> tuple[np.ndarray, ...]:
-        """One synchronous decay/growth update from the step-t buffers."""
-        n = self.size
+        """From the step-t buffers: omega and eta of step t + 1, and the readouts (1 plus each row's sum) of step t."""
+        n, top = self.size, self.top
         stacked = np.empty(2 * n)
         np.multiply(omega, eta, out=stacked[:n])
         np.subtract(1.0, omega, out=stacked[n:])
         sums = self.matrix @ stacked
-        omega_new = 1.0 / (1.0 + alpha + sums[n:])
+        omega_new = 1.0 / (1.0 + alpha + sums[top:])
         eta_new = 1.0 + beta + sums[:n]
-        return omega_new, eta_new
+        return omega_new, eta_new, 1.0 + sums[n:top]
 
-    def fixed(self, omega: np.ndarray, below: Optional[scipy.sparse.csc_matrix] = None) -> scipy.sparse.csc_matrix:
-        """The growth rows, with the rows of ``below`` stacked under them,
-        each entry multiplied by the fixed omega of its column.
-
-        Built from the stored arrays: column w holds its growth entries,
-        then its entries of ``below`` shifted down by ``size`` rows, and one
-        repeat of omega_w per entry scales them.  Every row keeps its
-        column order.
-        """
-        n = self.size
-        indptr = self.matrix.indptr[: n + 1]
-        rows, data = self.matrix.indices[: indptr[-1]], self.matrix.data[: indptr[-1]]
-        height = n
-        if below is not None:
-            at = np.repeat(indptr[1:], np.diff(below.indptr))
-            rows = np.insert(rows, at, below.indices + n)
-            data = np.insert(data, at, below.data)
-            indptr = indptr + below.indptr
-            height += below.shape[0]
-        return scipy.sparse.csc_matrix((data * np.repeat(omega, np.diff(indptr)), rows, indptr), shape=(height, n))
+    def fixed(self, omega: np.ndarray) -> scipy.sparse.csc_matrix:
+        """The growth and readout rows, the matrix's first ``size`` columns, each
+        entry multiplied by the fixed omega of its column."""
+        indptr = self.matrix.indptr[: self.size + 1]
+        end = indptr[-1]
+        scaled = self.matrix.data[:end] * np.repeat(omega, np.diff(indptr))
+        return scipy.sparse.csc_matrix((scaled, self.matrix.indices[:end], indptr), shape=(self.top, self.size))
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -161,13 +154,18 @@ def initial_generalized_state(
         alpha = _driving(alpha, n, "alpha", nonnegative=True)
     if not callable(beta):
         beta = _driving(beta, n, "beta")
+        if not np.isfinite(beta).all():
+            raise ValueError("beta must be finite")
     r_arr = np.asarray(r, dtype=np.float64)
     s_arr = np.asarray(s, dtype=np.float64)
     if r_arr.shape != (n,) or s_arr.shape != (n,):
         raise ValueError("r and s must have one entry per digraph node")
-    if np.any(r_arr <= 0.0) or np.any(s_arr <= 0.0):
+    # Each test states the good side, so a NaN fails it.
+    if not (np.isfinite(r_arr).all() and np.isfinite(s_arr).all()):
+        raise ValueError("r and s must be finite")
+    if not (np.all(r_arr > 0.0) and np.all(s_arr > 0.0)):
         raise ValueError("r and s must be positive")
-    if np.any(np.abs(r_arr * s_arr - 1.0) > RS_TOL):
+    if not np.all(np.abs(r_arr * s_arr - 1.0) <= RS_TOL):
         raise ValueError("scaling vectors must be reciprocal: r_v * s_v = 1")
     return GeneralizedDynamicsState(
         d=d,
@@ -205,7 +203,7 @@ def run_generalized(state: GeneralizedDynamicsState, steps: int) -> GeneralizedD
         if folded is not None:
             eta = 1.0 + beta_t + folded @ eta
         else:
-            omega_new, eta = gather.step(omega, eta, alpha_t, beta_t)
+            omega_new, eta, _ = gather.step(omega, eta, alpha_t, beta_t)
             # Under a constant alpha omega_{t+1} is a function of omega_t
             # alone, so once it repeats bit for bit it never changes again.
             if not callable(alpha) and _same_bits(omega_new, omega):
@@ -258,7 +256,7 @@ def spectral_radius_diagnostic(d: Digraph, omega: Sequence[float]) -> float:
     w = np.asarray(omega, dtype=np.float64)
     if w.shape != (n,):
         raise ValueError("omega must have one entry per digraph node")
-    if np.any(w <= 0.0) or np.any(w > 1.0):
+    if not np.all((w > 0.0) & (w <= 1.0)):
         raise ValueError("omega entries must lie in (0, 1]")
     tails, heads = d._ends
     adjacency = _csr_rows(tails, heads, np.ones(len(tails)), (n, n))

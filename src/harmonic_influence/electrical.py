@@ -132,8 +132,9 @@ class InfluenceWeights:
 
     ``arc_trust[p]`` is how much j trusts neighbor i, p being the graph's
     CSR entry at row j and column i (the message (j, i)); ``field_trust[j]``
-    is how much j trusts the opinion field.  Each row sums to one; construction
-    checks the shapes and that arc trusts lie in (0, 1] and field trusts in [0, 1].
+    is how much j trusts the opinion field.  Construction checks the shapes,
+    that arc trusts lie in (0, 1] and field trusts in [0, 1], and that each
+    row sums to one within eps per term.
     """
 
     graph: UndirectedGraph
@@ -152,6 +153,13 @@ class InfluenceWeights:
             if bad.any():
                 p = int(np.argmax(bad))
                 raise ValueError(f"{name}[{p}] is {values[p]}: a trust must be finite and lie in {bounds}")
+        # A row of degree + 1 terms may miss 1 by eps per term: build_weights sums the terms and
+        # rounds each quotient, this sums again, and to first order that is (2 * degree + 1) * eps / 2.
+        totals = np.bincount(g._rows, weights=self.arc_trust, minlength=g.node_count) + self.field_trust
+        off = ~(np.abs(totals - 1.0) <= np.finfo(np.float64).eps * (np.diff(g._csr.indptr) + 1))
+        if off.any():
+            j = int(np.argmax(off))
+            raise ValueError(f"trusts of node {j} sum to {float(totals[j])!r}, not to 1")
 
 
 def build_weights(net: ConductanceNetwork) -> InfluenceWeights:

@@ -165,13 +165,10 @@ class GraphFile:
     edge_conductance: dict[tuple[int, int], float]
     field_conductance: np.ndarray
 
-    def has_field_edges(self) -> bool:
-        return bool(np.any(self.field_conductance > 0.0))
-
     def network(self, fallback_gamma: Optional[float] = None) -> ConductanceNetwork:
         """Build the electrical network, defaulting the field coupling if absent."""
         gamma = self.field_conductance
-        if not self.has_field_edges():
+        if not np.any(gamma > 0.0):
             if fallback_gamma is None:
                 raise ValueError("file has no field edges and no fallback gamma given")
             gamma = np.full(self.graph.node_count, float(fallback_gamma))
@@ -276,10 +273,6 @@ def load_graph(path: Path | str) -> GraphFile:
 # Report serialization
 # ---------------------------------------------------------------------------
 
-def _json_float(x: float) -> Optional[float]:
-    return None if math.isnan(x) else x
-
-
 def _csv_text(header: str, *columns) -> str:
     """A header, then one comma-joined row per entry of the columns; through ``tolist`` a float prints as its repr."""
     rows = zip(*(np.asarray(c).tolist() for c in columns))
@@ -309,7 +302,7 @@ def save_report(report: ExperimentReport, out_dir: Path | str) -> None:
             "iterations": run.iterations,
             "converged": run.converged,
             "final_residual": run.final_residual,
-            "spearman_h": _json_float(run.spearman_h),
+            "spearman_h": None if math.isnan(run.spearman_h) else run.spearman_h,
             "max_h_ratio": run.max_h_ratio,
             "h_negligible_iter": run.h_negligible_iter,
             "w_negligible_iter": run.w_negligible_iter,

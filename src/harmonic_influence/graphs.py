@@ -39,6 +39,8 @@ Arc = tuple[int, int]
 def _normalize_edges(node_count: int, edges: Iterable[Sequence[int]]) -> tuple[Edge, ...]:
     seen: set[Edge] = set()
     for e in edges:
+        if len(e) != 2:
+            raise ValueError(f"edge {e!r} is not a pair of nodes")
         u, v = int(e[0]), int(e[1])
         if u == v:
             raise ValueError(f"self-loop {u}-{v} not allowed")
@@ -141,6 +143,10 @@ class Digraph:
     def __post_init__(self) -> None:
         if self.node_count < 1:
             raise ValueError("node_count must be >= 1")
+        # The ends are read as one flat stream, which keeps no pair boundaries.
+        if not set(map(len, self.arcs)) <= {2}:
+            bad = next(a for a in self.arcs if len(a) != 2)
+            raise ValueError(f"arc {bad!r} is not a pair of nodes")
         try:
             # fromiter reads the flat stream about three times faster than np.asarray(arcs)
             ends = np.fromiter(itertools.chain.from_iterable(self.arcs), dtype=np.intp)

@@ -10,17 +10,19 @@ cyclic graphs they converge asymptotically to an approximation.
 The potential messages w are a closed recursion, w_{t+1} = f(w_t), and
 settle within a few dozen steps, while the influence messages creep
 towards their limit at the rate of rho(A diag(w)), close to 1, over
-thousands.  ``run_mpa`` watches for the first step that returns w
-bitwise equal to its input; every later w is then the same.  The
-remaining steps fold w into one operator over h and the estimates, one
-matvec a step, and check the residuals of ``BLOCK`` steps at a time.
-The output is bitwise that of full steps checked one at a time.
+thousands.  The estimates, 1 + sum_i w_ji * h_ji at each node j, are
+readout rows of the same gather matrix, so every step, estimates
+included, is one matvec.  ``run_mpa`` watches for the first step that
+returns w bitwise equal to its input; every later w is then the same.
+The remaining steps fold w into the matrix's columns over h and check
+the residuals of ``BLOCK`` steps at a time.  The output is bitwise that
+of full steps checked one at a time.
 
 Every per-step product is a matvec of a matrix stored by columns (CSC):
 each product goes to its own output row, so consecutive additions do
-not wait on each other, and every row still sums its terms in ascending
-column order.  Summation order inside every update is therefore
-ascending neighbor index, so runs are bitwise reproducible.
+not wait on each other, and every row sums its terms in ascending
+column order, which is ascending neighbor index, so runs are bitwise
+reproducible.
 ``error_trace`` reduces a traced run to one ``(iterations, 2)`` array
 of h and w errors.
 """
@@ -32,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.sparse
 
 from .analysis import _ArcGather, _same_bits
 from .electrical import InfluenceWeights
@@ -49,12 +50,16 @@ class _Kernel:
     Message (j, i) gathers over its dependency arcs to the messages
     (i, k), k != j, with coefficient trust[(i, k)] / trust[(i, j)], is
     driven by alpha = q_i / trust[(i, j)], and its influence message has
-    no driving term (beta = 0).  Message p and ``arc_trust[p]`` share the
-    graph's CSR entry, so trust[(i, j)] is ``arc_trust[reverse[p]]``.  A
-    trust so small that one of these quotients overflows is rejected.
+    no driving term (beta = 0); the gather's readout row j sums the
+    messages (j, i), so each step also returns the estimates of the state
+    it starts from.  Message p and ``arc_trust[p]`` share the graph's CSR
+    entry, so trust[(i, j)] is ``arc_trust[reverse[p]]``.  A trust so
+    small that one of these quotients overflows is rejected.
     """
 
     def __init__(self, md: MessageDigraph, weights: InfluenceWeights):
+        if weights.graph != md.base:
+            raise ValueError("weights and message digraph cover different graphs")
         self.weights = weights
         sender_trust = weights.arc_trust[md.reverse]
         # Arcs run by message, then ascending sender: every gather sums in ascending neighbor order.
@@ -71,15 +76,8 @@ class _Kernel:
                 f"edge {min(i, j)}-{max(i, j)}: trust of node {i} in node {j} is {sender_trust[p]:.3g}, "
                 "and dividing by it overflows to inf"
             )
-        self.gather = _ArcGather(arc_from, arc_to, md.size, coef)
-        # Column p holds message p's one entry, at its receiver's row, so row j
-        # sums the messages (j, i) in ascending p, which is ascending i.
-        self.receive = scipy.sparse.csc_matrix(
-            (np.ones(md.size), md.receivers(), np.arange(md.size + 1)), shape=(md.base.node_count, md.size)
-        )
-
-    def estimates(self, w: np.ndarray, h: np.ndarray) -> np.ndarray:
-        return 1.0 + self.receive @ (w * h)
+        # Readout row j sums the messages (j, i) in ascending p, which is ascending i.
+        self.gather = _ArcGather(arc_from, arc_to, md.size, coef, md.receivers(), md.base.node_count)
 
 
 @dataclass(frozen=True)
@@ -95,25 +93,19 @@ class MessageState:
 
 def initial_messages(md: MessageDigraph, weights: InfluenceWeights) -> MessageState:
     """All messages start at one."""
-    if weights.graph != md.base:
-        raise ValueError("weights and message digraph cover different graphs")
     w, h = _read_only(np.ones(md.size)), _read_only(np.ones(md.size))
     return MessageState(md=md, w_msgs=w, h_msgs=h, t=0, _kernel=_Kernel(md, weights))
 
 
 def _kernel_for(state: MessageState, weights: InfluenceWeights) -> _Kernel:
     k = state._kernel
-    if k is not None and k.weights is weights:
-        return k
-    if weights.graph != state.md.base:
-        raise ValueError("weights and message digraph cover different graphs")
-    return _Kernel(state.md, weights)
+    return k if k is not None and k.weights is weights else _Kernel(state.md, weights)
 
 
 def mpa_step(state: MessageState, weights: InfluenceWeights) -> MessageState:
     """One synchronous update of every message."""
     kernel = _kernel_for(state, weights)
-    w_new, h_new = map(_read_only, kernel.gather.step(state.w_msgs, state.h_msgs, kernel.alpha, 0.0))
+    w_new, h_new, _ = map(_read_only, kernel.gather.step(state.w_msgs, state.h_msgs, kernel.alpha, 0.0))
     return MessageState(md=state.md, w_msgs=w_new, h_msgs=h_new, t=state.t + 1, _kernel=kernel)
 
 
@@ -131,8 +123,9 @@ def node_influence_estimate(state: MessageState, node: int) -> float:
 
 
 def influence_estimates(state: MessageState, weights: InfluenceWeights) -> np.ndarray:
-    """Influence estimates of all nodes at the current step."""
-    return _kernel_for(state, weights).estimates(state.w_msgs, state.h_msgs)
+    """Influence estimates of all nodes at the current step: the readouts of one step taken from it."""
+    kernel = _kernel_for(state, weights)
+    return kernel.gather.step(state.w_msgs, state.h_msgs, kernel.alpha, 0.0)[2]
 
 
 @dataclass(frozen=True)
@@ -184,10 +177,11 @@ def run_mpa(
     than raised; the caller decides.  A residual that is NaN or infinite
     raises ``ArithmeticError`` at its step.
 
-    Once w is bitwise fixed, a step is one matvec of h by the CSC operator
-    of w folded into the growth rows with the receiver rows under them;
-    the w term of the residual is then 0.0, and the residuals are checked
-    ``BLOCK`` steps at a time.  Every output is bitwise that of full steps.
+    Every step is one matvec, whose readout rows give the estimates of
+    the step it starts from.  Once w is bitwise fixed, a step multiplies h
+    by the growth and readout rows with w folded in; the w term of the
+    residual is then 0.0, and the residuals are checked ``BLOCK`` steps at
+    a time.  Every output is bitwise that of full steps.
     A trust small enough that the kernel's quotients overflow raises
     ``ValueError`` before the first step.
     """
@@ -203,34 +197,33 @@ def run_mpa(
 
     state = initial_messages(md, weights)
     kernel = state._kernel
-    assert kernel is not None
-    w, h = state.w_msgs, state.h_msgs
-    est = kernel.estimates(w, h)
+    # h runs one step ahead of the estimates: the product from step t gives
+    # w and h of step t + 1 and the estimates of step t.
+    w = state.w_msgs
+    w_next, h, est = kernel.gather.step(w, state.h_msgs, kernel.alpha, 0.0)
     w_rows = [w] if trace else []
     est_rows = [est] if trace else []
     residuals = []
 
     converged, steps, w_fixed_step = False, 0, None
     while steps < max_iter and not converged:
-        w_new, h = kernel.gather.step(w, h, kernel.alpha, 0.0)
         if trace:
-            w_rows.append(w_new)
-        if _same_bits(w_new, w):
-            # Step steps + 1 has its h but not yet its estimates.
+            w_rows.append(w_next)
+        if _same_bits(w_next, w):
             w_fixed_step = steps + 1
             break
-        est_new = kernel.estimates(w_new, h)
-        residuals += _finite([float(np.abs(w_new - w).sum() + np.abs(est_new - est).sum())], steps + 1)
+        w_after, h, est_next = kernel.gather.step(w_next, h, kernel.alpha, 0.0)
+        residuals += _finite([float(np.abs(w_next - w).sum() + np.abs(est_next - est).sum())], steps + 1)
         steps += 1
-        w, est = w_new, est_new
+        w, w_next, est = w_next, w_after, est_next
         if trace:
             est_rows.append(est)
         converged = residuals[-1] <= tol
 
     if w_fixed_step is not None:
-        # From here on h runs one step ahead: y = folded @ h_t + 1 holds
-        # h_{t+1} over the messages and the estimates at step t below them.
-        folded, m = kernel.gather.fixed(w, below=kernel.receive), md.size
+        # y = folded @ h_t + 1 holds h_{t+1} over the messages and the
+        # estimates at step t below them.
+        folded, m = kernel.gather.fixed(w), md.size
         while steps < max_iter and not converged:
             block = np.empty((min(BLOCK, max_iter - steps) + 1, len(est)))
             block[0] = est

@@ -469,6 +469,26 @@ def test_spectral_radius_rejects_bad_omega():
         spectral_radius_diagnostic(d, np.array([0.5, 1.5, 0.5]))
 
 
+@pytest.mark.parametrize("omega", [[np.nan, 0.5], [0.5, np.nan], [np.inf, 0.5], [-np.inf, 0.5]])
+def test_spectral_radius_rejects_non_finite_omega_before_iterating(omega):
+    # a NaN used to pass the range test and run every power step
+    with pytest.raises(ValueError, match=r"omega entries must lie in \(0, 1\]"):
+        spectral_radius_diagnostic(Digraph(2, ((0, 1), (1, 0))), omega)
+
+
+@pytest.mark.parametrize("r, s, beta, message", [
+    ([np.nan, 1.0], [np.nan, 1.0], [0.0, 0.0], "r and s must be finite"),
+    ([1.0, 1.0], [1.0, np.nan], [0.0, 0.0], "r and s must be finite"),
+    ([np.inf, 1.0], [0.5, 1.0], [0.0, 0.0], "r and s must be finite"),
+    ([1.0, 1.0], [1.0, 1.0], [np.nan, 0.0], "beta must be finite"),
+    ([1.0, 1.0], [1.0, 1.0], [0.0, np.inf], "beta must be finite"),
+])
+def test_generalized_state_rejects_non_finite_inputs(r, s, beta, message):
+    d = Digraph(2, ((0, 1), (1, 0)))
+    with pytest.raises(ValueError, match=message):
+        initial_generalized_state(d, [0.1, 0.1], beta, r, s)
+
+
 def test_spectral_radius_below_one_on_converged_triangle_component():
     tri = UndirectedGraph(3, ((0, 1), (1, 2), (0, 2)))
     w = build_weights(uniform_network(tri, 0.04))

@@ -156,6 +156,39 @@ def test_hand_built_weights_reject_bad_trust(arc, field, message):
         InfluenceWeights(w.graph, arc, field)
 
 
+@pytest.mark.parametrize("arc, field, message", [
+    # run_mpa used to converge on the first to estimates [1.6, 2.0, 1.6], the influence of no network
+    (np.ones(4), np.ones(3), r"^trusts of node 0 sum to 2\.0, not to 1$"),
+    (None, np.zeros(3), r"^trusts of node 0 sum to 0\.9615384615384615, not to 1$"),
+    (None, np.array([0.04 / 1.04, 0.04 / 2.04, 0.5]), r"^trusts of node 2 sum to 1\.4615384615384615, not to 1$"),
+])
+def test_hand_built_weights_reject_rows_that_do_not_sum_to_one(arc, field, message):
+    w = build_weights(uniform_network(path_graph(3), GAMMA))
+    arc = w.arc_trust if arc is None else arc
+    with pytest.raises(ValueError, match=message):
+        InfluenceWeights(w.graph, arc, field)
+
+
+def test_weights_of_wide_conductance_ranges_pass_the_row_sum_check():
+    # conductances e^N(0, sigma^2), sigma up to 100: the rows stay within the rounding bound
+    rng = np.random.default_rng(71)
+    checked = 0
+    for k in range(60):
+        g = random_network(int(rng.integers(3, 60)), 0.3, seed=1200 + k).graph
+        sigma = (0.1, 1.0, 10.0, 100.0)[k % 4]
+        conductance = {e: float(np.exp(np.clip(rng.normal(0.0, sigma), -690.0, 690.0))) for e in g.edges}
+        field = np.exp(np.clip(rng.normal(0.0, sigma, g.node_count), -690.0, 690.0))
+        try:
+            w = build_weights(ConductanceNetwork(g, conductance, field))
+        except ValueError as e:
+            # at sigma = 100 some trusts fall below the smallest float
+            assert "underflows to 0" in str(e), e
+            continue
+        InfluenceWeights(w.graph, w.arc_trust.copy(), w.field_trust.copy())
+        checked += 1
+    assert checked >= 45, checked
+
+
 def test_hand_built_weights_accept_isolated_node():
     # an isolated node trusts only the field
     w = InfluenceWeights(UndirectedGraph(1, ()), np.zeros(0), np.ones(1))

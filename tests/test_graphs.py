@@ -60,6 +60,20 @@ def test_graph_rejects_self_loops_and_duplicates():
         UndirectedGraph(2, ((0, 5),))
 
 
+@pytest.mark.parametrize("build, message", [
+    # the ends used to be read as one flat stream, which loses the pair boundaries
+    (lambda: Digraph(3, ((0, 1, 2), (1, 2, 0))), r"^arc \(0, 1, 2\) is not a pair of nodes$"),
+    (lambda: Digraph(3, ((0, 1, 2),)), r"^arc \(0, 1, 2\) is not a pair of nodes$"),
+    (lambda: Digraph(3, ((0, 1), [2])), r"^arc \[2\] is not a pair of nodes$"),
+    (lambda: Digraph(3, ((0, 1), ())), r"^arc \(\) is not a pair of nodes$"),
+    (lambda: UndirectedGraph(4, ((0, 1, 2), (2, 3, 0))), r"^edge \(0, 1, 2\) is not a pair of nodes$"),
+    (lambda: UndirectedGraph(3, ((0,),)), r"^edge \(0,\) is not a pair of nodes$"),
+])
+def test_graphs_reject_pairs_of_the_wrong_length(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_graph_normalizes_edge_order():
     g = UndirectedGraph(3, ((2, 0), (1, 0)))
     assert g.edges == ((0, 1), (0, 2))

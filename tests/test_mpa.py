@@ -212,7 +212,7 @@ def test_run_mpa_past_fixed_w_matches_bincount_reference_bitwise():
         # with tol=0.0 a run stops at its first zero residual, if any
         zero = next((t for t, r in enumerate(residuals, 1) if r == 0.0), None)
         last = fixed + BLOCK - 1  # the last step of the first block of fixed-w steps
-        for max_iter in (fixed - 1, fixed, fixed + 1, last, last + 1, last + 2, last + BLOCK, 400):
+        for max_iter in (1, 2, fixed - 1, fixed, fixed + 1, last, last + 1, last + 2, last + BLOCK, 400):
             t = max_iter if zero is None else min(max_iter, zero)
             for traced in (True, False):
                 result = run_mpa(g, w, tol=0.0, max_iter=max_iter, trace=traced)
