@@ -112,12 +112,14 @@ def _generalized_gather(d: Digraph, r: np.ndarray, s: np.ndarray) -> _ArcGather:
     return _ArcGather(tails, heads, d.node_count, r[tails] * s[heads])
 
 
-def _driving(seq, size: int, name: str, nonnegative: bool = False) -> np.ndarray:
+def _driving(seq, size: int, name: str, nonnegative: bool = False, finite: bool = False) -> np.ndarray:
     arr = np.asarray(seq, dtype=np.float64)
     if arr.shape != (size,):
         raise ValueError(f"{name} must have one entry per digraph node")
     if nonnegative and not np.all(arr >= 0.0):
         raise ValueError(f"{name} must be nonnegative")
+    if finite and not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
     return arr
 
 
@@ -126,7 +128,8 @@ class GeneralizedDynamicsState:
     """One step of the driven decay/growth recursion on a digraph.
 
     ``alpha`` and ``beta`` are constant arrays, checked once at the
-    start, or callables of t, whose values are checked at every step.
+    start, or callables of t, whose values are checked at every step:
+    one entry per node, alpha nonnegative and beta finite.
     """
 
     d: Digraph
@@ -153,9 +156,7 @@ def initial_generalized_state(
     if not callable(alpha):
         alpha = _driving(alpha, n, "alpha", nonnegative=True)
     if not callable(beta):
-        beta = _driving(beta, n, "beta")
-        if not np.isfinite(beta).all():
-            raise ValueError("beta must be finite")
+        beta = _driving(beta, n, "beta", finite=True)
     r_arr = np.asarray(r, dtype=np.float64)
     s_arr = np.asarray(s, dtype=np.float64)
     if r_arr.shape != (n,) or s_arr.shape != (n,):
@@ -199,7 +200,7 @@ def run_generalized(state: GeneralizedDynamicsState, steps: int) -> GeneralizedD
             alpha_t = _driving(alpha(t), gather.size, "alpha(t)", nonnegative=True)
             if last_alpha is not None and np.any(alpha_t < last_alpha - ALPHA_MONOTONE_TOL):
                 raise ValueError(f"alpha decreased at t={t}; the driving sequence must be non-decreasing")
-        beta_t = np.asarray(beta(t), dtype=np.float64) if callable(beta) else beta
+        beta_t = _driving(beta(t), gather.size, f"beta(t) at t={t}", finite=True) if callable(beta) else beta
         if folded is not None:
             eta = 1.0 + beta_t + folded @ eta
         else:

@@ -23,8 +23,10 @@ each product goes to its own output row, so consecutive additions do
 not wait on each other, and every row sums its terms in ascending
 column order, which is ascending neighbor index, so runs are bitwise
 reproducible.
-``error_trace`` reduces a traced run to one ``(iterations, 2)`` array
-of h and w errors.
+A traced run appends each step's rows to one buffer that grows in
+place, so the trace is held once.  ``error_trace`` reduces it to one
+``(iterations, 2)`` array of h and w errors, a fixed number of floats
+at a time.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .graphs import MessageDigraph, UndirectedGraph, _read_only, is_connected, m
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10**5
 BLOCK = 16  # steps whose residuals run_mpa checks at once after w is fixed
+ERROR_CHUNK = 2**17  # floats of a trace that error_trace reduces at once
 
 
 class _Kernel:
@@ -139,7 +142,9 @@ class MpaResult:
     messages equal the previous step's bit for bit, or None if they never
     did; every later w is that same array, so ``w_trace`` stops there:
     its rows are t=0 through t=w_fixed_step (through t=iterations if w
-    never fixed), and its last row is bitwise ``w_limits``.
+    never fixed), and its last row is bitwise ``w_limits``.  Each trace is
+    one C-contiguous array that owns its data and holds exactly its rows:
+    the run appends to it in place and keeps no second copy.
     """
 
     md: MessageDigraph
@@ -152,6 +157,36 @@ class MpaResult:
     h_trace: Optional[np.ndarray] = None
     w_trace: Optional[np.ndarray] = None
     w_fixed_step: Optional[int] = None
+
+
+class _Rows:
+    """Equal-length rows appended to one buffer that grows in place.
+
+    When the buffer is full, ``ndarray.resize`` grows it by at least a
+    quarter.  For a large buffer realloc moves its pages rather than
+    copying them, so the rows are held once, with at most a quarter of
+    them as slack.  The buffer lives in this object alone, as numpy's
+    reference check for ``resize`` requires.
+    """
+
+    def __init__(self, first: np.ndarray):
+        self._buf = np.empty((BLOCK + 1, len(first)))
+        self._buf[0] = first
+        self._count = 1
+
+    def add(self, rows: np.ndarray) -> None:
+        """Append one row, or the rows of a 2-D array."""
+        rows = np.atleast_2d(rows)
+        end = self._count + len(rows)
+        if end > len(self._buf):
+            self._buf.resize((max(end, len(self._buf) * 5 // 4), self._buf.shape[1]))
+        self._buf[self._count : end] = rows
+        self._count = end
+
+    def array(self) -> np.ndarray:
+        """The rows appended so far, in the buffer trimmed to them; it owns its data."""
+        self._buf.resize((self._count, self._buf.shape[1]))
+        return self._buf
 
 
 def _finite(residuals: list[float], first_step: int) -> list[float]:
@@ -182,6 +217,10 @@ def run_mpa(
     by the growth and readout rows with w folded in; the w term of the
     residual is then 0.0, and the residuals are checked ``BLOCK`` steps at
     a time.  Every output is bitwise that of full steps.
+    With ``trace``, every step's estimates and potential messages go
+    straight into the buffers that become ``h_trace`` and ``w_trace``
+    (see ``_Rows``), so at the peak a run holds at most 1.25 times the
+    final traces.
     A trust small enough that the kernel's quotients overflow raises
     ``ValueError`` before the first step.
     """
@@ -201,14 +240,13 @@ def run_mpa(
     # w and h of step t + 1 and the estimates of step t.
     w = state.w_msgs
     w_next, h, est = kernel.gather.step(w, state.h_msgs, kernel.alpha, 0.0)
-    w_rows = [w] if trace else []
-    est_rows = [est] if trace else []
+    w_rows, h_rows = (_Rows(w), _Rows(est)) if trace else (None, None)
     residuals = []
 
     converged, steps, w_fixed_step = False, 0, None
     while steps < max_iter and not converged:
         if trace:
-            w_rows.append(w_next)
+            w_rows.add(w_next)
         if _same_bits(w_next, w):
             w_fixed_step = steps + 1
             break
@@ -217,30 +255,33 @@ def run_mpa(
         steps += 1
         w, w_next, est = w_next, w_after, est_next
         if trace:
-            est_rows.append(est)
+            h_rows.add(est)
         converged = residuals[-1] <= tol
 
     if w_fixed_step is not None:
         # y = folded @ h_t + 1 holds h_{t+1} over the messages and the
-        # estimates at step t below them.
+        # estimates at step t below them.  One scratch block serves every
+        # BLOCK steps; its row 0 holds the estimates of the step before them.
         folded, m = kernel.gather.fixed(w), md.size
+        block = np.empty((BLOCK + 1, len(est)))
+        block[0] = est
         while steps < max_iter and not converged:
-            block = np.empty((min(BLOCK, max_iter - steps) + 1, len(est)))
-            block[0] = est
-            for row in block[1:]:
+            rows = block[: min(BLOCK, max_iter - steps) + 1]
+            for row in rows[1:]:
                 y = folded @ h
                 y += 1.0
                 h, row[:] = y[:m], y[m:]
             # Row-wise sums are bitwise the per-step 1-D sums; steps after the first within tol are discarded.
-            block_residuals = np.abs(block[1:] - block[:-1]).sum(axis=1)
+            block_residuals = np.abs(rows[1:] - rows[:-1]).sum(axis=1)
             hits = np.flatnonzero(block_residuals <= tol)
             converged = len(hits) > 0
             done = int(hits[0]) + 1 if converged else len(block_residuals)
             residuals += _finite(block_residuals[:done].tolist(), steps + 1)
             steps += done
-            est = block[done]
             if trace:
-                est_rows.extend(block[1 : done + 1])
+                h_rows.add(rows[1 : done + 1])
+            block[0] = rows[done]
+        est = block[0].copy()
 
     return MpaResult(
         md=md,
@@ -250,8 +291,8 @@ def run_mpa(
         converged=converged,
         final_residual=residuals[-1],
         residuals=_read_only(np.array(residuals)),
-        h_trace=np.array(est_rows) if trace else None,
-        w_trace=np.array(w_rows) if trace else None,
+        h_trace=h_rows.array() if trace else None,
+        w_trace=w_rows.array() if trace else None,
         w_fixed_step=w_fixed_step,
     )
 
@@ -263,13 +304,32 @@ def error_trace(result: MpaResult) -> np.ndarray:
     ``(iterations, 2)`` array: row t, t = 0 .. iterations-1, holds the h
     error and the w error of step t, so the last row is bounded by the
     stopping tolerance whenever the run converged.  The w error is
-    exactly 0.0 from ``w_fixed_step`` on, where ``w_trace`` ends.
+    exactly 0.0 from ``w_fixed_step`` on, where ``w_trace`` ends.  The
+    rows are reduced ``ERROR_CHUNK`` floats at a time, so the temporaries
+    stay at that size however long the run, and the errors are bitwise
+    those of whole-trace differences.
     """
     if result.h_trace is None or result.w_trace is None:
         raise ValueError("result carries no traces; rerun with trace=True")
     errors = np.zeros((result.iterations, 2))
-    h_diff = result.h_trace[:-1] - result.h_trace[-1]
-    errors[:, 0] = np.abs(h_diff, out=h_diff).sum(axis=1)
-    w_diff = result.w_trace[:-1] - result.w_trace[-1]
-    errors[: len(w_diff), 1] = np.abs(w_diff, out=w_diff).sum(axis=1)
+    errors[:, 0] = _distances_to_last(result.h_trace)
+    w_errors = _distances_to_last(result.w_trace)
+    errors[: len(w_errors), 1] = w_errors
     return _read_only(errors)
+
+
+def _distances_to_last(rows: np.ndarray) -> np.ndarray:
+    """1-norm distance of every row but the last to the last, ``ERROR_CHUNK`` floats at a time.
+
+    A sum along axis 1 reduces each row alike at any row count, so the
+    chunks give the bits of one whole-array reduction.
+    """
+    count, width = len(rows) - 1, rows.shape[1]
+    step = max(1, ERROR_CHUNK // width)
+    out = np.empty(count)
+    diff = np.empty((min(count, step), width))
+    for lo in range(0, count, step):
+        part = diff[: count - lo]
+        np.subtract(rows[lo : lo + len(part)], rows[-1], out=part)
+        out[lo : lo + len(part)] = np.abs(part, out=part).sum(axis=1)
+    return out

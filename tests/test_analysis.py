@@ -621,3 +621,23 @@ def test_scatter_pairs_on_tree_and_cyclic_fixtures():
     w_star = exact_message_potentials(net, result.md)
     for exact, approx in zip(w_star, result.w_limits):
         assert approx <= exact + 1e-9
+
+
+@pytest.mark.parametrize("beta_t, message", [
+    ([np.nan, 0.0], r"beta\(t\) at t=0 must be finite"),
+    ([0.0], r"beta\(t\) at t=0 must have one entry per digraph node"),
+    ([0.0, 0.0, 0.0], r"beta\(t\) at t=0 must have one entry per digraph node"),
+])
+def test_run_generalized_checks_each_value_of_a_callable_beta(beta_t, message):
+    d = Digraph(2, ((0, 1), (1, 0)))
+    state = initial_generalized_state(d, [0.1, 0.1], lambda t: beta_t, [1.0, 1.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match=message):
+        run_generalized(state, 5)
+
+
+def test_run_generalized_names_the_step_of_a_bad_beta():
+    d = Digraph(2, ((0, 1), (1, 0)))
+    state = initial_generalized_state(d, [0.1, 0.1], lambda t: [0.0, np.inf if t == 3 else 0.0], [1.0, 1.0], [1.0, 1.0])
+    state = run_generalized(state, 3)
+    with pytest.raises(ValueError, match=r"beta\(t\) at t=3 must be finite"):
+        run_generalized(state, 1)

@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -23,6 +26,7 @@ from harmonic_influence.graphs import (
 )
 from harmonic_influence.mpa import (
     BLOCK,
+    ERROR_CHUNK,
     _finite,
     error_trace,
     influence_estimates,
@@ -31,7 +35,7 @@ from harmonic_influence.mpa import (
     node_influence_estimate,
     run_mpa,
 )
-from test_properties import connected_networks
+from test_properties import connected_networks, error_trace_oracle
 
 GAMMA = 0.04
 
@@ -531,6 +535,66 @@ def test_error_trace_tree_zero_from_diameter():
             assert h_err == 0.0 and w_err == 0.0
         else:
             assert h_err > 0.0 or w_err > 0.0
+
+
+# ---------------------------------------------------------------------------
+# the trace buffer
+# ---------------------------------------------------------------------------
+
+def er_run_inputs(n, seed):
+    g = random_connected(n, 10.0 / n, seed)
+    return g, setup(g)[1]
+
+
+def test_long_traced_run_matches_full_step_loop_bitwise():
+    # thousands of trace rows: the buffer grows many times, in single rows and in blocks
+    g, w = er_run_inputs(60, 3)
+    ref = assert_run_matches_stepped_run(g, w, 1e-10, 10**5)
+    assert ref["iterations"] >= 1800 and ref["w_fixed_step"] < ref["iterations"]
+    traced = run_mpa(g, w, trace=True)
+    for rows, count in ((traced.h_trace, traced.iterations + 1), (traced.w_trace, traced.w_fixed_step + 1)):
+        assert rows.shape == (count, rows.shape[1])
+        assert rows.flags.c_contiguous and rows.flags.owndata and rows.base is None
+
+
+def test_error_trace_matches_per_row_oracle_across_chunks():
+    g, w = er_run_inputs(60, 3)
+    result = run_mpa(g, w, tol=1e-10, trace=True)
+    assert result.iterations * g.node_count > 2 * ERROR_CHUNK
+    expected, _ = error_trace_oracle(g, w, 1e-10, 10**5)
+    assert same_bits(error_trace(result), expected)
+    # a w trace longer than one chunk, which w fixing within a few dozen steps never gives
+    rng = np.random.default_rng(5)
+    h_rows, w_rows = rng.uniform(1.0, 9.0, size=(3001, 50)), rng.uniform(0.0, 1.0, size=(2501, 70))
+    assert 3000 * 50 > ERROR_CHUNK and 2500 * 70 > ERROR_CHUNK
+    errors = error_trace(replace(result, iterations=3000, h_trace=h_rows, w_trace=w_rows))
+    for t in range(3000):
+        assert same_bits(errors[t, 0], np.abs(h_rows[t] - h_rows[-1]).sum())
+        expected_w = np.abs(w_rows[t] - w_rows[-1]).sum() if t < len(w_rows) - 1 else 0.0
+        assert same_bits(errors[t, 1], expected_w)
+
+
+def traced_peak(fn):
+    """fn() and the peak, in bytes, of the memory it allocates, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_traced_run_holds_its_trace_once():
+    g, w = er_run_inputs(300, 3)
+    matrix = mpa._Kernel(message_digraph(g), w).gather.matrix
+    kernel_bytes = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+    result, peak = traced_peak(lambda: run_mpa(g, w, trace=True))
+    assert result.iterations > 5000
+    # the trace is held once, with at most a quarter of it as growth slack
+    assert peak <= 1.3 * result.h_trace.nbytes + kernel_bytes, (peak, result.h_trace.nbytes)
+    errors, peak = traced_peak(lambda: error_trace(result))
+    assert peak <= 2 * 8 * ERROR_CHUNK, peak
 
 
 # ---------------------------------------------------------------------------
