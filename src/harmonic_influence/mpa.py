@@ -165,8 +165,12 @@ class _Rows:
     When the buffer is full, ``ndarray.resize`` grows it by at least a
     quarter.  For a large buffer realloc moves its pages rather than
     copying them, so the rows are held once, with at most a quarter of
-    them as slack.  The buffer lives in this object alone, as numpy's
-    reference check for ``resize`` requires.
+    them as slack.  Both resizes pass ``refcheck=False``: numpy's reference
+    count also counts the extra references that a ``sys.settrace`` or
+    ``sys.setprofile`` hook (a debugger, coverage, cProfile) holds, and
+    would refuse.  That is safe because no view of the buffer escapes
+    before ``array()``, which is the last call on the object: ``add``
+    copies the rows in, and only ``array()`` hands the buffer out.
     """
 
     def __init__(self, first: np.ndarray):
@@ -179,13 +183,13 @@ class _Rows:
         rows = np.atleast_2d(rows)
         end = self._count + len(rows)
         if end > len(self._buf):
-            self._buf.resize((max(end, len(self._buf) * 5 // 4), self._buf.shape[1]))
+            self._buf.resize((max(end, len(self._buf) * 5 // 4), self._buf.shape[1]), refcheck=False)
         self._buf[self._count : end] = rows
         self._count = end
 
     def array(self) -> np.ndarray:
         """The rows appended so far, in the buffer trimmed to them; it owns its data."""
-        self._buf.resize((self._count, self._buf.shape[1]))
+        self._buf.resize((self._count, self._buf.shape[1]), refcheck=False)
         return self._buf
 
 

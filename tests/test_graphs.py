@@ -1,9 +1,14 @@
+import tracemalloc
 from collections import deque
 
 import numpy as np
 import pytest
 import scipy.sparse.csgraph
+from hypothesis import given
+from hypothesis import strategies as st
 
+from harmonic_influence import graphs
+from harmonic_influence.experiment import ExperimentConfig, generate_graphs
 from harmonic_influence.graphs import (
     Digraph,
     UndirectedGraph,
@@ -429,6 +434,87 @@ def test_diameter_matches_all_pairs_bfs():
             expected = max(int(bfs_distances(graph, v).max()) for v in range(graph.node_count))
             assert diameter(graph) == expected
     assert diameter(UndirectedGraph(1, ())) == 0
+
+
+def bfs_diameter(g):
+    return max(int(bfs_distances(g, v).max()) for v in range(g.node_count))
+
+
+@st.composite
+def connected_graphs(draw, max_nodes=80):
+    """A random tree, each node hung from an earlier one, plus drawn extra edges."""
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    tree = [(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)]
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    extra = draw(st.lists(pair, max_size=n)) if n > 1 else []
+    edges = {(min(e), max(e)) for e in tree + extra}
+    return UndirectedGraph(n, tuple(edges))
+
+
+@given(connected_graphs())
+def test_diameter_matches_bfs_oracle_on_drawn_graphs(g):
+    assert diameter(g) == bfs_diameter(g)
+
+
+def counting_sweeps(monkeypatch):
+    """Patch graphs._sweep to count its calls; returns the one-item count list."""
+    calls, sweep = [0], graphs._sweep
+
+    def counted(g, source):
+        calls[0] += 1
+        return sweep(g, source)
+
+    monkeypatch.setattr(graphs, "_sweep", counted)
+    return calls
+
+
+def lollipop(clique, tail):
+    edges = [(u, v) for u in range(clique) for v in range(u + 1, clique)]
+    edges += [(v, v + 1) for v in range(clique - 1, clique + tail - 1)]
+    return UndirectedGraph(clique + tail, tuple(edges))
+
+
+@pytest.mark.parametrize(
+    "g, expected, min_sweeps",
+    [
+        (UndirectedGraph(1, ()), 0, 2),
+        (UndirectedGraph(2, ((0, 1),)), 1, 2),
+        (path_graph(100), 99, 2),
+        (cycle_graph(41), 20, 10),
+        (cycle_graph(40), 20, 10),
+        (UndirectedGraph(30, tuple((0, v) for v in range(1, 30))), 2, 2),
+        (erdos_renyi(25, 1.0, seed=0), 1, 25),
+        (lollipop(12, 9), 10, 2),
+    ],
+    ids=["n1", "n2", "path100", "cycle41", "cycle40", "star30", "complete25", "lollipop12_9"],
+)
+def test_diameter_named_shapes(monkeypatch, g, expected, min_sweeps):
+    assert bfs_diameter(g) == expected
+    calls = counting_sweeps(monkeypatch)
+    assert diameter(g) == expected
+    # cycles walk many BFS levels of the midpoint, the complete graph runs a BFS from every node
+    assert calls[0] >= min_sweeps
+
+
+def test_diameter_on_er_graph_where_the_fringe_needs_many_bfs(monkeypatch):
+    g = random_connected_graph(300, 0.03, seed=3)
+    calls = counting_sweeps(monkeypatch)
+    assert diameter(g) == int(scipy.sparse.csgraph.shortest_path(g._csr, unweighted=True).max())
+    assert calls[0] > 100
+
+
+@pytest.mark.parametrize("name, expected", [("spanning_tree", 10), ("erdos_renyi", 6)])
+def test_diameter_memory_is_bounded_by_the_graph(name, expected):
+    # n=3000 pipeline graphs; an all-pairs distance matrix alone would take 72 MB
+    g = generate_graphs(ExperimentConfig(n=3000, p=10 / 3000, extra_edges=300, seed=3))[0][name]
+    tracemalloc.start()
+    try:
+        d = diameter(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d == expected
+    assert peak < 4 * 2**20, peak
 
 
 def components(g):

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -555,6 +556,24 @@ def test_long_traced_run_matches_full_step_loop_bitwise():
     for rows, count in ((traced.h_trace, traced.iterations + 1), (traced.w_trace, traced.w_fixed_step + 1)):
         assert rows.shape == (count, rows.shape[1])
         assert rows.flags.c_contiguous and rows.flags.owndata and rows.base is None
+
+
+@pytest.mark.parametrize("set_hook", [sys.settrace, sys.setprofile], ids=["settrace", "setprofile"])
+def test_traced_run_under_a_trace_or_profile_hook_matches_plain_run_bitwise(set_hook):
+    # debuggers, coverage and cProfile hold extra references to the trace buffer while it grows
+    g = erdos_renyi(50, 0.1, seed=4)
+    w = setup(g)[1]
+    plain = run_mpa(g, w, tol=1e-10, trace=True)
+    assert plain.iterations >= 1800
+    old = sys.gettrace() if set_hook is sys.settrace else sys.getprofile()
+    set_hook(lambda *args: None)
+    try:
+        hooked = run_mpa(g, w, tol=1e-10, trace=True)
+    finally:
+        set_hook(old)
+    assert hooked.iterations == plain.iterations
+    for name in ("h_trace", "w_trace", "h_estimates", "w_limits"):
+        assert same_bits(getattr(hooked, name), getattr(plain, name)), name
 
 
 def test_error_trace_matches_per_row_oracle_across_chunks():
