@@ -51,7 +51,6 @@ from .mpa import (
     influence_estimates,
     initial_messages,
     mpa_step,
-    node_influence_estimate,
     run_mpa,
 )
 

@@ -183,7 +183,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, OSError, RuntimeError, ArithmeticError) as exc:
+    except (ValueError, OSError, RuntimeError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -274,9 +274,10 @@ def load_graph(path: Path | str) -> GraphFile:
 # ---------------------------------------------------------------------------
 
 def _csv_text(header: str, *columns) -> str:
-    """A header, then one comma-joined row per entry of the columns; through ``tolist`` a float prints as its repr."""
-    rows = zip(*(np.asarray(c).tolist() for c in columns))
-    return "\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n"
+    """A header, then one comma-joined row per entry of the columns; one ``%`` fills every row, and ``%s`` of a float is its repr."""
+    columns = [np.asarray(c).tolist() for c in columns]
+    rows = ("\n" + ",".join(["%s"] * len(columns))) * len(columns[0])
+    return header + rows % tuple(x for row in zip(*columns) for x in row) + "\n"
 
 
 def _write_trace_csv(path: Path, errors: np.ndarray) -> None:

@@ -2,19 +2,13 @@
 random generation, spanning trees, the message digraph, and strongly
 connected component / condensation analysis.
 
-An undirected graph indexes its ordered arcs once, by its CSR adjacency
-(``UndirectedGraph._csr``, columns ascending in every row): entry p, at
-row j and column i, is the arc (j, i), and the messages and trust weights
-are arrays indexed by p.  Connected components, strong components and
-the breadth-first searches of the diameter run in
-``scipy.sparse.csgraph``.  The diameter is exact iFUB from the midpoint
-of a double sweep: a few BFS on trees, at most n + 2 on any graph, and
-O(n + m) memory, with no all-pairs distance matrix.  Strong components come
-from Pearce's algorithm, which labels each component when it finishes
-it, so every arc between two components runs from a higher label to a
-lower one; ``condensation`` checks that property on every call
-(``AssertionError`` if it fails), then moves the sink components first,
-keeping label order within sinks and within the rest.
+Both graph kinds are built from arrays: one pair check (``_checked_pairs``)
+turns the edges or arcs into sorted end arrays, and the generators hand
+over arrays too.  An undirected graph indexes its ordered arcs once, by
+its CSR adjacency (``UndirectedGraph._csr``, columns ascending in every
+row): entry p, at row j and column i, is the arc (j, i), and the messages
+and trust weights are arrays indexed by p.  Every search runs in
+``scipy.sparse.csgraph``, in O(n + m) memory.
 
 All random operations take an explicit integer seed and use numpy's
 PCG64 generator (``numpy.random.default_rng``), so identical seeds give
@@ -27,9 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse
@@ -37,23 +29,53 @@ import scipy.sparse.csgraph
 
 Edge = tuple[int, int]
 Arc = tuple[int, int]
+# Pairs drawn at once by erdos_renyi: 8 MB of draws, whole rows at a time.
+_PAIR_CHUNK = 2**20
 
 
-def _normalize_edges(node_count: int, edges: Iterable[Sequence[int]]) -> tuple[Edge, ...]:
-    seen: set[Edge] = set()
-    for e in edges:
-        if len(e) != 2:
-            raise ValueError(f"edge {e!r} is not a pair of nodes")
-        u, v = int(e[0]), int(e[1])
-        if u == v:
-            raise ValueError(f"self-loop {u}-{v} not allowed")
-        if not (0 <= u < node_count and 0 <= v < node_count):
-            raise ValueError(f"edge {u}-{v} outside node range 0..{node_count - 1}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise ValueError(f"duplicate edge {key[0]}-{key[1]}")
-        seen.add(key)
-    return tuple(sorted(seen))
+def _checked_pairs(node_count: int, pairs, undirected: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Node pairs, or an (m, 2) integer array, as two read-only end arrays sorted by first end, then second.
+
+    An undirected edge is stored as (smaller, larger).  Raises ``ValueError`` on the first offending
+    pair in input order: one not of length two, with an end outside 0..node_count-1, repeating an
+    earlier pair or, for an edge, a self-loop or an earlier edge reversed."""
+    if node_count < 1:
+        raise ValueError("node_count must be >= 1")
+    if isinstance(pairs, np.ndarray) and pairs.ndim == 2 and pairs.shape[1] == 2:
+        ends, count = pairs.astype(np.intp).ravel(), len(pairs)
+    else:
+        pairs = tuple(pairs)
+        # The pairs before the first of the wrong length are read as one flat stream.
+        count = len(pairs) if set(map(len, pairs)) <= {2} else next(k for k, a in enumerate(pairs) if len(a) != 2)
+        try:
+            # fromiter reads the flat stream about three times faster than np.asarray(pairs)
+            ends = np.fromiter(itertools.chain.from_iterable(pairs[:count]), dtype=np.intp, count=2 * count)
+        except OverflowError:
+            # An end beyond the index range reads as one just outside the node range.
+            ends = np.array([min(max(int(x), -1), node_count) for a in pairs[:count] for x in a], dtype=np.intp)
+    first, second = ends[0::2], ends[1::2]
+    if undirected:
+        first, second = np.minimum(first, second), np.maximum(first, second)
+    # A stable sort keeps equal pairs in input order, so each copy after the first is a duplicate.
+    order = np.lexsort((second, first))
+    first, second = first[order], second[order]
+    bad = (np.minimum(first, second) < 0) | (np.maximum(first, second) >= node_count) | (undirected & (first == second))
+    bad[1:] |= (first[1:] == first[:-1]) & (second[1:] == second[:-1])
+    k = int(order[bad].min()) if bad.any() else count
+    if k == len(pairs):
+        return _read_only(first), _read_only(second)
+    # The first offending pair's error, judged in the order of a per-pair check.
+    if len(pairs[k]) != 2:
+        raise ValueError(f"{'edge' if undirected else 'arc'} {pairs[k]!r} is not a pair of nodes")
+    v, w = (int(x) for x in pairs[k])
+    inside = 0 <= v < node_count and 0 <= w < node_count
+    if not undirected:
+        raise ValueError(f"arc {v}->{w} outside node range" if not inside else f"duplicate arc {v}->{w}")
+    if v == w:
+        raise ValueError(f"self-loop {v}-{w} not allowed")
+    if not inside:
+        raise ValueError(f"edge {v}-{w} outside node range 0..{node_count - 1}")
+    raise ValueError(f"duplicate edge {min(v, w)}-{max(v, w)}")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -88,34 +110,29 @@ def _strong_components(adjacency: scipy.sparse.csr_matrix) -> tuple[np.ndarray, 
 
 @dataclass(frozen=True)
 class UndirectedGraph:
-    """Simple undirected graph on nodes 0..node_count-1."""
+    """Simple undirected graph on nodes 0..node_count-1.  ``edges``, pairs or an (m, 2)
+    array, is stored as the sorted tuple of pairs (u, v), u < v, and ``_ends`` as arrays."""
 
     node_count: int
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        if self.node_count < 1:
-            raise ValueError("node_count must be >= 1")
-        object.__setattr__(self, "edges", _normalize_edges(self.node_count, self.edges))
+        ends = _checked_pairs(self.node_count, self.edges, undirected=True)
+        object.__setattr__(self, "edges", tuple(zip(*(e.tolist() for e in ends))))
+        self.__dict__["_ends"] = ends
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
 
-    @functools.cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        indptr, cols = self._csr.indptr.tolist(), self._csr.indices.tolist()
-        return tuple(tuple(cols[a:b]) for a, b in zip(indptr, indptr[1:]))
-
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return int(self._csr.indptr[v + 1] - self._csr.indptr[v])
 
     @functools.cached_property
     def _csr(self) -> scipy.sparse.csr_matrix:
         """Unit adjacency, both directions of every edge, columns ascending in every row."""
-        ends = np.fromiter(itertools.chain.from_iterable(self.edges), dtype=np.intp, count=2 * self.edge_count)
-        rows = np.concatenate((ends[0::2], ends[1::2]))
-        cols = np.concatenate((ends[1::2], ends[0::2]))
+        lo, hi = self._ends
+        rows, cols = np.concatenate((lo, hi)), np.concatenate((hi, lo))
         order = np.lexsort((cols, rows))
         return _csr_rows(rows[order], cols[order], np.ones(len(rows)), (self.node_count, self.node_count))
 
@@ -144,33 +161,9 @@ class Digraph:
     arcs: tuple[Arc, ...]
 
     def __post_init__(self) -> None:
-        if self.node_count < 1:
-            raise ValueError("node_count must be >= 1")
-        # The ends are read as one flat stream, which keeps no pair boundaries.
-        if not set(map(len, self.arcs)) <= {2}:
-            bad = next(a for a in self.arcs if len(a) != 2)
-            raise ValueError(f"arc {bad!r} is not a pair of nodes")
-        try:
-            # fromiter reads the flat stream about three times faster than np.asarray(arcs)
-            ends = np.fromiter(itertools.chain.from_iterable(self.arcs), dtype=np.intp)
-        except OverflowError:
-            # An end beyond the index range reads as one just outside the node range.
-            ends = np.array([min(max(int(x), -1), self.node_count) for a in self.arcs for x in a], dtype=np.intp)
-        tails, heads = ends[0::2], ends[1::2]
-        # A stable sort keeps equal arcs in input order, so each copy after the first is a duplicate.
-        order = np.lexsort((heads, tails))
-        tails, heads = tails[order], heads[order]
-        bad = (np.minimum(tails, heads) < 0) | (np.maximum(tails, heads) >= self.node_count)
-        bad[1:] |= (tails[1:] == tails[:-1]) & (heads[1:] == heads[:-1])
-        if bad.any():
-            # The first offending arc in input order; one out of range is reported as such.
-            k = int(order[bad].min())
-            v, w = (int(x) for x in self.arcs[k])
-            if not (0 <= v < self.node_count and 0 <= w < self.node_count):
-                raise ValueError(f"arc {v}->{w} outside node range")
-            raise ValueError(f"duplicate arc {v}->{w}")
-        object.__setattr__(self, "arcs", tuple(zip(tails.tolist(), heads.tolist())))
-        self.__dict__["_ends"] = (_read_only(tails), _read_only(heads))
+        ends = _checked_pairs(self.node_count, self.arcs, undirected=False)
+        object.__setattr__(self, "arcs", tuple(zip(*(e.tolist() for e in ends))))
+        self.__dict__["_ends"] = ends
 
     @classmethod
     def _from_sorted_ends(cls, node_count: int, tails: np.ndarray, heads: np.ndarray) -> Digraph:
@@ -252,17 +245,26 @@ class CondensationDigraph:
 
 
 def erdos_renyi(n: int, p: float, seed: int) -> UndirectedGraph:
-    """G(n, p) random graph: each of the n(n-1)/2 pairs kept with probability p."""
+    """G(n, p) random graph: each of the n(n-1)/2 pairs kept with probability p.
+
+    One draw per pair in row-major order (0, 1), (0, 2), ..., (n-2, n-1), which fixes each pair's
+    draw, so seeded graphs never change; the draws come in chunks of whole rows, in O(n + m) memory."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    # One draw per pair in row-major order (0, 1), (0, 2), ..., (n-2, n-1);
-    # this order fixes each pair's draw, so seeded graphs never change.
-    rows, cols = np.triu_indices(n, 1)
-    keep = rng.random(len(rows)) < p
-    return UndirectedGraph(n, tuple(zip(rows[keep].tolist(), cols[keep].tolist())))
+    row_ends = np.cumsum(np.arange(n - 1, 0, -1))  # pairs in rows 0..i
+    kept, start, stop = [], 0, 0
+    while stop < n - 1:
+        # Rows stop..: as many as fit in _PAIR_CHUNK pairs, or one longer row.
+        stop = max(stop + 1, int(np.searchsorted(row_ends, start + _PAIR_CHUNK, side="right")))
+        kept.append(start + np.flatnonzero(rng.random(int(row_ends[stop - 1]) - start) < p))
+        start = int(row_ends[stop - 1])
+    pair = np.concatenate(kept) if kept else np.zeros(0, dtype=np.intp)
+    row = np.searchsorted(row_ends, pair, side="right")
+    # Row i holds the pairs (i, i + 1), ..., (i, n - 1), the last of them at row_ends[i] - 1.
+    return UndirectedGraph(n, np.column_stack((row, pair - row_ends[row] + n)))
 
 
 def is_connected(g: UndirectedGraph) -> bool:
@@ -339,38 +341,34 @@ def spanning_tree(g: UndirectedGraph, seed: int) -> UndirectedGraph:
     """
     _require_connected(g)
     rng = np.random.default_rng(seed)
-    root = int(rng.integers(g.node_count))
-    seen = [False] * g.node_count
-    seen[root] = True
-    queue = deque([root])
-    edges: list[Edge] = []
-    while queue:
-        v = queue.popleft()
-        nbrs = list(g.adjacency[v])
+    indptr, indices = g._csr.indptr.tolist(), g._csr.indices
+    order = [int(rng.integers(g.node_count))]  # the nodes in visiting order, from the root
+    parent = {order[0]: order[0]}
+    for v in order:
+        nbrs = indices[indptr[v] : indptr[v + 1]].copy()
         rng.shuffle(nbrs)
-        for w in nbrs:
-            if not seen[w]:
-                seen[w] = True
-                edges.append((v, w))
-                queue.append(w)
-    return UndirectedGraph(g.node_count, tuple(edges))
+        for w in nbrs.tolist():
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    return UndirectedGraph(g.node_count, np.array([(parent[w], w) for w in order[1:]], dtype=np.intp).reshape(-1, 2))
 
 
 def add_extra_edges(tree: UndirectedGraph, pool: UndirectedGraph, k: int, seed: int) -> UndirectedGraph:
-    """Add k edges drawn uniformly without replacement from pool minus tree."""
-    if tree.node_count != pool.node_count:
+    """Add k edges drawn uniformly without replacement from pool minus tree, as sorted keys u·n + v."""
+    n = tree.node_count
+    if n != pool.node_count:
         raise ValueError("tree and pool must share the same node set")
-    tree_edges = set(tree.edges)
-    pool_edges = set(pool.edges)
-    if not tree_edges <= pool_edges:
+    tree_keys, pool_keys = (g._ends[0] * n + g._ends[1] for g in (tree, pool))
+    if not np.isin(tree_keys, pool_keys).all():
         raise ValueError("tree edges must be a subset of pool edges")
-    candidates = sorted(pool_edges - tree_edges)
+    candidates = np.setdiff1d(pool_keys, tree_keys, assume_unique=True)
     if k < 0 or k > len(candidates):
         raise ValueError(f"k={k} exceeds the {len(candidates)} available extra edges")
     rng = np.random.default_rng(seed)
-    chosen = rng.choice(len(candidates), size=k, replace=False) if k else []
-    extra = [candidates[int(c)] for c in chosen]
-    return UndirectedGraph(tree.node_count, tree.edges + tuple(extra))
+    chosen = candidates[rng.choice(len(candidates), size=k, replace=False)] if k else candidates[:0]
+    keys = np.concatenate((tree_keys, chosen))
+    return UndirectedGraph(n, np.column_stack((keys // n, keys % n)))
 
 
 def message_digraph(g: UndirectedGraph) -> MessageDigraph:
@@ -391,9 +389,9 @@ def condensation(d: Digraph) -> CondensationDigraph:
 
     Every condensation arc points to a smaller id and the sinks take the
     smallest ids.  The numbering starts from csgraph's strong-component
-    labels, checks that every arc between components runs from a higher
-    label to a lower one (``AssertionError`` if not), and stably moves
-    the sink components first.
+    labels (Pearce's algorithm labels a component when it finishes it),
+    checks that every arc between components runs from a higher label to
+    a lower one (``AssertionError`` if not), and stably moves the sinks first.
     """
     n = d.node_count
     tails, heads = d._ends

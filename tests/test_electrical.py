@@ -201,7 +201,7 @@ def test_weights_rows_sum_to_one():
         w = build_weights(net)
         trust = trust_by_arc(w)
         for i in range(20):
-            total = sum(trust[(i, j)] for j in net.graph.adjacency[i]) + w.field_trust[i]
+            total = sum(t for (j, _), t in trust.items() if j == i) + w.field_trust[i]
             assert abs(total - 1.0) <= 1e-12
 
 

@@ -370,6 +370,18 @@ def test_cli_check_edgeless_graph_exits_one_with_error_line(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["exact", "mpa", "check"])
+def test_cli_memory_error_exits_one_with_error_line(tmp_path, capsys, command):
+    # 10**11 nodes: numpy refuses the 745 GiB field array at once.
+    huge = tmp_path / "huge.edges"
+    huge.write_text("n 100000000000\n0 1\n")
+    out = ["--out", str(tmp_path / "out")] if command == "mpa" else []
+    assert cli.main([command, str(huge), *out]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "GiB" in captured.err and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def test_cli_input_errors_exit_one(tmp_path, capsys):
     assert cli.main(["exact", str(tmp_path / "missing.edges")]) == 1
     bad = tmp_path / "bad.edges"

@@ -35,9 +35,10 @@ def bfs_distances(g, source):
     dist = np.full(g.node_count, -1, dtype=np.int64)
     dist[source] = 0
     queue = deque([source])
+    indptr, cols = g._csr.indptr, g._csr.indices
     while queue:
         v = queue.popleft()
-        for w in g.adjacency[v]:
+        for w in cols[indptr[v] : indptr[v + 1]].tolist():
             if dist[w] < 0:
                 dist[w] = dist[v] + 1
                 queue.append(w)
@@ -82,7 +83,7 @@ def test_graphs_reject_pairs_of_the_wrong_length(build, message):
 def test_graph_normalizes_edge_order():
     g = UndirectedGraph(3, ((2, 0), (1, 0)))
     assert g.edges == ((0, 1), (0, 2))
-    assert g.adjacency[0] == (1, 2)
+    assert g._csr.indices[: g._csr.indptr[1]].tolist() == [1, 2]
     assert g.degree(0) == 2 and g.degree(1) == 1
 
 
@@ -143,6 +144,76 @@ def test_digraph_matches_per_arc_checks_on_random_arc_lists():
         assert str(info.value) == str(expected.value)
 
 
+def normalize_edges(node_count, edges):
+    """UndirectedGraph's former per-edge checks: the sorted edges, or the error of the first offending edge."""
+    seen = set()
+    for e in edges:
+        if len(e) != 2:
+            raise ValueError(f"edge {e!r} is not a pair of nodes")
+        u, v = int(e[0]), int(e[1])
+        if u == v:
+            raise ValueError(f"self-loop {u}-{v} not allowed")
+        if not (0 <= u < node_count and 0 <= v < node_count):
+            raise ValueError(f"edge {u}-{v} outside node range 0..{node_count - 1}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise ValueError(f"duplicate edge {key[0]}-{key[1]}")
+        seen.add(key)
+    return tuple(sorted(seen))
+
+
+def test_undirected_graph_matches_per_edge_checks_on_random_edge_lists():
+    rng = np.random.default_rng(72)
+    outcomes = set()
+    for trial in range(900):
+        n = int(rng.integers(1, 9))
+        pairs = rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2)).tolist()
+        if trial % 2:
+            pairs = [list(e) for e in dict.fromkeys(tuple(sorted(e)) for e in pairs) if e[0] != e[1]]
+            pairs = [e[::-1] if rng.random() < 0.5 else e for e in pairs]  # no duplicates, some reversed
+        if trial % 3 == 0 and pairs:
+            pairs[int(rng.integers(len(pairs)))][int(rng.integers(2))] = [-3, -1, n, n + 2, 2**70, -(2**70)][int(rng.integers(6))]
+        if trial % 5 == 0:
+            pairs.insert(int(rng.integers(len(pairs) + 1)), [[], [0], [0, 1, 2]][int(rng.integers(3))])
+        rng.shuffle(pairs)
+        edges = tuple(map(tuple, pairs))
+        try:
+            expected = normalize_edges(n, edges)
+        except ValueError as exc:
+            outcomes.add(str(exc).split()[0])
+            with pytest.raises(ValueError) as info:
+                UndirectedGraph(n, edges)
+            assert str(info.value) == str(exc), edges
+            continue
+        outcomes.add("ok")
+        g = UndirectedGraph(n, edges)
+        assert g.edges == expected and all(type(u) is int and type(v) is int for u, v in g.edges)
+        lo, hi = g._ends
+        assert lo.tolist() == [u for u, _ in expected] and hi.tolist() == [v for _, v in expected]
+        assert not (lo.flags.writeable or hi.flags.writeable)
+        # the same edges as an (m, 2) array build the same graph
+        assert UndirectedGraph(n, np.array(edges, dtype=np.int64).reshape(-1, 2)) == g
+        assert [g.degree(v) for v in range(n)] == [sum(v in e for e in expected) for v in range(n)]
+    assert outcomes == {"ok", "edge", "self-loop", "duplicate"}
+    # ends beyond the 64-bit range fail with the same first offending edge
+    for edges in (((0, 1), (1, 2**70), (1, 0)), ((0, 1), (1, 0), (-(2**70), 0)), ((2**70, 2**71), (2**70, 2**70))):
+        with pytest.raises(ValueError) as info:
+            UndirectedGraph(3, edges)
+        with pytest.raises(ValueError) as expected:
+            normalize_edges(3, edges)
+        assert str(info.value) == str(expected.value)
+
+
+def test_digraph_reports_the_first_offending_arc_in_input_order():
+    # a pair of the wrong length no longer takes precedence over an earlier offending arc
+    with pytest.raises(ValueError, match=r"^duplicate arc 0->1$"):
+        Digraph(3, ((0, 1), (0, 1), (0, 1, 2)))
+    with pytest.raises(ValueError, match=r"^arc 0->5 outside node range$"):
+        Digraph(3, ((0, 5), (2,)))
+    with pytest.raises(ValueError, match=r"^arc \(2,\) is not a pair of nodes$"):
+        Digraph(3, ((0, 1), (2,), (0, 1)))
+
+
 # ---------------------------------------------------------------------------
 # erdos_renyi
 # ---------------------------------------------------------------------------
@@ -171,6 +242,48 @@ def test_erdos_renyi_matches_explicit_pair_enumeration():
         draws = np.random.default_rng(seed).random(len(pairs))
         expected = tuple(pair for pair, x in zip(pairs, draws) if x < p)
         assert erdos_renyi(n, p, seed).edges == expected, (n, p, seed)
+
+
+def test_erdos_renyi_in_small_chunks_matches_explicit_pair_enumeration(monkeypatch):
+    # 997 pairs a chunk: many short rows share a chunk, and a row longer
+    # than that is drawn alone, so chunks end inside and across rows.
+    cases = ((2, 1.0, 3), (50, 0.1, 7), (120, 0.05, 11), (1200, 0.01, 5))
+    expected = {}
+    for n, p, seed in cases:
+        rows, cols = np.triu_indices(n, 1)
+        keep = np.random.default_rng(seed).random(len(rows)) < p
+        expected[n] = tuple(zip(rows[keep].tolist(), cols[keep].tolist()))
+    sizes = []
+
+    class RecordingGenerator:
+        def __init__(self, seed):
+            self.rng = np.random.Generator(np.random.PCG64(seed))
+
+        def random(self, size):
+            sizes.append(size)
+            return self.rng.random(size)
+
+    monkeypatch.setattr(graphs, "_PAIR_CHUNK", 997)
+    monkeypatch.setattr(graphs.np.random, "default_rng", RecordingGenerator)
+    for n, p, seed in cases:
+        sizes.clear()
+        assert erdos_renyi(n, p, seed).edges == expected[n], (n, p, seed)
+        assert sum(sizes) == n * (n - 1) // 2
+    # n = 1200: rows 0..201 hold more than 997 pairs each, the other 997 rows share chunks
+    assert sizes[:202] == list(range(1199, 997, -1)) and len(sizes) < 1199 and max(sizes[202:]) <= 997
+
+
+def test_erdos_renyi_memory_is_bounded_by_the_graph():
+    # The n(n-1)/2 = 4.5M draws at once took 112.5 MB; a chunk of 2**20 draws is 8.4 MB.
+    erdos_renyi(30, 0.1, 3)
+    tracemalloc.start()
+    try:
+        g = erdos_renyi(3000, 10 / 3000, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count == 14858
+    assert peak < 16e6, peak
 
 
 def test_erdos_renyi_edge_count_distribution():
