@@ -51,6 +51,7 @@ from .mpa import (
     influence_estimates,
     initial_messages,
     mpa_step,
+    node_influence_estimate,
     run_mpa,
 )
 

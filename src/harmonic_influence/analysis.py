@@ -193,8 +193,8 @@ def run_generalized(state: GeneralizedDynamicsState, steps: int) -> GeneralizedD
     gather = state._gather or _generalized_gather(state.d, state.r, state.s)
     alpha, beta = state.alpha, state.beta
     omega, eta, t, last_alpha = state.omega, state.eta, state.t, state._last_alpha
-    folded, end = None, t + steps
-    while t < end and (folded is None or callable(beta)):
+    folded = None
+    for _ in range(steps):
         alpha_t = alpha
         if callable(alpha):
             alpha_t = _driving(alpha(t), gather.size, "alpha(t)", nonnegative=True)
@@ -212,13 +212,6 @@ def run_generalized(state: GeneralizedDynamicsState, steps: int) -> GeneralizedD
             omega = omega_new
         last_alpha = alpha_t
         t += 1
-    if t < end:
-        # Past a fixed omega with a constant beta, each step is one product and one add.
-        c = 1.0 + beta
-        for _ in range(end - t):
-            eta = folded @ eta
-            eta += c
-        t = end
     return replace(state, omega=omega, eta=eta, t=t, _last_alpha=last_alpha, _gather=gather)
 
 

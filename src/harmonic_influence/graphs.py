@@ -34,14 +34,14 @@ _PAIR_CHUNK = 2**20
 
 
 def _checked_pairs(node_count: int, pairs, undirected: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Node pairs, or an (m, 2) integer array, as two read-only end arrays sorted by first end, then second.
+    """Node pairs, or an (m, 2) signed-integer array, as two read-only end arrays sorted by first end, then second.
 
     An undirected edge is stored as (smaller, larger).  Raises ``ValueError`` on the first offending
     pair in input order: one not of length two, with an end outside 0..node_count-1, repeating an
     earlier pair or, for an edge, a self-loop or an earlier edge reversed."""
     if node_count < 1:
         raise ValueError("node_count must be >= 1")
-    if isinstance(pairs, np.ndarray) and pairs.ndim == 2 and pairs.shape[1] == 2:
+    if isinstance(pairs, np.ndarray) and pairs.shape[1:] == (2,) and np.issubdtype(pairs.dtype, np.signedinteger):
         ends, count = pairs.astype(np.intp).ravel(), len(pairs)
     else:
         pairs = tuple(pairs)

@@ -371,8 +371,12 @@ def test_cli_check_edgeless_graph_exits_one_with_error_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["exact", "mpa", "check"])
-def test_cli_memory_error_exits_one_with_error_line(tmp_path, capsys, command):
-    # 10**11 nodes: numpy refuses the 745 GiB field array at once.
+def test_cli_memory_error_exits_one_with_error_line(tmp_path, capsys, monkeypatch, command):
+    # What numpy raises for an edge-list file declaring 10**11 nodes, without asking the host for it.
+    def refuse(path):
+        raise MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,) and data type float64")
+
+    monkeypatch.setattr(cli, "load_graph", refuse)
     huge = tmp_path / "huge.edges"
     huge.write_text("n 100000000000\n0 1\n")
     out = ["--out", str(tmp_path / "out")] if command == "mpa" else []

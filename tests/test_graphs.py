@@ -197,11 +197,16 @@ def test_undirected_graph_matches_per_edge_checks_on_random_edge_lists():
     assert outcomes == {"ok", "edge", "self-loop", "duplicate"}
     # ends beyond the 64-bit range fail with the same first offending edge
     for edges in (((0, 1), (1, 2**70), (1, 0)), ((0, 1), (1, 0), (-(2**70), 0)), ((2**70, 2**71), (2**70, 2**70))):
-        with pytest.raises(ValueError) as info:
-            UndirectedGraph(3, edges)
         with pytest.raises(ValueError) as expected:
             normalize_edges(3, edges)
-        assert str(info.value) == str(expected.value)
+        # as tuples, and as arrays that no signed 64-bit type holds
+        for given in (edges, np.array(edges, dtype=object)):
+            with pytest.raises(ValueError) as info:
+                UndirectedGraph(3, given)
+            assert str(info.value) == str(expected.value)
+    for given in (np.array([[0, 1], [1, 2**64 - 1]], dtype=np.uint64), np.array([[0, 1], [1, 2**70]], dtype=object)):
+        with pytest.raises(ValueError, match=r"^edge 1-\d+ outside node range 0\.\.2$"):
+            UndirectedGraph(3, given)
 
 
 def test_digraph_reports_the_first_offending_arc_in_input_order():

@@ -24,19 +24,10 @@ from harmonic_influence.mpa import (
     influence_estimates,
     initial_messages,
     mpa_step,
+    node_influence_estimate,
     run_mpa,
 )
 from opinions import _trust_matrix
-
-def node_influence_estimate(state, node):
-    """Influence estimate a node forms from its incoming messages, one at a time in ascending sender order."""
-    # Its incoming messages are CSR row node, ascending in the sender.
-    lo, hi = state.md.base._csr.indptr[node : node + 2]
-    acc = 0.0
-    for p in range(lo, hi):
-        acc += state.w_msgs[p] * state.h_msgs[p]
-    return 1.0 + acc
-
 
 conductances = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False)
 
