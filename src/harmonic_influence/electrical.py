@@ -7,9 +7,9 @@ potentials of the remaining nodes solve a grounded Laplacian system,
 and the harmonic influence of the leader is one plus the sum of those
 potentials.
 
-The exact results of all leaders come from one factorization per
-network, cached on it as O(n + m) floats; ``grounded_laplacian_solve`` is
-the independent per-leader reference they are checked against.
+The exact results of all leaders come from one factorization per network,
+solved a block of leaders at a time into O(n + m) floats cached on it;
+``grounded_laplacian_solve`` is the per-leader reference they are checked against.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ from .graphs import Edge, MessageDigraph, UndirectedGraph, _csr_rows, _read_only
 # Bound on the backward error of every grounded solve A y = b: the
 # residual ||A y - b||_1 over the size || |A| |y| ||_1 of the terms it sums.
 RESIDUAL_RTOL = 1e-10
+# Leaders whose columns of M^-1 the exact layer solves and reduces at a time.
+_SOLVE_BLOCK = 256
 
 
 def _edge_conductances(g: UndirectedGraph, edge_conductance: Mapping[Edge, float]) -> dict[Edge, float]:
@@ -110,11 +112,36 @@ class ConductanceNetwork:
         """The influence of every node and the potential at every CSR entry.
 
         Entry p at row j and column i holds the potential of i with j as
-        leader.  The n x n potential matrix they come from is dropped.
+        leader.  Column l of X = M^-1, M = L + diag(gamma), is the response
+        to a unit current injected at l; dividing it by X_ll puts the leader
+        at 1.  M is factored once, and the columns of X are solved, checked
+        and reduced ``_SOLVE_BLOCK`` leaders at a time, so no n x n array
+        is formed.  The CSR entries of a block's leaders are one slice.
+
+        The solve is the transposed one, which M's symmetry makes the same
+        system: SuperLU runs it column by column through level-2 kernels, on
+        one thread.  The plain multi-column solve calls a level-3 BLAS
+        triangular solve per supernode, which wakes a second OpenBLAS thread
+        and was about 2.5 times slower on the n=300 pipeline graphs.
         """
         g = self.graph
-        pot = _potential_matrix(self)
-        return _read_only(pot.sum(axis=1)), _read_only(pot[g._rows, g._csr.indices])
+        n, indptr = g.node_count, g._csr.indptr
+        m = _grounded_laplacian(self)
+        lu = _factor(m, "grounded Laplacian L + diag(gamma)")
+        influence, entry_potentials = np.empty(n), np.empty(indptr[-1])
+        for start in range(0, n, _SOLVE_BLOCK):
+            leaders = np.arange(start, min(start + _SOLVE_BLOCK, n))
+            rhs = np.zeros((n, len(leaders)), order="F")
+            rhs[leaders, leaders - start] = 1.0
+            x = lu.solve(rhs, trans="T")
+            _check_residual(m, x, rhs, leaders)
+            pot = x.T  # row l - start is column l of X
+            pot /= pot[leaders - start, leaders][:, None]
+            pot = _checked_potentials(pot)
+            influence[leaders] = pot.sum(axis=1)
+            entries = slice(indptr[start], indptr[leaders[-1] + 1])
+            entry_potentials[entries] = pot[g._rows[entries] - start, g._csr.indices[entries]]
+        return _read_only(influence), _read_only(entry_potentials)
 
 
 def uniform_network(g: UndirectedGraph, gamma: float) -> ConductanceNetwork:
@@ -184,8 +211,7 @@ def _grounded_laplacian(net: ConductanceNetwork) -> scipy.sparse.csr_matrix:
     The CSR rows keep their columns ascending.  M is symmetric bit for
     bit, so its transpose, the same arrays read as CSC, is M as well.
     """
-    g = net.graph
-    n = g.node_count
+    g, n = net.graph, net.node_count
     nodes = np.arange(n)
     rows = np.concatenate((g._rows, nodes))
     cols = np.concatenate((g._csr.indices, nodes))
@@ -214,6 +240,17 @@ def _factor(m: scipy.sparse.csr_matrix, what: str) -> scipy.sparse.linalg.SuperL
     if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(pivots > floor)):
         raise ArithmeticError(f"{what} is not positive definite")
     return lu
+
+
+def _check_residual(a: scipy.sparse.csr_matrix, y: np.ndarray, b: np.ndarray, leaders: Sequence[int]) -> None:
+    """Raise unless column k of y, the solve for leaders[k], has backward error
+    ||a y - b||_1 / || |a| |y| ||_1 at most RESIDUAL_RTOL; y and b may be vectors."""
+    r = a @ y
+    r -= b
+    residual = np.atleast_1d(np.abs(r, out=r).sum(axis=0) / (abs(a) @ np.abs(y, out=r)).sum(axis=0))
+    k = int(np.argmin(residual <= RESIDUAL_RTOL))  # the first failure, if any; NaN fails too
+    if not residual[k] <= RESIDUAL_RTOL:
+        raise ArithmeticError(f"grounded solve residual {residual[k]:.3e} exceeds tolerance for leader {leaders[k]}")
 
 
 def _checked_potentials(values: np.ndarray) -> np.ndarray:
@@ -245,57 +282,11 @@ def grounded_laplacian_solve(net: ConductanceNetwork, leader: int) -> np.ndarray
     rhs = -m[leader].toarray()[0, keep]  # row leader is column leader: the conductances to the leader
     y_r = _factor(lrr, f"grounded Laplacian with leader {leader}").solve(rhs)
 
-    residual = np.abs(lrr @ y_r - rhs).sum() / (abs(lrr) @ np.abs(y_r)).sum()
-    if not residual <= RESIDUAL_RTOL:  # NaN fails too
-        raise ArithmeticError(
-            f"grounded solve residual {residual:.3e} exceeds tolerance for leader {leader}"
-        )
-
+    _check_residual(lrr, y_r, rhs, (leader,))
     values = np.empty(n)
     values[keep] = y_r
     values[leader] = 1.0
     return _checked_potentials(values)
-
-
-def _potential_matrix(net: ConductanceNetwork) -> np.ndarray:
-    """Row l holds the potentials with leader l at 1 and the field grounded.
-
-    Column l of X = M^-1, M = L + diag(gamma), is the response to a unit
-    current injected at l; dividing it by X_ll puts the leader at 1.  M is
-    factored once and one solve gives all n columns.  Every column passes
-    the residual check ||M x_l - e_l||_1 <= RESIDUAL_RTOL * || |M| |x_l| ||_1.
-
-    The solve is the transposed one, which M's symmetry makes the same
-    system: SuperLU runs it column by column through level-2 kernels, on
-    one thread.  The plain multi-column solve calls a level-3 BLAS
-    triangular solve per supernode, which wakes a second OpenBLAS thread
-    and was about 2.5 times slower on the n=300 pipeline graphs.
-    """
-    m = _grounded_laplacian(net)
-    n = net.node_count
-    x = _factor(m, "grounded Laplacian L + diag(gamma)").solve(np.eye(n), trans="T")
-    # A sparse product copies X's columns into row order, so the residuals
-    # run a block of columns at a time and no second n x n array joins X.
-    col_abs = np.asarray(abs(m).sum(axis=0)).ravel()
-    residual = np.empty(n)
-    for start in range(0, n, 256):
-        xb = x[:, start : start + 256]
-        r = m @ xb
-        cols = np.arange(r.shape[1])
-        r[start + cols, cols] -= 1.0
-        norms = np.abs(r, out=r).sum(axis=0)
-        r = np.abs(xb, out=r)
-        r *= col_abs[:, None]
-        residual[start + cols] = norms / r.sum(axis=0)
-    failed = np.flatnonzero(~(residual <= RESIDUAL_RTOL))  # NaN fails too
-    if failed.size:
-        leader = failed[0]
-        raise ArithmeticError(
-            f"grounded solve residual {residual[leader]:.3e} exceeds tolerance for leader {leader}"
-        )
-    pot = x.T  # row l is column l of X
-    pot /= pot.diagonal().copy()[:, None]
-    return _checked_potentials(pot)
 
 
 def harmonic_influence_exact(net: ConductanceNetwork) -> np.ndarray:

@@ -168,7 +168,7 @@ class GraphFile:
     def network(self, fallback_gamma: Optional[float] = None) -> ConductanceNetwork:
         """Build the electrical network, defaulting the field coupling if absent."""
         gamma = self.field_conductance
-        if not np.any(gamma > 0.0):
+        if not gamma.any():  # a negative entry is the network's to reject
             if fallback_gamma is None:
                 raise ValueError("file has no field edges and no fallback gamma given")
             gamma = np.full(self.graph.node_count, float(fallback_gamma))
@@ -204,7 +204,7 @@ def load_graph(path: Path | str) -> GraphFile:
 
     Grammar, one entry per line: ``n <count>`` (optional, declares the
     node count), ``u v`` (edge with conductance 1), ``u v <c>`` (edge
-    with conductance c), ``u f <c>`` (field conductance of node u).
+    with conductance c), ``u f <c>`` (field conductance c >= 0 of node u).
     ``#`` starts a comment; blank lines are ignored.  Without an ``n``
     line the node count is the largest mentioned id plus one.
     """
@@ -243,6 +243,8 @@ def load_graph(path: Path | str) -> GraphFile:
         if not math.isfinite(cond):
             raise ValueError(f"{path}:{lineno}: conductance must be finite, got {tokens[2]!r}")
         if tokens[1] == "f":
+            if cond < 0.0:
+                raise ValueError(f"{path}:{lineno}: field conductance must be nonnegative, got {tokens[2]!r}")
             u = parse_node(tokens[0], lineno)
             field[u] = field.get(u, 0.0) + cond
             continue

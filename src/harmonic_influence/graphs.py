@@ -29,6 +29,7 @@ import scipy.sparse.csgraph
 
 Edge = tuple[int, int]
 Arc = tuple[int, int]
+_INTEGER = (int, np.integer)  # the types of a node id
 # Pairs drawn at once by erdos_renyi: 8 MB of draws, whole rows at a time.
 _PAIR_CHUNK = 2**20
 
@@ -37,8 +38,8 @@ def _checked_pairs(node_count: int, pairs, undirected: bool) -> tuple[np.ndarray
     """Node pairs, or an (m, 2) signed-integer array, as two read-only end arrays sorted by first end, then second.
 
     An undirected edge is stored as (smaller, larger).  Raises ``ValueError`` on the first offending
-    pair in input order: one not of length two, with an end outside 0..node_count-1, repeating an
-    earlier pair or, for an edge, a self-loop or an earlier edge reversed."""
+    pair in input order: one not of length two, with an end that is not an integer or lies outside
+    0..node_count-1, repeating an earlier pair or, for an edge, a self-loop or an earlier edge reversed."""
     if node_count < 1:
         raise ValueError("node_count must be >= 1")
     if isinstance(pairs, np.ndarray) and pairs.shape[1:] == (2,) and np.issubdtype(pairs.dtype, np.signedinteger):
@@ -47,12 +48,15 @@ def _checked_pairs(node_count: int, pairs, undirected: bool) -> tuple[np.ndarray
         pairs = tuple(pairs)
         # The pairs before the first of the wrong length are read as one flat stream.
         count = len(pairs) if set(map(len, pairs)) <= {2} else next(k for k, a in enumerate(pairs) if len(a) != 2)
+        flat = tuple(itertools.chain.from_iterable(pairs[:count]))
         try:
+            if not all(issubclass(t, _INTEGER) for t in set(map(type, flat))):
+                raise TypeError  # fromiter would truncate 0.5 and parse "0"
             # fromiter reads the flat stream about three times faster than np.asarray(pairs)
-            ends = np.fromiter(itertools.chain.from_iterable(pairs[:count]), dtype=np.intp, count=2 * count)
-        except OverflowError:
-            # An end beyond the index range reads as one just outside the node range.
-            ends = np.array([min(max(int(x), -1), node_count) for a in pairs[:count] for x in a], dtype=np.intp)
+            ends = np.fromiter(flat, dtype=np.intp, count=2 * count)
+        except (TypeError, OverflowError):
+            # An end that is not an integer, or lies beyond the index range, reads as one just outside the node range.
+            ends = np.array([min(max(int(x), -1), node_count) if isinstance(x, _INTEGER) else -1 for x in flat], dtype=np.intp)
     first, second = ends[0::2], ends[1::2]
     if undirected:
         first, second = np.minimum(first, second), np.maximum(first, second)
@@ -65,8 +69,9 @@ def _checked_pairs(node_count: int, pairs, undirected: bool) -> tuple[np.ndarray
     if k == len(pairs):
         return _read_only(first), _read_only(second)
     # The first offending pair's error, judged in the order of a per-pair check.
-    if len(pairs[k]) != 2:
-        raise ValueError(f"{'edge' if undirected else 'arc'} {pairs[k]!r} is not a pair of nodes")
+    if len(pairs[k]) != 2 or not all(isinstance(x, _INTEGER) for x in pairs[k]):
+        what = "is not a pair of nodes" if len(pairs[k]) != 2 else "has a node id that is not an integer"
+        raise ValueError(f"{'edge' if undirected else 'arc'} {pairs[k]!r} {what}")
     v, w = (int(x) for x in pairs[k])
     inside = 0 <= v < node_count and 0 <= w < node_count
     if not undirected:

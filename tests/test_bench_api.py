@@ -11,14 +11,27 @@ import pytest
 from harmonic_influence import analysis, cli, electrical, experiment, graphs, mpa
 
 
-@pytest.fixture
-def tracing(monkeypatch):
-    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load_bench_module(monkeypatch, file_name, module_name):
+    spec = importlib.util.spec_from_file_location(module_name, BENCH / file_name)
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look their module up
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    return load_bench_module(monkeypatch, "tracing.py", "bench_tracing")
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    load_bench_module(monkeypatch, "checks.py", "checks")  # what ``import checks`` in workloads.py finds
+    return load_bench_module(monkeypatch, "workloads.py", "bench_workloads")
 
 
 def test_every_traced_function_exists(tracing):
@@ -42,3 +55,15 @@ def test_pipeline_takes_the_public_exact_path_with_one_factorization_per_graph(t
     # second exact call reads the cached result.
     factor_parents = [spans[s.parent].name for s in spans if s.name == "electrical._factor"]
     assert factor_parents == ["electrical.harmonic_influence_exact"] * graph_count
+
+
+def test_every_workload_sets_up_runs_and_checks_one_op(workloads, tmp_path):
+    # The workloads also read, outside their traced calls, Digraph built from
+    # tuple arcs, d.arcs, md.to_digraph(), md.arc_nodes and GraphFile.network.
+    problems = {}
+    for name, workload in workloads.WORKLOADS.items():
+        scratch = tmp_path / name
+        scratch.mkdir()
+        work = workload(1, scratch)
+        problems[name] = work.check(0, work.op(0))
+    assert problems == {name: [] for name in workloads.WORKLOADS}

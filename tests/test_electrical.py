@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+from harmonic_influence import experiment
 from harmonic_influence.electrical import (
     ConductanceNetwork,
     InfluenceWeights,
@@ -440,6 +443,51 @@ def test_exact_results_are_cached_per_network(monkeypatch):
     assert len(calls) == 2
     assert h.shape == (net.node_count,) and w.shape == (md.size,)
     assert not h.flags.writeable and not w.flags.writeable
+
+
+def test_exact_results_do_not_depend_on_the_solve_block(monkeypatch):
+    import harmonic_influence.electrical as electrical
+
+    config = experiment.ExperimentConfig(n=300, p=0.03, extra_edges=30, seed=5)  # the output fixture's run
+    nets = [uniform_network(g, GAMMA) for g in experiment.generate_graphs(config)[0].values()]
+    block = electrical._SOLVE_BLOCK
+    nets += [random_conductance_network(n, seed=n) for n in (block - 1, block, block + 1)]
+
+    def exact_bits(net):
+        # A fresh copy, so that the cached results of another block size are not read.
+        net = ConductanceNetwork(net.graph, net.edge_conductance, net.field_conductance)
+        return harmonic_influence_exact(net).tobytes(), exact_message_potentials(net, message_digraph(net.graph)).tobytes()
+
+    expected = [exact_bits(net) for net in nets]
+    monkeypatch.setattr(electrical, "_SOLVE_BLOCK", 7)
+    assert [exact_bits(net) for net in nets] == expected
+
+
+def test_exact_results_of_a_path_need_no_n_by_n_array():
+    net = uniform_network(path_graph(2000), GAMMA)
+    tracemalloc.start()
+    try:
+        harmonic_influence_exact(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20  # one n x n array alone is 30.5 MiB
+
+
+def test_residual_failure_names_the_leader_whose_column_failed(monkeypatch):
+    import harmonic_influence.electrical as electrical
+
+    class SpoiledColumn(PerturbedSolve):
+        def solve(self, b, **kwargs):
+            x = self.lu.solve(b, **kwargs)
+            x[:, b[9] == 1.0] *= 1.001  # the column of leader 9, if this block holds it
+            return x
+
+    accurate_splu = scipy.sparse.linalg.splu
+    monkeypatch.setattr(electrical.scipy.sparse.linalg, "splu", lambda *a, **kw: SpoiledColumn(accurate_splu(*a, **kw)))
+    monkeypatch.setattr(electrical, "_SOLVE_BLOCK", 4)  # leader 9 lies in the third block
+    with pytest.raises(ArithmeticError, match=r"exceeds tolerance for leader 9$"):
+        harmonic_influence_exact(random_network(12, 0.3, seed=14))
 
 
 def test_exact_message_potentials_match_per_leader_solves():

@@ -212,6 +212,11 @@ def test_load_graph_malformed_lines_name_line_number(tmp_path):
     path.write_text("n 2\n0 5\n")
     with pytest.raises(ValueError, match="exceeds"):
         load_graph(path)
+    # a negative field conductance used to be replaced by the fallback gamma
+    for text, line in (("n 3\n0 1\n1 2\n0 f -1\n", 4), ("0 1\n0 f 0.5\n0 f -0.5\n", 3)):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f":{line}: field conductance must be nonnegative"):
+            load_graph(path)
 
 
 def test_graph_file_network_fallback_gamma(tmp_path):
@@ -398,6 +403,8 @@ def test_cli_input_errors_exit_one(tmp_path, capsys):
 @pytest.mark.parametrize("text, message", [
     ("0 1 inf\n", "conductance must be finite"),
     ("0 1\n0 f nan\n", "conductance must be finite"),
+    ("n 3\n0 1\n1 2\n0 f -1\n", ":4: field conductance must be nonnegative, got '-1'"),
+    ("0 1\n0 f 0.5\n0 f -0.5\n", ":3: field conductance must be nonnegative, got '-0.5'"),
     # conductances 300 orders of magnitude apart: the grounded matrix is
     # numerically indefinite and the solver raises ArithmeticError
     ("0 1 1e308\n1 2 1e-300\n", "not positive definite"),
@@ -409,3 +416,13 @@ def test_cli_bad_conductances_exit_one_with_error_line(tmp_path, capsys, text, m
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and message in captured.err
     assert captured.out == ""
+
+
+def test_cli_negative_field_conductance_fails_every_command(tmp_path, capsys):
+    bad = tmp_path / "bad.edges"
+    bad.write_text("n 3\n0 1\n1 2\n0 f -1\n")
+    for argv in (["exact"], ["mpa", "--out", str(tmp_path / "out")], ["check"]):
+        assert cli.main(argv + [str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {bad}:4: field conductance must be nonnegative, got '-1'\n"
+        assert captured.out == ""

@@ -74,6 +74,15 @@ def test_graph_rejects_self_loops_and_duplicates():
     (lambda: Digraph(3, ((0, 1), ())), r"^arc \(\) is not a pair of nodes$"),
     (lambda: UndirectedGraph(4, ((0, 1, 2), (2, 3, 0))), r"^edge \(0, 1, 2\) is not a pair of nodes$"),
     (lambda: UndirectedGraph(3, ((0,),)), r"^edge \(0,\) is not a pair of nodes$"),
+    # node ids that are not integers used to be truncated or parsed, building edge 0-1 or 0-2
+    (lambda: UndirectedGraph(3, ((0.5, 1.7),)), r"^edge \(0\.5, 1\.7\) has a node id that is not an integer$"),
+    (lambda: Digraph(3, ((0.5, 1.7),)), r"^arc \(0\.5, 1\.7\) has a node id that is not an integer$"),
+    (lambda: UndirectedGraph(3, np.array([[0.5, 1.7]])), r"^edge array\(\[0\.5, 1\.7\]\) has a node id that is not an integer$"),
+    (lambda: UndirectedGraph(3, (("0", "2"),)), r"^edge \('0', '2'\) has a node id that is not an integer$"),
+    # the first offending pair in input order, whatever is wrong with it
+    (lambda: UndirectedGraph(3, ((0, 1), (1, 2.0), (0, 0))), r"^edge \(1, 2\.0\) has a node id that is not an integer$"),
+    (lambda: Digraph(3, ((0, 5), (0.5, 1), (0, 1, 2))), r"^arc 0->5 outside node range$"),
+    (lambda: Digraph(3, ((0, 1), (np.float64(0.0), 1))), r"^arc \(np\.float64\(0\.0\), 1\) has a node id"),
 ])
 def test_graphs_reject_pairs_of_the_wrong_length(build, message):
     with pytest.raises(ValueError, match=message):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from harmonic_influence.electrical import (
     ConductanceNetwork,
     _grounded_laplacian,
-    _potential_matrix,
     build_weights,
     exact_message_potentials,
     glue_leaders,
@@ -192,16 +191,18 @@ def exact_rtol(net):
 
 
 @given(connected_networks())
-def test_potential_matrix_matches_per_leader_and_dense_solves(net):
+def test_exact_results_match_per_leader_and_dense_solves(net):
     n = net.node_count
-    pot = _potential_matrix(net)
     per_leader = np.array([grounded_laplacian_solve(net, leader) for leader in range(n)])
     x = np.linalg.solve(_grounded_laplacian(net).toarray(), np.eye(n))
+    dense = x.T / x.diagonal()[:, None]
+    md = message_digraph(net.graph)
     rtol = exact_rtol(net)
-    np.testing.assert_allclose(pot, per_leader, rtol=rtol, atol=0)
-    np.testing.assert_allclose(pot, x.T / x.diagonal()[:, None], rtol=rtol, atol=0)
-    assert np.all((pot >= 0.0) & (pot <= 1.0))
-    assert np.all(pot.diagonal() == 1.0)
+    w_exact = exact_message_potentials(net, md)
+    for pot in (per_leader, dense):
+        np.testing.assert_allclose(harmonic_influence_exact(net), pot.sum(axis=1), rtol=rtol, atol=0)
+        np.testing.assert_allclose(w_exact, pot[md.receivers(), md.senders()], rtol=rtol, atol=0)
+    assert np.all((w_exact >= 0.0) & (w_exact <= 1.0))
 
 
 @given(connected_networks())
