@@ -22,12 +22,16 @@ import scipy
 
 from harmonic_influence import cli
 
-FIXTURE = Path(__file__).parent / "data" / "output_digests.json"
+DATA = Path(__file__).parent / "data"
+FIXTURE = DATA / "output_digests.json"
 RUNS = {
     "generate_n50_seed3": ["generate", "--n", "50", "--seed", "3"],
     "experiment_n50_seed3": ["experiment", "--n", "50", "--seed", "3"],
     "experiment_n50_seed7": ["experiment", "--n", "50", "--seed", "7"],
     "experiment_n300_seed5": ["experiment", "--n", "300", "--p", "0.03", "--extra-edges", "30", "--seed", "5"],
+    # conductances and field lines read from a file whose edges are out of sorted order
+    "exact_two_cycles": ["exact", str(DATA / "two_cycles.edges")],
+    "mpa_two_cycles": ["mpa", str(DATA / "two_cycles.edges")],
 }
 
 
@@ -41,7 +45,10 @@ def output_digests(root):
     digests = {}
     for name, argv in RUNS.items():
         out = Path(root) / name
-        assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_OK, name
+        out.mkdir(parents=True)
+        # exact writes one CSV file; the other commands write into a directory
+        target = out / "influence.csv" if argv[0] == "exact" else out
+        assert cli.main([*argv, "--out", str(target)]) == cli.EXIT_OK, name
         for path in sorted(out.iterdir()):
             digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     return digests
