@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .graphs import Edge, MessageDigraph, UndirectedGraph, _csr_rows, _read_only
+from .graphs import MessageDigraph, UndirectedGraph, _csr_rows, _read_only
 
 # Bound on the backward error of every grounded solve A y = b: the
 # residual ||A y - b||_1 over the size || |A| |y| ||_1 of the terms it sums.
@@ -31,16 +31,17 @@ RESIDUAL_RTOL = 1e-10
 _SOLVE_BLOCK = 256
 
 
-def _edge_conductances(g: UndirectedGraph, edge_conductance: Mapping[Edge, float]) -> dict[Edge, float]:
-    """The conductances keyed by (u, v), u < v, checked to cover each edge of g exactly once."""
-    cond: dict[Edge, float] = {}
-    for e, c in edge_conductance.items():
-        key = tuple(sorted(e))
-        if key in cond:
-            raise ValueError(f"edge {key[0]}-{key[1]} given twice")
-        cond[key] = float(c)
-    if set(cond) != set(g.edges):
-        raise ValueError("edge conductances must cover exactly the graph's edges")
+def _checked_edge_conductance(g: UndirectedGraph, values) -> np.ndarray:
+    """The conductances as a float array, entry k that of ``g.edges[k]``;
+    raises unless there is one per edge and each is positive and finite."""
+    cond = np.asarray(values, dtype=np.float64)
+    if cond.shape != (g.edge_count,):
+        raise ValueError(f"edge_conductance must have one entry per edge, shape ({g.edge_count},), got {cond.shape}")
+    bad = ~((cond > 0.0) & (cond < np.inf))  # NaN fails too
+    if bad.any():
+        k = int(np.argmax(bad))
+        u, v = g.edges[k]
+        raise ValueError(f"conductance of edge {u}-{v} must be positive and finite, got {cond[k]}")
     return cond
 
 
@@ -48,23 +49,20 @@ def _edge_conductances(g: UndirectedGraph, edge_conductance: Mapping[Edge, float
 class ConductanceNetwork:
     """Conductances of the social graph plus per-node field conductances.
 
-    ``edge_conductance`` maps each edge (u, v), u < v, to a positive
-    value; ``field_conductance[i]`` couples node i to the grounded field
-    node (zero means no field edge).  The extended graph including the
-    field node must be connected, which also forces at least one
-    positive field conductance.
+    ``edge_conductance[k]`` is the positive conductance of ``graph.edges[k]``,
+    in the sorted edge order; ``field_conductance[i]`` couples node i to the
+    grounded field node (zero means no field edge).  The extended graph
+    including the field node must be connected, which also forces at least
+    one positive field conductance.
     """
 
     graph: UndirectedGraph
-    edge_conductance: Mapping[Edge, float]
+    edge_conductance: np.ndarray
     field_conductance: np.ndarray
 
     def __post_init__(self) -> None:
         g = self.graph
-        cond = _edge_conductances(g, self.edge_conductance)
-        for e, c in cond.items():
-            if not 0.0 < c < np.inf:
-                raise ValueError(f"conductance of edge {e} must be positive and finite, got {c}")
+        cond = _checked_edge_conductance(g, self.edge_conductance)
         gamma = np.asarray(self.field_conductance, dtype=np.float64)
         if gamma.shape != (g.node_count,):
             raise ValueError("field_conductance must have one entry per node")
@@ -78,7 +76,7 @@ class ConductanceNetwork:
                 "extended network is disconnected: component containing node "
                 f"{unfed[0]} has no field conductance"
             )
-        object.__setattr__(self, "edge_conductance", cond)
+        object.__setattr__(self, "edge_conductance", _read_only(cond))
         object.__setattr__(self, "field_conductance", _read_only(gamma))
         overflow = np.flatnonzero(self._totals == np.inf)
         if overflow.size:
@@ -94,15 +92,13 @@ class ConductanceNetwork:
         g = self.graph
         # The CSR entries (u, v) with u < v are the edges in sorted order.
         upper = np.flatnonzero(g._rows < g._csr.indices)
-        values = np.fromiter(map(self.edge_conductance.__getitem__, g.edges), dtype=np.float64, count=g.edge_count)
         arc_cond = np.empty(2 * g.edge_count)
-        arc_cond[upper] = arc_cond[g._reverse[upper]] = values
+        arc_cond[upper] = arc_cond[g._reverse[upper]] = self.edge_conductance
         return _read_only(arc_cond)
 
     @functools.cached_property
     def _totals(self) -> np.ndarray:
-        # Each row sums from 0.0 in ascending neighbor order, whatever the
-        # order of the mapping; the field comes last.
+        # Each row sums from 0.0 in ascending neighbor order; the field comes last.
         g = self.graph
         rows = np.bincount(g._rows, weights=self.arc_conductance, minlength=g.node_count)
         return _read_only(rows + self.field_conductance)
@@ -148,7 +144,7 @@ def uniform_network(g: UndirectedGraph, gamma: float) -> ConductanceNetwork:
     """Network with conductance 1 on every edge and gamma to the field."""
     return ConductanceNetwork(
         graph=g,
-        edge_conductance={e: 1.0 for e in g.edges},
+        edge_conductance=np.ones(g.edge_count),
         field_conductance=np.full(g.node_count, float(gamma)),
     )
 
@@ -314,15 +310,16 @@ def exact_message_potentials(net: ConductanceNetwork, md: MessageDigraph) -> np.
 
 def glue_leaders(
     g: UndirectedGraph,
-    edge_conductance: Mapping[Edge, float],
+    edge_conductance: np.ndarray,
     zero_leader_set: Sequence[int] | set[int],
 ) -> ConductanceNetwork:
     """Collapse a set of leaf nodes with fixed zero opinion into the field.
 
     Every member of ``zero_leader_set`` must be a leaf; its single edge
     becomes a field edge of the surviving neighbor, and parallel field
-    edges are merged by summing conductances.  Surviving nodes are
-    renumbered densely in ascending original order.
+    edges are merged by summing conductances.  ``edge_conductance`` is in
+    the order of ``g.edges``, as in ``ConductanceNetwork``.  Surviving nodes
+    are renumbered densely in ascending original order.
     """
     leaders = set(int(v) for v in zero_leader_set)
     if not leaders:
@@ -332,28 +329,19 @@ def glue_leaders(
             raise ValueError(f"leader {v} outside node range")
         if g.degree(v) != 1:
             raise ValueError(f"zero-opinion leader {v} is not a leaf (degree {g.degree(v)})")
-    cond = _edge_conductances(g, edge_conductance)
+    cond = _checked_edge_conductance(g, edge_conductance)
 
-    survivors = [v for v in range(g.node_count) if v not in leaders]
+    survivors = g.node_count - len(leaders)
     if not survivors:
         raise ValueError("all nodes are zero-opinion leaders; nothing survives")
-    new_id = {v: idx for idx, v in enumerate(survivors)}
+    is_leader = np.zeros(g.node_count, dtype=bool)
+    is_leader[list(leaders)] = True
+    new_id = np.cumsum(~is_leader) - 1  # ascending, so kept edges stay sorted
 
-    new_edges: list[Edge] = []
-    new_cond: dict[Edge, float] = {}
-    gamma = np.zeros(len(survivors))
-    # Sorted edges put each survivor's glued leaves in ascending order, so
-    # its field sums the same way whatever the order of the mapping.
-    for (u, v), c in sorted(cond.items()):
-        u_in, v_in = u in leaders, v in leaders
-        if u_in and v_in:
-            continue  # both endpoints collapse into the field node
-        if u_in or v_in:
-            keep = v if u_in else u
-            gamma[new_id[keep]] += c
-        else:
-            e = (new_id[u], new_id[v]) if new_id[u] < new_id[v] else (new_id[v], new_id[u])
-            new_edges.append(e)
-            new_cond[e] = c
-    new_graph = UndirectedGraph(len(survivors), tuple(new_edges))
-    return ConductanceNetwork(graph=new_graph, edge_conductance=new_cond, field_conductance=gamma)
+    u, v = g._ends
+    kept = ~is_leader[u] & ~is_leader[v]
+    glued = is_leader[u] != is_leader[v]  # an edge between two leaders collapses into the field node
+    # bincount adds in edge order from 0.0, so each survivor's glued leaves sum in ascending order.
+    gamma = np.bincount(new_id[np.where(is_leader[u], v, u)[glued]], weights=cond[glued], minlength=survivors)
+    new_graph = UndirectedGraph(survivors, np.column_stack((new_id[u[kept]], new_id[v[kept]])))
+    return ConductanceNetwork(graph=new_graph, edge_conductance=cond[kept], field_conductance=gamma)

@@ -159,10 +159,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
 @dataclass(frozen=True)
 class GraphFile:
-    """Parsed edge-list file: graph, edge conductances, field conductances."""
+    """Parsed edge-list file: graph, edge conductances in the order of ``graph.edges``, field conductances."""
 
     graph: UndirectedGraph
-    edge_conductance: dict[tuple[int, int], float]
+    edge_conductance: np.ndarray
     field_conductance: np.ndarray
 
     def network(self, fallback_gamma: Optional[float] = None) -> ConductanceNetwork:
@@ -172,26 +172,24 @@ class GraphFile:
             if fallback_gamma is None:
                 raise ValueError("file has no field edges and no fallback gamma given")
             gamma = np.full(self.graph.node_count, float(fallback_gamma))
-        return ConductanceNetwork(
-            graph=self.graph,
-            edge_conductance=dict(self.edge_conductance),
-            field_conductance=gamma,
-        )
+        return ConductanceNetwork(graph=self.graph, edge_conductance=self.edge_conductance, field_conductance=gamma)
 
 
 def save_graph(
     path: Path | str,
     graph: UndirectedGraph,
-    edge_conductance: Optional[dict[tuple[int, int], float]] = None,
+    edge_conductance: Optional[np.ndarray] = None,
     field_conductance: Optional[np.ndarray] = None,
 ) -> None:
-    """Write the edge-list format; see load_graph for the grammar."""
+    """Write the edge-list format; see load_graph for the grammar.  ``edge_conductance``,
+    in the order of ``graph.edges``, is checked as a network checks it."""
     lines = [f"n {graph.node_count}"]
-    for u, v in graph.edges:
-        if edge_conductance is None:
-            lines.append(f"{u} {v}")
-        else:
-            lines.append(f"{u} {v} {edge_conductance[(u, v)]!r}")
+    if edge_conductance is None:
+        lines += (f"{u} {v}" for u, v in graph.edges)
+    else:
+        # tolist gives Python floats, whose repr is the shortest text that reads back the same
+        values = electrical._checked_edge_conductance(graph, edge_conductance).tolist()
+        lines += (f"{u} {v} {c!r}" for (u, v), c in zip(graph.edges, values))
     if field_conductance is not None:
         for i, c in enumerate(field_conductance):
             if c > 0.0:
@@ -202,11 +200,14 @@ def save_graph(
 def load_graph(path: Path | str) -> GraphFile:
     """Parse an edge-list file.
 
-    Grammar, one entry per line: ``n <count>`` (optional, declares the
-    node count), ``u v`` (edge with conductance 1), ``u v <c>`` (edge
-    with conductance c), ``u f <c>`` (field conductance c >= 0 of node u).
-    ``#`` starts a comment; blank lines are ignored.  Without an ``n``
-    line the node count is the largest mentioned id plus one.
+    Grammar, one entry per line: ``n <count>`` (optional, at most once,
+    declares the node count), ``u v`` (edge with conductance 1), ``u v <c>``
+    (edge with conductance c), ``u f <c>`` (field conductance c >= 0 of node
+    u; the lines of one node add up).  Node ids and the count are plain
+    digits 0-9.  ``#`` starts a comment; blank lines are ignored.  Without an
+    ``n`` line the node count is the largest mentioned id plus one.  The edges
+    may come in any order, either end first; the conductances are returned
+    in the order of ``graph.edges``.
     """
     declared_n: Optional[int] = None
     edges: dict[tuple[int, int], float] = {}
@@ -215,12 +216,9 @@ def load_graph(path: Path | str) -> GraphFile:
 
     def parse_node(tok: str, lineno: int) -> int:
         nonlocal max_node
-        try:
-            v = int(tok)
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: expected a node id, got {tok!r}") from None
-        if v < 0:
-            raise ValueError(f"{path}:{lineno}: node ids must be nonnegative")
+        if not tok.isdigit():  # int() also reads "+1" and "1_0"; the text is ASCII, so these are 0-9
+            raise ValueError(f"{path}:{lineno}: expected a node id of digits 0-9, got {tok!r}")
+        v = int(tok)
         max_node = max(max_node, v)
         return v
 
@@ -232,6 +230,8 @@ def load_graph(path: Path | str) -> GraphFile:
         if tokens[0] == "n":
             if len(tokens) != 2 or not tokens[1].isdigit():
                 raise ValueError(f"{path}:{lineno}: malformed node-count line {raw!r}")
+            if declared_n is not None:
+                raise ValueError(f"{path}:{lineno}: second node-count line {raw!r}")
             declared_n = int(tokens[1])
             continue
         if len(tokens) not in (2, 3):
@@ -265,10 +265,12 @@ def load_graph(path: Path | str) -> GraphFile:
     if max_node >= n:
         raise ValueError(f"{path}: node id {max_node} exceeds declared count {n}")
     graph = UndirectedGraph(n, tuple(edges))
+    # The file order is not the sorted order of graph.edges.
+    cond = np.fromiter(map(edges.__getitem__, graph.edges), dtype=np.float64, count=graph.edge_count)
     gamma = np.zeros(n)
     for i, c in field.items():
         gamma[i] = c
-    return GraphFile(graph=graph, edge_conductance=edges, field_conductance=gamma)
+    return GraphFile(graph=graph, edge_conductance=cond, field_conductance=gamma)
 
 
 # ---------------------------------------------------------------------------

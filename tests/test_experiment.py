@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,16 +170,50 @@ def test_csv_float_fields_read_back_bitwise(values):
 
 def test_graph_file_round_trip(tmp_path):
     g = erdos_renyi(12, 0.3, seed=4)
-    cond = {e: 1.0 + 0.1 * i for i, e in enumerate(g.edges)}
+    cond = 1.0 + 0.1 * np.arange(g.edge_count)
     gamma = np.zeros(12)
     gamma[3] = 0.25
     gamma[7] = 0.04
     path = tmp_path / "g.edges"
     save_graph(path, g, edge_conductance=cond, field_conductance=gamma)
+    # numpy 2 writes repr(np.float64(2.5)) as "np.float64(2.5)"; the file holds the plain float text
+    assert f"{g.edges[1][0]} {g.edges[1][1]} 1.1\n" in path.read_text()
     loaded = load_graph(path)
     assert loaded.graph == g
-    assert loaded.edge_conductance == cond
+    assert same_bits(loaded.edge_conductance, cond)
     assert np.array_equal(loaded.field_conductance, gamma)
+
+
+def test_save_graph_rejects_conductances_a_network_rejects(tmp_path):
+    g = UndirectedGraph(3, ((0, 1), (1, 2)))
+    path = tmp_path / "g.edges"
+    # zip would silently drop the edges past a short array
+    for cond, message in ((np.ones(1), r"one entry per edge, shape \(2,\), got \(1,\)"),
+                          (np.ones(3), r"got \(3,\)"),
+                          (np.array([1.0, 0.0]), "edge 1-2 must be positive and finite, got 0.0")):
+        with pytest.raises(ValueError, match=message):
+            save_graph(path, g, edge_conductance=cond)
+        assert not path.exists()
+
+
+def test_load_graph_maps_each_conductance_to_its_own_edge(tmp_path):
+    # edges out of sorted order, two of them reversed: sorted they are 0-1, 1-3, 2-3
+    path = tmp_path / "g.edges"
+    path.write_text("n 4\n3 2 3.0\n0 1 1.0\n3 1 2.0\n0 f 0.5\n")
+    gf = load_graph(path)
+    assert gf.graph.edges == ((0, 1), (1, 3), (2, 3))
+    assert gf.edge_conductance.tolist() == [1.0, 2.0, 3.0]  # the file order is [3.0, 1.0, 2.0]
+    assert gf.network().arc_conductance.tolist() == [1.0, 1.0, 2.0, 3.0, 2.0, 3.0]  # rows 0, 1, 1, 2, 3, 3
+    # the committed fixture of the output digests, line by line
+    fixture = Path(__file__).parent / "data" / "two_cycles.edges"
+    gf = load_graph(fixture)
+    cond = dict(zip(gf.graph.edges, gf.edge_conductance.tolist()))
+    lines = [line.split() for line in fixture.read_text().splitlines() if line[:1].isdigit()]
+    edge_lines = [(int(u), int(v), float(c)) for u, v, c in lines if v != "f"]
+    assert len(edge_lines) == len(cond) == 13
+    assert all(cond[min(u, v), max(u, v)] == c for u, v, c in edge_lines)
+    assert len(set(cond.values())) == 13 and 1.0 not in cond.values()
+    assert gf.field_conductance[4] == 0.125 + 0.375
 
 
 def test_graph_file_round_trip_with_isolated_node(tmp_path):
@@ -192,10 +228,21 @@ def test_load_graph_line_forms(tmp_path):
     path.write_text("# comment\nn 3\n0 1 2.5\n1 2\n0 f 0.04\n")
     gf = load_graph(path)
     assert gf.graph.edges == ((0, 1), (1, 2))
-    assert gf.edge_conductance[(0, 1)] == 2.5
-    assert gf.edge_conductance[(1, 2)] == 1.0
+    assert gf.edge_conductance.tolist() == [2.5, 1.0]
     assert gf.field_conductance[0] == 0.04
     assert gf.field_conductance[1] == 0.0
+
+
+# The last n line used to win, and int() read "1_0" as 10, "+1" as 1 and "-0" as 0.
+MALFORMED_GRAPH_FILES = (
+    ("n 5\n0 1\n1 2\nn 3\n", ":4: second node-count line 'n 3'$"),
+    ("0 1_0\n", ":1: expected a node id of digits 0-9, got '1_0'$"),
+    ("0 1\n+1 2\n", ":2: expected a node id of digits 0-9, got '\\+1'$"),
+    ("1 -0\n", ":1: expected a node id of digits 0-9, got '-0'$"),
+    ("0 1\n1_0 f 0.5\n", ":2: expected a node id of digits 0-9, got '1_0'$"),
+    ("n +3\n0 1\n", ":1: malformed node-count line 'n \\+3'$"),
+    ("n 1_0\n0 1\n", ":1: malformed node-count line 'n 1_0'$"),
+)
 
 
 def test_load_graph_malformed_lines_name_line_number(tmp_path):
@@ -216,6 +263,10 @@ def test_load_graph_malformed_lines_name_line_number(tmp_path):
     for text, line in (("n 3\n0 1\n1 2\n0 f -1\n", 4), ("0 1\n0 f 0.5\n0 f -0.5\n", 3)):
         path.write_text(text)
         with pytest.raises(ValueError, match=f":{line}: field conductance must be nonnegative"):
+            load_graph(path)
+    for text, message in MALFORMED_GRAPH_FILES:
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}{message}"):
             load_graph(path)
 
 
@@ -416,6 +467,18 @@ def test_cli_bad_conductances_exit_one_with_error_line(tmp_path, capsys, text, m
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and message in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_GRAPH_FILES[:2])
+def test_cli_malformed_graph_file_exits_one_with_error_line(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.edges"
+    bad.write_text(text)
+    for argv in (["exact"], ["mpa", "--out", str(tmp_path / "out")], ["check"]):
+        assert cli.main(argv + [str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert re.fullmatch(f"error: {re.escape(str(bad))}{message}\n", captured.err)
+        assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_negative_field_conductance_fails_every_command(tmp_path, capsys):

@@ -184,7 +184,7 @@ def test_csr_kernel_matches_bincount_reference_bitwise():
     rng = np.random.default_rng(41)
     for n, p, seed in ((12, 0.3, 5), (40, 0.12, 6), (90, 0.06, 7)):
         g = random_connected(n, p, seed)
-        conductance = {e: float(rng.uniform(0.05, 5.0)) for e in g.edges}
+        conductance = rng.uniform(0.05, 5.0, size=g.edge_count)
         net = ConductanceNetwork(g, conductance, rng.uniform(0.001, 0.8, size=n))
         w = build_weights(net)
         md = message_digraph(g)
@@ -202,7 +202,7 @@ def test_run_mpa_past_fixed_w_matches_bincount_reference_bitwise():
     runs_past_blocks = 0
     for n, p, seed in ((9, 0.4, 11), (40, 0.12, 12), (110, 0.05, 13)):
         g = random_connected(n, p, seed)
-        conductance = {e: float(rng.uniform(0.05, 5.0)) for e in g.edges}
+        conductance = rng.uniform(0.05, 5.0, size=g.edge_count)
         w = build_weights(ConductanceNetwork(g, conductance, rng.uniform(0.001, 0.8, size=n)))
         md = message_digraph(g)
         # (w, estimates) of steps 0 .. 400
@@ -302,7 +302,7 @@ def test_kernel_rejects_a_trust_whose_quotients_overflow():
     # q_1 / trust[(1, 0)] and trust[(1, 2)] / trust[(1, 0)] overflow to inf
     path = path_graph(3)
     message = r"^edge 0-1: trust of node 1 in node 0 is 9\.62e-311, and dividing by it overflows to inf$"
-    weights = build_weights(ConductanceNetwork(path, {(0, 1): 1e-310, (1, 2): 1.0}, np.full(3, 0.04)))
+    weights = build_weights(ConductanceNetwork(path, np.array([1e-310, 1.0]), np.full(3, 0.04)))
     assert weights.arc_trust.min() > 0.0
     md = message_digraph(path)
     for call in (lambda: run_mpa(path, weights), lambda: initial_messages(md, weights)):
@@ -313,7 +313,7 @@ def test_kernel_rejects_a_trust_whose_quotients_overflow():
     with pytest.raises(ValueError, match=message):
         mpa_step(state, weights)
     # without a field at node 1 only the gather coefficient overflows
-    no_field = build_weights(ConductanceNetwork(path, {(0, 1): 1e-310, (1, 2): 1.0}, np.array([0.0, 0.0, 0.04])))
+    no_field = build_weights(ConductanceNetwork(path, np.array([1e-310, 1.0]), np.array([0.0, 0.0, 0.04])))
     assert no_field.field_trust[1] == 0.0
     with pytest.raises(ValueError, match=r"^edge 0-1: trust of node 1 in node 0 is 1e-310, and dividing"):
         run_mpa(path, no_field)
@@ -380,7 +380,7 @@ def test_run_mpa_matches_full_step_loop_bitwise():
     fixed_in_run = 0
     for n, p, seed in ((8, 0.4, 1), (25, 0.2, 2), (60, 0.08, 3), (120, 0.04, 4)):
         g = random_connected(n, p, seed)
-        conductance = {e: float(rng.uniform(0.05, 5.0)) for e in g.edges}
+        conductance = rng.uniform(0.05, 5.0, size=g.edge_count)
         net = ConductanceNetwork(g, conductance, rng.uniform(0.001, 0.8, size=n))
         ref = assert_run_matches_stepped_run(g, build_weights(net), 1e-10, 10**5)
         assert ref["converged"]

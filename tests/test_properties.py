@@ -34,8 +34,9 @@ conductances = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_i
 @st.composite
 def connected_networks(draw, max_nodes=14):
     """A connected graph (a random tree plus extra edges), listed in drawn
-    order and direction, with drawn edge and field conductances; fields
-    may be zero except at one node."""
+    order and direction, with drawn edge conductances in the order of
+    ``g.edges`` and drawn field conductances; fields may be zero except at
+    one node."""
     n = draw(st.integers(min_value=2, max_value=max_nodes))
     tree = [(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)]
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -46,7 +47,8 @@ def connected_networks(draw, max_nodes=14):
     gamma = draw(st.lists(fields, min_size=n, max_size=n))
     gamma[draw(st.integers(min_value=0, max_value=n - 1))] = draw(conductances)
     g = UndirectedGraph(n, tuple(edges))
-    return ConductanceNetwork(g, {e: draw(conductances) for e in edges}, np.array(gamma))
+    cond = draw(st.lists(conductances, min_size=g.edge_count, max_size=g.edge_count))
+    return ConductanceNetwork(g, np.array(cond), np.array(gamma))
 
 
 def neighbor_lists(g):
@@ -70,8 +72,9 @@ def build_weights_oracle(net):
     """Trust per ordered pair and field trust, each row summed from 0 in ascending neighbor order."""
     trust = {}
     field_trust = np.empty(net.node_count)
+    cond_of = dict(zip(net.graph.edges, net.edge_conductance.tolist()))
     for i, nbrs in enumerate(neighbor_lists(net.graph)):
-        cond = [net.edge_conductance[(min(i, j), max(i, j))] for j in nbrs]
+        cond = [cond_of[(min(i, j), max(i, j))] for j in nbrs]
         denom = sum(cond) + float(net.field_conductance[i])
         for j, c in zip(nbrs, cond):
             trust[(i, j)] = c / denom
@@ -83,8 +86,7 @@ def grounded_laplacian_oracle(net):
     """The grounded Laplacian by a loop over the edges in sorted order, field last."""
     n = net.node_count
     lap = np.zeros((n, n))
-    for u, v in sorted(net.edge_conductance):
-        c = net.edge_conductance[(u, v)]
+    for (u, v), c in zip(net.graph.edges, net.edge_conductance.tolist()):
         lap[u, v] -= c
         lap[v, u] -= c
         lap[u, u] += c
@@ -211,9 +213,9 @@ def test_glue_leaders_restores_the_network_its_field_edges_were_split_from(net):
     n = net.node_count
     fields = np.flatnonzero(net.field_conductance > 0.0).tolist()
     leaf_edges = {(i, n + k): float(net.field_conductance[i]) for k, i in enumerate(fields)}
-    cond = {**net.edge_conductance, **leaf_edges}
+    cond = {**dict(zip(net.graph.edges, net.edge_conductance.tolist())), **leaf_edges}
     split = UndirectedGraph(n + len(fields), tuple(cond))
-    glued = glue_leaders(split, cond, set(range(n, split.node_count)))
+    glued = glue_leaders(split, np.array([cond[e] for e in split.edges]), set(range(n, split.node_count)))
     assert glued.graph == net.graph
     assert same_bits(glued.field_conductance, net.field_conductance)
 
