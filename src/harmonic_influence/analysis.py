@@ -187,13 +187,16 @@ def run_generalized(state: GeneralizedDynamicsState, steps: int) -> GeneralizedD
 
     Under a constant alpha, once a step returns omega bitwise equal to its
     input, the later steps update eta alone through the growth rows with
-    omega folded in (``_ArcGather.fixed``); the result is bitwise that of
-    full steps.  A callable alpha may change, so it always takes them.
+    omega folded in (``_ArcGather.fixed``): the product, then the shift
+    1 + beta added in place, the shift formed once at the fold for a
+    constant beta.  The sum is that of a full step with its terms swapped,
+    and IEEE addition commutes, so the result is bitwise that of full
+    steps.  A callable alpha may change, so it always takes them.
     """
     gather = state._gather or _generalized_gather(state.d, state.r, state.s)
     alpha, beta = state.alpha, state.beta
     omega, eta, t, last_alpha = state.omega, state.eta, state.t, state._last_alpha
-    folded = None
+    folded = shift = None
     for _ in range(steps):
         alpha_t = alpha
         if callable(alpha):
@@ -202,13 +205,15 @@ def run_generalized(state: GeneralizedDynamicsState, steps: int) -> GeneralizedD
                 raise ValueError(f"alpha decreased at t={t}; the driving sequence must be non-decreasing")
         beta_t = _driving(beta(t), gather.size, f"beta(t) at t={t}", finite=True) if callable(beta) else beta
         if folded is not None:
-            eta = 1.0 + beta_t + folded @ eta
+            eta = folded @ eta
+            eta += 1.0 + beta_t if shift is None else shift
         else:
             omega_new, eta, _ = gather.step(omega, eta, alpha_t, beta_t)
             # Under a constant alpha omega_{t+1} is a function of omega_t
             # alone, so once it repeats bit for bit it never changes again.
             if not callable(alpha) and _same_bits(omega_new, omega):
                 folded = gather.fixed(omega)
+                shift = None if callable(beta) else 1.0 + beta
             omega = omega_new
         last_alpha = alpha_t
         t += 1

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 input error, 2 non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -63,7 +64,9 @@ def _add_mpa_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iter", type=int, default=_DEFAULTS.max_iter, help="step limit")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="harmonic-influence", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -159,7 +162,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     net = _network(args)
     md = message_digraph(net.graph)
     support = np.flatnonzero(net.field_conductance[md.senders()] > 0.0)
-    violating = analysis.check_convergence_hypothesis(md.to_digraph(), support)
+    violating = analysis.check_convergence_hypothesis(md.dependencies, support)
     if not violating:
         print("satisfied: every message in a nontrivial component reaches the driving support")
     else:

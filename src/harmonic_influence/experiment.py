@@ -222,7 +222,13 @@ def load_graph(path: Path | str) -> GraphFile:
         max_node = max(max_node, v)
         return v
 
-    for lineno, raw in enumerate(Path(path).read_text(encoding="ascii").splitlines(), start=1):
+    try:
+        text = Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        # The bytes before the first bad one are ASCII; number its line as splitlines would.
+        lineno = len((exc.object[: exc.start].decode("ascii") + "?").splitlines())
+        raise ValueError(f"{path}:{lineno}: expected ASCII text, got byte {exc.object[exc.start]:#04x}") from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

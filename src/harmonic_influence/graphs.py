@@ -160,15 +160,14 @@ class UndirectedGraph:
 class Digraph:
     """Directed graph; self-loops allowed, duplicate arcs rejected.  Arc k of the
     sorted ``arcs`` is (tails[k], heads[k]) of ``_ends``, set at construction;
-    a digraph built from those arrays derives ``arcs`` only when it is read."""
+    every digraph derives the ``arcs`` tuple only when it is read."""
 
     node_count: int
     arcs: tuple[Arc, ...]
 
     def __post_init__(self) -> None:
-        ends = _checked_pairs(self.node_count, self.arcs, undirected=False)
-        object.__setattr__(self, "arcs", tuple(zip(*(e.tolist() for e in ends))))
-        self.__dict__["_ends"] = ends
+        self.__dict__["_ends"] = _checked_pairs(self.node_count, self.arcs, undirected=False)
+        del self.__dict__["arcs"]
 
     @classmethod
     def _from_sorted_ends(cls, node_count: int, tails: np.ndarray, heads: np.ndarray) -> Digraph:
@@ -179,8 +178,7 @@ class Digraph:
         return d
 
     def __getattr__(self, name: str):
-        # Called only for attributes not yet set: a digraph built from its
-        # arrays derives the arcs tuple on first read.
+        # Called only for attributes not yet set: the arcs tuple is derived on first read.
         if name != "arcs" or "_ends" not in self.__dict__:
             raise AttributeError(name)
         arcs = tuple(zip(*(e.tolist() for e in self._ends)))

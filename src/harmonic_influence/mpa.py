@@ -112,19 +112,6 @@ def mpa_step(state: MessageState, weights: InfluenceWeights) -> MessageState:
     return MessageState(md=state.md, w_msgs=w_new, h_msgs=h_new, t=state.t + 1, _kernel=kernel)
 
 
-def node_influence_estimate(state: MessageState, node: int) -> float:
-    """Influence estimate a node can form from its incoming messages."""
-    md = state.md
-    if not 0 <= node < md.base.node_count:
-        raise ValueError(f"node {node} outside range")
-    # Its incoming messages are CSR row node, ascending in the sender.
-    lo, hi = md.base._csr.indptr[node : node + 2]
-    acc = 0.0
-    for p in range(lo, hi):
-        acc += state.w_msgs[p] * state.h_msgs[p]
-    return 1.0 + acc
-
-
 def influence_estimates(state: MessageState, weights: InfluenceWeights) -> np.ndarray:
     """Influence estimates of all nodes at the current step: the readouts of one step taken from it."""
     kernel = _kernel_for(state, weights)

@@ -242,6 +242,9 @@ MALFORMED_GRAPH_FILES = (
     ("0 1\n1_0 f 0.5\n", ":2: expected a node id of digits 0-9, got '1_0'$"),
     ("n +3\n0 1\n", ":1: malformed node-count line 'n \\+3'$"),
     ("n 1_0\n0 1\n", ":1: malformed node-count line 'n 1_0'$"),
+    # An Arabic-Indic digit, two bytes in UTF-8; lines end in \r alone, then in \n.
+    ("n 3\r0 1\r1 \u0661\r", ":3: expected ASCII text, got byte 0xd9$"),
+    ("n 3\n0 \u0661\n", ":2: expected ASCII text, got byte 0xd9$"),
 )
 
 
@@ -265,7 +268,7 @@ def test_load_graph_malformed_lines_name_line_number(tmp_path):
         with pytest.raises(ValueError, match=f":{line}: field conductance must be nonnegative"):
             load_graph(path)
     for text, message in MALFORMED_GRAPH_FILES:
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}{message}"):
             load_graph(path)
 
@@ -469,10 +472,10 @@ def test_cli_bad_conductances_exit_one_with_error_line(tmp_path, capsys, text, m
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("text, message", MALFORMED_GRAPH_FILES[:2])
+@pytest.mark.parametrize("text, message", MALFORMED_GRAPH_FILES[:2] + MALFORMED_GRAPH_FILES[-1:])
 def test_cli_malformed_graph_file_exits_one_with_error_line(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.edges"
-    bad.write_text(text)
+    bad.write_text(text, encoding="utf-8")
     for argv in (["exact"], ["mpa", "--out", str(tmp_path / "out")], ["check"]):
         assert cli.main(argv + [str(bad)]) == 1
         captured = capsys.readouterr()

@@ -103,6 +103,19 @@ def test_digraph_allows_self_loops_rejects_duplicates():
         Digraph(2, ((0, 1), (0, 1)))
 
 
+def test_digraph_derives_its_arcs_tuple_when_read():
+    d = Digraph(3, [(2, 1), (0, 2), (0, 1), (1, 1)])
+    assert "arcs" not in vars(d)
+    assert d.arcs == ((0, 1), (0, 2), (1, 1), (2, 1))
+    assert vars(d)["arcs"] is d.arcs
+    # Equality and hash read the arcs, whichever way the digraph was built.
+    from_pairs = Digraph(3, ((2, 1), (0, 2)))
+    from_arrays = Digraph._from_sorted_ends(3, np.array([0, 2]), np.array([2, 1]))
+    assert from_pairs == from_arrays and hash(from_pairs) == hash(from_arrays)
+    assert repr(from_pairs) == repr(from_arrays) == "Digraph(node_count=3, arcs=((0, 2), (2, 1)))"
+    assert from_pairs != Digraph(3, ((0, 2),))
+
+
 def per_arc_digraph_arcs(node_count, arcs):
     """Digraph's former per-arc checks: the sorted arcs, or the error of the first offending arc."""
     seen = set()

@@ -33,10 +33,9 @@ from harmonic_influence.mpa import (
     influence_estimates,
     initial_messages,
     mpa_step,
-    node_influence_estimate,
     run_mpa,
 )
-from test_properties import connected_networks, error_trace_oracle
+from test_properties import connected_networks, error_trace_oracle, node_influence_estimate
 
 GAMMA = 0.04
 

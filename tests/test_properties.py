@@ -23,7 +23,6 @@ from harmonic_influence.mpa import (
     influence_estimates,
     initial_messages,
     mpa_step,
-    node_influence_estimate,
     run_mpa,
 )
 from opinions import _trust_matrix
@@ -97,6 +96,16 @@ def grounded_laplacian_oracle(net):
 
 def same_bits(a, b):
     return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+def node_influence_estimate(state, node):
+    """Influence estimate a node can form from its incoming messages, by a loop over them."""
+    # Its incoming messages are CSR row node, ascending in the sender.
+    lo, hi = state.md.base._csr.indptr[node : node + 2]
+    acc = 0.0
+    for p in range(lo, hi):
+        acc += state.w_msgs[p] * state.h_msgs[p]
+    return 1.0 + acc
 
 
 @given(connected_networks())
