@@ -34,72 +34,49 @@ DrivingSequence = Union[np.ndarray, Sequence[float], Callable[[int], np.ndarray]
 
 
 class _ArcGather:
-    """The synchronous decay/growth step on a digraph's arcs, one CSC matvec a step.
+    """The synchronous decay/growth step on a digraph's arcs, as two CSC matrices.
 
     Node v gathers from every w with an arc (v, w): the growth term sums
-    omega_w * eta_w, the decay term sums coef * (1 - omega_w).  Both are
-    rows of one block-diagonal matrix built once: the unit block acts on
-    omega * eta, with the unit-weighted arcs in rows 0..size-1 and, given
+    omega_w * eta_w, the decay term sums coef * (1 - omega_w).  ``growth``
+    holds the unit-weighted arcs in rows 0..size-1 and, given
     ``receivers``, ``readouts`` rows below them, where column w has one
-    more entry at row size + receivers[w]; the decay block acts
-    on 1 - omega, with the ``coef``-weighted arcs in the last size rows.
-    One matvec a step keeps the dispatch cost, which dominates on small
-    digraphs, to one call.
+    more entry at row size + receivers[w]; ``decay`` holds the
+    ``coef``-weighted arcs.  A step is one matvec of each.
 
-    The matrix is stored by columns (CSC), built once from the arcs' CSR
-    pattern, whose transpose lists each column's tails ascending.  Its
-    matvec zeroes the output and scatters column w, in ascending w, into
-    the rows of the arcs (v, w), so row v starts at 0.0 and adds its
-    rounded products in ascending head order: the arc order, since arcs
-    come sorted by (tail, head) without duplicates.  A CSR matvec would
-    chain each row's additions; the scatter's go to different rows.
+    Both are stored by columns (CSC), built from the arcs' CSR pattern,
+    whose transpose lists each column's tails ascending.  A CSC matvec
+    zeroes the output and scatters column w, in ascending w, into the rows
+    of the arcs (v, w), so row v starts at 0.0 and adds its rounded
+    products in ascending head order: the arc order, since arcs come
+    sorted by (tail, head) without duplicates.  A CSR matvec would chain
+    each row's additions; the scatter's go to different rows.
 
-    Once omega stops changing, the decay rows give the same sums at every
-    step, and ``fixed`` folds omega into the growth and readout rows: their
-    stored entries are exactly 1.0, so ``fixed(omega) @ eta`` is bitwise
-    their sums in ``step`` without forming omega * eta.
+    Once omega stops changing, the decay sums are the same at every step,
+    and ``fixed`` folds omega into the growth matrix: its stored entries
+    are exactly 1.0, so ``fixed(omega) @ eta`` is bitwise ``growth @
+    (omega * eta)`` without forming omega * eta.
     """
 
     def __init__(self, tails: np.ndarray, heads: np.ndarray, size: int, coef: np.ndarray, receivers=(), readouts=0):
-        self.size, self.top = size, size + readouts
-        # The readout arcs (size + receivers[w], w) follow the real ones with larger tails, so the
-        # arcs stay sorted by tail; column w lists its arcs by ascending tail, readout last, with
-        # their arc numbers as data.  With the decay rows in the shape, scipy's index type holds them.
-        by_head = _csr_rows(
-            np.concatenate((tails, size + np.asarray(receivers, dtype=np.intp))),
-            np.concatenate((heads, np.arange(len(receivers)))),
-            np.arange(len(tails) + len(receivers)), (self.top + size, size),
-        ).tocsc()
-        arc, rows, indptr = by_head.data, by_head.indices, by_head.indptr.astype(np.intp)
-        decay = arc < len(tails)
-        decay_indptr = indptr - np.minimum(np.arange(size + 1), len(receivers))
-        self.matrix = scipy.sparse.csc_matrix(
-            (
-                np.concatenate((np.ones(len(arc)), coef[arc[decay]])),
-                np.concatenate((rows, rows[decay] + self.top)),
-                np.concatenate((indptr, decay_indptr[1:] + len(arc))),
-            ),
-            shape=(self.top + size, 2 * size),
-        )
+        self.size = size
+        # The readout arcs (size + receivers[w], w) follow the real ones with larger tails,
+        # so the arcs stay sorted by tail.
+        growth_tails = np.concatenate((tails, size + np.asarray(receivers, dtype=np.intp)))
+        growth_heads = np.concatenate((heads, np.arange(len(receivers))))
+        self.growth = _csr_rows(growth_tails, growth_heads, np.ones(len(growth_tails)), (size + readouts, size)).tocsc()
+        self.decay = _csr_rows(tails, heads, coef, (size, size)).tocsc()
 
     def step(self, omega: np.ndarray, eta: np.ndarray, alpha, beta) -> tuple[np.ndarray, ...]:
         """From the step-t buffers: omega and eta of step t + 1, and the readouts (1 plus each row's sum) of step t."""
-        n, top = self.size, self.top
-        stacked = np.empty(2 * n)
-        np.multiply(omega, eta, out=stacked[:n])
-        np.subtract(1.0, omega, out=stacked[n:])
-        sums = self.matrix @ stacked
-        omega_new = 1.0 / (1.0 + alpha + sums[top:])
-        eta_new = 1.0 + beta + sums[:n]
-        return omega_new, eta_new, 1.0 + sums[n:top]
+        sums = self.growth @ (omega * eta)
+        omega_new = 1.0 / (1.0 + alpha + self.decay @ (1.0 - omega))
+        return omega_new, 1.0 + beta + sums[: self.size], 1.0 + sums[self.size :]
 
     def fixed(self, omega: np.ndarray) -> scipy.sparse.csc_matrix:
-        """The growth and readout rows, the matrix's first ``size`` columns, each
-        entry multiplied by the fixed omega of its column."""
-        indptr = self.matrix.indptr[: self.size + 1]
-        end = indptr[-1]
-        scaled = self.matrix.data[:end] * np.repeat(omega, np.diff(indptr))
-        return scipy.sparse.csc_matrix((scaled, self.matrix.indices[:end], indptr), shape=(self.top, self.size))
+        """The growth matrix with each entry multiplied by the fixed omega of its column."""
+        indptr = self.growth.indptr
+        scaled = np.repeat(omega, np.diff(indptr))
+        return scipy.sparse.csc_matrix((scaled, self.growth.indices, indptr), shape=self.growth.shape)
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:

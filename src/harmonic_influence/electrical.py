@@ -216,25 +216,54 @@ def _grounded_laplacian(net: ConductanceNetwork) -> scipy.sparse.csr_matrix:
     return _csr_rows(rows[order], cols[order], values[order], (n, n))
 
 
-def _factor(m: scipy.sparse.csr_matrix, what: str) -> scipy.sparse.linalg.SuperLU:
+def _splu(m: scipy.sparse.csr_matrix) -> tuple[scipy.sparse.linalg.SuperLU, np.ndarray]:
+    """Sparse LU of the symmetric matrix m with pivots kept on the diagonal, and the pivot of each node.
+
+    The pivots are NaN if SuperLU swapped rows after all.
+    """
+    lu = scipy.sparse.linalg.splu(
+        m.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+    )
+    pivots = lu.U.diagonal()[lu.perm_c]  # pivot of node i sits at position perm_c[i]
+    return lu, pivots if np.array_equal(lu.perm_r, lu.perm_c) else np.full(len(pivots), np.nan)
+
+
+def _factor(m: scipy.sparse.csr_matrix, what: str, nodes: np.ndarray | None = None) -> scipy.sparse.linalg.SuperLU:
     """Sparse LU of the symmetric matrix m, checked positive definite.
 
     Pivots stay on the diagonal in one symmetric order, so the factors are
     an LDL^T factorization and m is positive definite exactly when every
     pivot is positive.  A pivot computed as a_kk minus up to n products
-    carries an error of about n * eps * a_kk, so one below that has
-    cancelled to rounding level and counts as nonpositive.
+    carries an error of about n * eps * a_kk, the floor, so a positive one
+    at or below it has cancelled to rounding level: m is then numerically
+    singular, and the message names the smallest such node, as
+    ``nodes[k]`` for row k when ``nodes`` is given.
+
+    SuperLU stops at an exactly zero pivot without saying where.  The
+    elimination order depends on the pattern alone, so m with the floor
+    added to its diagonal repeats it, and there the zero pivot rises to a
+    few floors while sound ones stay about 1 / (n * eps) floors up: the
+    node with the least pivot against its floor is the one named.
     """
-    try:
-        lu = scipy.sparse.linalg.splu(
-            m.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
-        )
-    except RuntimeError as exc:  # an exactly zero pivot
-        raise ArithmeticError(f"{what} is not positive definite") from exc
-    pivots = lu.U.diagonal()[lu.perm_c]  # pivot of node i sits at position perm_c[i]
     floor = m.shape[0] * np.finfo(np.float64).eps * np.abs(m.diagonal())
-    if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(pivots > floor)):
+    try:
+        lu, pivots = _splu(m)
+        low = pivots <= floor
+    except RuntimeError as exc:
+        try:
+            _, pivots = _splu(m + scipy.sparse.diags(floor))
+        except RuntimeError:
+            raise ArithmeticError(f"{what} is not positive definite") from exc
+        with np.errstate(divide="ignore"):
+            low = np.arange(len(pivots)) == np.argmin(pivots / floor)  # one node, so this branch raises
+    if not np.all(pivots > 0.0):
         raise ArithmeticError(f"{what} is not positive definite")
+    if low.any():
+        k = int(np.argmax(low))
+        raise ArithmeticError(
+            f"{what} is not positive definite to working precision: the pivot of node "
+            f"{k if nodes is None else int(nodes[k])} fell to rounding level (numerically singular)"
+        )
     return lu
 
 
@@ -276,7 +305,7 @@ def grounded_laplacian_solve(net: ConductanceNetwork, leader: int) -> np.ndarray
     keep = np.flatnonzero(np.arange(n) != leader)
     lrr = m[keep][:, keep]
     rhs = -m[leader].toarray()[0, keep]  # row leader is column leader: the conductances to the leader
-    y_r = _factor(lrr, f"grounded Laplacian with leader {leader}").solve(rhs)
+    y_r = _factor(lrr, f"grounded Laplacian with leader {leader}", keep).solve(rhs)
 
     _check_residual(lrr, y_r, rhs, (leader,))
     values = np.empty(n)

@@ -11,12 +11,13 @@ The potential messages w are a closed recursion, w_{t+1} = f(w_t), and
 settle within a few dozen steps, while the influence messages creep
 towards their limit at the rate of rho(A diag(w)), close to 1, over
 thousands.  The estimates, 1 + sum_i w_ji * h_ji at each node j, are
-readout rows of the same gather matrix, so every step, estimates
-included, is one matvec.  ``run_mpa`` watches for the first step that
-returns w bitwise equal to its input; every later w is then the same.
-The remaining steps fold w into the matrix's columns over h and check
-the residuals of ``BLOCK`` steps at a time.  The output is bitwise that
-of full steps checked one at a time.
+readout rows of the growth matrix, so a full step, estimates included,
+is two matvecs: growth over w * h and decay over 1 - w.  ``run_mpa``
+watches for the first step that returns w bitwise equal to its input;
+every later w is then the same.  The remaining steps fold w into the
+growth matrix's columns, so each is one matvec over h, and check the
+residuals of ``BLOCK`` steps at a time.  The output is bitwise that of
+full steps checked one at a time.
 
 Every per-step product is a matvec of a matrix stored by columns (CSC):
 each product goes to its own output row, so consecutive additions do
@@ -203,11 +204,11 @@ def run_mpa(
     than raised; the caller decides.  A residual that is NaN or infinite
     raises ``ArithmeticError`` at its step.
 
-    Every step is one matvec, whose readout rows give the estimates of
-    the step it starts from.  Once w is bitwise fixed, a step multiplies h
-    by the growth and readout rows with w folded in; the w term of the
-    residual is then 0.0, and the residuals are checked ``BLOCK`` steps at
-    a time.  Every output is bitwise that of full steps.
+    A full step is two matvecs, whose readout rows give the estimates of
+    the step it starts from.  Once w is bitwise fixed, a step is one
+    matvec: h times the growth and readout rows with w folded in.  The w
+    term of the residual is then 0.0, and the residuals are checked
+    ``BLOCK`` steps at a time.  Every output is bitwise that of full steps.
     With ``trace``, every step's estimates and potential messages go
     straight into the buffers that become ``h_trace`` and ``w_trace``
     (see ``_Rows``), so at the peak a run holds at most 1.25 times the

@@ -6,15 +6,17 @@ import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
 
+from harmonic_influence import mpa
 from harmonic_influence.analysis import (
     _fractional_ranks,
+    _generalized_gather,
     check_convergence_hypothesis,
     initial_generalized_state,
     run_generalized,
     spearman,
     spectral_radius_diagnostic,
 )
-from harmonic_influence.electrical import build_weights, harmonic_influence_exact, uniform_network
+from harmonic_influence.electrical import ConductanceNetwork, build_weights, harmonic_influence_exact, uniform_network
 from harmonic_influence.graphs import (
     Digraph,
     UndirectedGraph,
@@ -300,6 +302,32 @@ def test_run_generalized_past_fixed_omega_matches_bincount_reference_bitwise():
             for steps in (fixed + 1, 7, 300 - fixed - 8):
                 state = run_generalized(state, steps)
                 assert same_bits(state.omega, ref[state.t][0]) and same_bits(state.eta, ref[state.t][1])
+
+
+def test_fold_gives_the_growth_and_readout_sums_of_a_step_at_any_omega():
+    """1 + fixed(omega) @ eta is bitwise the eta and readouts of a step with beta = 0, off the fixed point too."""
+    rng = np.random.default_rng(518)
+    gathers = []
+    for n in (1, 9, 50):
+        d = random_digraph(rng, n, 3 * n, self_loops=max(1, n // 4))
+        r = rng.uniform(0.2, 5.0, size=n)
+        gathers.append(_generalized_gather(d, r, 1.0 / r))
+    for n, seed in ((2, 1), (12, 2), (40, 3)):
+        g = erdos_renyi(n, 0.3, seed)
+        while not is_connected(g):
+            seed += 100
+            g = erdos_renyi(n, 0.3, seed)
+        field = rng.uniform(0.0, 2.0, size=n) * (rng.uniform(size=n) < 0.6)
+        field[0] = 0.5
+        net = ConductanceNetwork(g, rng.uniform(0.01, 10.0, size=g.edge_count), field)
+        gathers.append(mpa._Kernel(message_digraph(g), build_weights(net)).gather)
+    for gather in gathers:
+        size = gather.size
+        for _ in range(5):
+            omega = 1.0 - rng.uniform(size=size)  # in (0, 1]
+            eta = rng.uniform(1.0, 100.0, size=size)
+            _, eta_next, readouts = gather.step(omega, eta, rng.uniform(0.0, 1.0, size=size), 0.0)
+            assert same_bits(1.0 + gather.fixed(omega) @ eta, np.concatenate((eta_next, readouts)))
 
 
 def test_run_generalized_callable_alpha_takes_full_steps():

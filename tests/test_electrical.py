@@ -1,5 +1,6 @@
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -332,6 +333,45 @@ def test_closed_form_checks_raise_arithmetic_error(monkeypatch):
                     exact_form()
 
 
+def test_per_leader_solve_names_the_cancelled_pivot_by_node():
+    # Conductance 1e308 on edge 1-2 swamps the rest of nodes 1 and 2: with
+    # leader 0 grounded the pivot of node 1, row 0 of M_RR, cancels.
+    net = ConductanceNetwork(UndirectedGraph(3, ((0, 1), (1, 2))), np.array([1.0, 1e308]), np.full(3, GAMMA))
+    with pytest.raises(ArithmeticError, match=r"leader 0 is not positive definite to working precision: "
+                       r"the pivot of node 1 fell to rounding level \(numerically singular\)$"):
+        grounded_laplacian_solve(net, 0)
+
+
+def mpmath_influence(g, gamma):
+    """H(l) = (X 1)_l / X_ll with X = (L + gamma I)^-1 inverted at 60 digits, for unit conductances."""
+    n = g.node_count
+    with mpmath.workdps(60):
+        m = mpmath.zeros(n, n)
+        for i, j in g.edges:
+            m[i, j] -= 1
+            m[j, i] -= 1
+            m[i, i] += 1
+            m[j, j] += 1
+        for i in range(n):
+            m[i, i] += mpmath.mpf(gamma)
+        x = m**-1
+        return np.array([float(sum(x[k, l] for k in range(n)) / x[l, l]) for l in range(n)])
+
+
+def test_exact_influence_across_gamma_against_a_60_digit_oracle():
+    graphs = experiment.generate_graphs(experiment.ExperimentConfig(n=30, p=1 / 3, extra_edges=3, seed=3))[0]
+    for name in ("spanning_tree", "erdos_renyi"):
+        g = graphs[name]
+        for gamma in (0.04, 1e-8, 1e-14):
+            expected = mpmath_influence(g, gamma)
+            got = harmonic_influence_exact(uniform_network(g, gamma))
+            assert np.max(np.abs(got - expected) / expected) <= 1e-13, (name, gamma)
+        # gamma vanishes in the diagonal sums: the stored M is singular
+        for gamma in (1e-17, 1e-300):
+            with pytest.raises(ArithmeticError, match=r"the pivot of node \d+ fell to rounding level"):
+                harmonic_influence_exact(uniform_network(g, gamma))
+
+
 def test_solve_leader_out_of_range():
     with pytest.raises(ValueError):
         grounded_laplacian_solve(two_node_network(), leader=5)
@@ -406,7 +446,7 @@ def test_exact_results_are_cached_per_network(monkeypatch):
 
     calls = []
     factor = electrical._factor
-    monkeypatch.setattr(electrical, "_factor", lambda m, what: calls.append(what) or factor(m, what))
+    monkeypatch.setattr(electrical, "_factor", lambda m, what, *nodes: calls.append(what) or factor(m, what, *nodes))
     net = random_network(20, 0.2, seed=5)
     md = message_digraph(net.graph)
     grounded_laplacian_solve(net, 0)  # the per-leader reference neither reads nor fills the cache

@@ -472,6 +472,15 @@ def test_cli_bad_conductances_exit_one_with_error_line(tmp_path, capsys, text, m
     assert captured.out == ""
 
 
+def test_cli_gamma_below_rounding_level_names_the_pivot_node(tmp_path, capsys):
+    # gamma = 1e-17 rounds away in every diagonal sum degree + gamma: M is stored singular
+    argv = ["experiment", "--n", "6", "--p", "1", "--extra-edges", "2", "--gamma", "1e-17", "--out", str(tmp_path)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert re.fullmatch(r"error: .* the pivot of node \d+ fell to rounding level \(numerically singular\)\n", captured.err)
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("text, message", MALFORMED_GRAPH_FILES[:2] + MALFORMED_GRAPH_FILES[-1:])
 def test_cli_malformed_graph_file_exits_one_with_error_line(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.edges"

@@ -605,8 +605,8 @@ def traced_peak(fn):
 
 def test_traced_run_holds_its_trace_once():
     g, w = er_run_inputs(300, 3)
-    matrix = mpa._Kernel(message_digraph(g), w).gather.matrix
-    kernel_bytes = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+    gather = mpa._Kernel(message_digraph(g), w).gather
+    kernel_bytes = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in (gather.growth, gather.decay))
     result, peak = traced_peak(lambda: run_mpa(g, w, trace=True))
     assert result.iterations > 5000
     # the trace is held once, with at most a quarter of it as growth slack
