@@ -15,9 +15,12 @@ readout rows of the growth matrix, so a full step, estimates included,
 is two matvecs: growth over w * h and decay over 1 - w.  ``run_mpa``
 watches for the first step that returns w bitwise equal to its input;
 every later w is then the same.  The remaining steps fold w into the
-growth matrix's columns, so each is one matvec over h, and check the
-residuals of ``BLOCK`` steps at a time.  The output is bitwise that of
-full steps checked one at a time.
+growth matrix's columns, so each is one matvec over h.  One loop runs
+both kinds: each pass takes one full step, or up to ``BLOCK`` folded
+steps, into a scratch block of estimate rows, and one scan of the pass's
+residuals numbers the steps, raises at the first that is not finite and
+stops at the first within tolerance.  The output is bitwise that of full
+steps checked one at a time.
 
 Every per-step product is a matvec of a matrix stored by columns (CSC):
 each product goes to its own output row, so consecutive additions do
@@ -181,14 +184,6 @@ class _Rows:
         return self._buf
 
 
-def _finite(residuals: list[float], first_step: int) -> list[float]:
-    """The residuals of steps first_step, first_step + 1, ...; raises at the first NaN or infinite one."""
-    for k, r in enumerate(residuals):
-        if not math.isfinite(r):
-            raise ArithmeticError(f"message passing residual is {r} at step {first_step + k}: overflow or 0/0")
-    return residuals
-
-
 def run_mpa(
     g: UndirectedGraph,
     weights: InfluenceWeights,
@@ -206,9 +201,10 @@ def run_mpa(
 
     A full step is two matvecs, whose readout rows give the estimates of
     the step it starts from.  Once w is bitwise fixed, a step is one
-    matvec: h times the growth and readout rows with w folded in.  The w
-    term of the residual is then 0.0, and the residuals are checked
-    ``BLOCK`` steps at a time.  Every output is bitwise that of full steps.
+    matvec: h times the growth and readout rows with w folded in, and a
+    pass of the loop takes up to ``BLOCK`` of them where it took one full
+    step.  One scan checks the residuals of each pass; their w term is
+    0.0 once w is folded.  Every output is bitwise that of full steps.
     With ``trace``, every step's estimates and potential messages go
     straight into the buffers that become ``h_trace`` and ``w_trace``
     (see ``_Rows``), so at the peak a run holds at most 1.25 times the
@@ -227,57 +223,52 @@ def run_mpa(
         raise ValueError("max_iter must be positive")
 
     state = initial_messages(md, weights)
-    kernel = state._kernel
+    kernel, m = state._kernel, md.size
     # h runs one step ahead of the estimates: the product from step t gives
-    # w and h of step t + 1 and the estimates of step t.
+    # w and h of step t + 1 and the estimates of step t.  One scratch block
+    # holds the estimates of a pass's steps below those of the step before
+    # them, in row 0.
+    block = np.empty((BLOCK + 1, g.node_count))
     w = state.w_msgs
-    w_next, h, est = kernel.gather.step(w, state.h_msgs, kernel.alpha, 0.0)
-    w_rows, h_rows = (_Rows(w), _Rows(est)) if trace else (None, None)
+    w_next, h, block[0] = kernel.gather.step(w, state.h_msgs, kernel.alpha, 0.0)
+    w_rows, h_rows = (_Rows(w), _Rows(block[0])) if trace else (None, None)
     residuals = []
 
     converged, steps, w_fixed_step = False, 0, None
     while steps < max_iter and not converged:
-        if trace:
-            w_rows.add(w_next)
-        if _same_bits(w_next, w):
-            w_fixed_step = steps + 1
-            break
-        w_after, h, est_next = kernel.gather.step(w_next, h, kernel.alpha, 0.0)
-        residuals += _finite([float(np.abs(w_next - w).sum() + np.abs(est_next - est).sum())], steps + 1)
-        steps += 1
-        w, w_next, est = w_next, w_after, est_next
-        if trace:
-            h_rows.add(est)
-        converged = residuals[-1] <= tol
-
-    if w_fixed_step is not None:
-        # y = folded @ h_t + 1 holds h_{t+1} over the messages and the
-        # estimates at step t below them.  One scratch block serves every
-        # BLOCK steps; its row 0 holds the estimates of the step before them.
-        folded, m = kernel.gather.fixed(w), md.size
-        block = np.empty((BLOCK + 1, len(est)))
-        block[0] = est
-        while steps < max_iter and not converged:
-            rows = block[: min(BLOCK, max_iter - steps) + 1]
+        if w_fixed_step is None:
+            if trace:
+                w_rows.add(w_next)
+            if _same_bits(w_next, w):
+                w_fixed_step, folded = steps + 1, kernel.gather.fixed(w)
+        if w_fixed_step is None:
+            # One full step: rows 0-1 hold the estimates before and after it.
+            rows, w_change = block[:2], np.abs(w_next - w).sum()
+            w, (w_next, h, rows[1]) = w_next, kernel.gather.step(w_next, h, kernel.alpha, 0.0)
+        else:
+            # Up to BLOCK steps with w folded in: y = folded @ h_t + 1 holds
+            # h_{t+1} over the messages and the estimates at step t below them.
+            rows, w_change = block[: min(BLOCK, max_iter - steps) + 1], 0.0
             for row in rows[1:]:
                 y = folded @ h
                 y += 1.0
                 h, row[:] = y[:m], y[m:]
-            # Row-wise sums are bitwise the per-step 1-D sums; steps after the first within tol are discarded.
-            block_residuals = np.abs(rows[1:] - rows[:-1]).sum(axis=1)
-            hits = np.flatnonzero(block_residuals <= tol)
-            converged = len(hits) > 0
-            done = int(hits[0]) + 1 if converged else len(block_residuals)
-            residuals += _finite(block_residuals[:done].tolist(), steps + 1)
-            steps += done
-            if trace:
-                h_rows.add(rows[1 : done + 1])
-            block[0] = rows[done]
-        est = block[0].copy()
+        # Row-wise sums are bitwise the per-step 1-D sums; steps after the first within tol are discarded.
+        for done, r in enumerate((w_change + np.abs(rows[1:] - rows[:-1]).sum(axis=1)).tolist(), 1):
+            if not math.isfinite(r):
+                raise ArithmeticError(f"message passing residual is {r} at step {steps + done}: overflow or 0/0")
+            residuals.append(r)
+            if r <= tol:
+                converged = True
+                break
+        steps += done
+        if trace:
+            h_rows.add(rows[1 : done + 1])
+        block[0] = rows[done]
 
     return MpaResult(
         md=md,
-        h_estimates=_read_only(est),
+        h_estimates=_read_only(block[0].copy()),
         w_limits=_read_only(w),
         iterations=steps,
         converged=converged,

@@ -242,6 +242,9 @@ MALFORMED_GRAPH_FILES = (
     ("0 1\n1_0 f 0.5\n", ":2: expected a node id of digits 0-9, got '1_0'$"),
     ("n +3\n0 1\n", ":1: malformed node-count line 'n \\+3'$"),
     ("n 1_0\n0 1\n", ":1: malformed node-count line 'n 1_0'$"),
+    ("n 3\n0 1\n1 0\n", ":3: duplicate edge 1-0$"),
+    ("n 3\nf 1 0.5\n", ":2: field lines must name the node first$"),
+    ("# nothing\n\n", ": no nodes declared$"),
     # An Arabic-Indic digit, two bytes in UTF-8; lines end in \r alone, then in \n.
     ("n 3\r0 1\r1 \u0661\r", ":3: expected ASCII text, got byte 0xd9$"),
     ("n 3\n0 \u0661\n", ":2: expected ASCII text, got byte 0xd9$"),
@@ -409,6 +412,36 @@ def test_cli_experiment_smoke(tmp_path, capsys):
     assert rc == 0
     assert (out / "report.json").exists()
     assert "spanning_tree" in capsys.readouterr().out
+
+
+def test_cli_experiment_not_converged_exits_two(tmp_path, capsys):
+    # gamma = 1e-9: the tree's messages fix, but on the cyclic graphs h contracts too slowly to settle
+    argv = ["experiment", "--n", "6", "--p", "1", "--extra-edges", "2", "--gamma", "1e-9",
+            "--max-iter", "3000", "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "warning: at least one run did not converge\n"
+    runs = json.loads((tmp_path / "report.json").read_text())["graphs"]
+    assert runs["spanning_tree"]["converged"]
+    for name in ("few_extra_edges", "erdos_renyi"):
+        assert not runs[name]["converged"] and runs[name]["iterations"] == 3000
+
+
+def test_cli_experiment_without_connected_graph_exits_one(tmp_path, capsys):
+    assert cli.main(["experiment", "--n", "5", "--p", "0", "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: no connected Erdos-Renyi graph found in 100 attempts from seed 0\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_mpa_disconnected_graph_exits_one(tmp_path, capsys):
+    two = tmp_path / "two.edges"
+    two.write_text("0 1\n2 3\n0 f 1\n2 f 1\n")
+    assert cli.main(["mpa", str(two), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: message passing requires a connected graph\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_check_verdict(tmp_path, capsys):

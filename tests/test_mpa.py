@@ -28,7 +28,6 @@ from harmonic_influence.graphs import (
 from harmonic_influence.mpa import (
     BLOCK,
     ERROR_CHUNK,
-    _finite,
     error_trace,
     influence_estimates,
     initial_messages,
@@ -284,8 +283,6 @@ def test_run_raises_at_first_non_finite_residual(monkeypatch):
         m.setattr(mpa, "_Kernel", NanAlphaKernel)
         with pytest.raises(ArithmeticError, match="residual is nan at step 1:"):
             run_mpa(path, build_weights(uniform_network(path, GAMMA)))
-    with pytest.raises(ArithmeticError, match="residual is nan at step 8:"):
-        _finite([0.5, float("nan"), float("inf")], 7)
     # no field trust on K4: w is fixed at 1 from step 1 and h doubles each
     # step until it overflows inside a block of the fixed-w phase
     k4 = UndirectedGraph(4, tuple((i, j) for i in range(4) for j in range(i + 1, 4)))
@@ -397,6 +394,12 @@ def test_run_mpa_matches_full_step_loop_bitwise():
             assert ref["iterations"] > last
             exact_stop = assert_run_matches_stepped_run(g, build_weights(net), ref["residuals"][last - 1], 10**5)
             assert exact_stop["converged"] and exact_stop["iterations"] == last
+            # a tol that the run meets while w still moves
+            tol = ref["residuals"][fixed - 3]
+            early_stop = assert_run_matches_stepped_run(g, build_weights(net), tol, 10**5)
+            first = 1 + int(np.argmax(ref["residuals"] <= tol))
+            assert early_stop["converged"] and early_stop["iterations"] == first < fixed
+            assert early_stop["w_fixed_step"] is None
     assert fixed_in_run >= 3
 
 

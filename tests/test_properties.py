@@ -1,13 +1,14 @@
 """Property tests on drawn connected networks: the array forms of the
 graph, message and weight code against the plain Python loops they
 replaced, the exact layer against per-leader and dense solves, leader
-gluing against the network it collapses, and the one-sided bound of
-message passing."""
+gluing against the network it collapses, the one-sided bound of
+message passing, and the verdict of the ``check`` command."""
 
 import numpy as np
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from harmonic_influence.analysis import check_convergence_hypothesis
 from harmonic_influence.electrical import (
     ConductanceNetwork,
     _grounded_laplacian,
@@ -262,3 +263,28 @@ def test_mpa_bounds_exact_values_one_sided_and_is_exact_on_trees(net):
         assume(result.converged)
         assert np.all(result.h_estimates >= exact * (1.0 - rtol))
         assert np.all(result.w_limits <= w_exact * (1.0 + rtol))
+
+
+def check_verdict(net):
+    """The messages that ``harmonic-influence check`` reports as violating, computed as it does."""
+    md = message_digraph(net.graph)
+    support = np.flatnonzero(net.field_conductance[md.senders()] > 0.0)
+    return check_convergence_hypothesis(md.dependencies, support)
+
+
+@given(connected_networks(), st.integers(min_value=0, max_value=13))
+def test_check_is_satisfied_on_every_network_with_one_fed_node(net, fed):
+    # A network is accepted only if every component has a fed node, and a
+    # non-backtracking walk from any message on a cycle can leave the cycle
+    # along a shortest path to that node: ``check`` can only say "satisfied".
+    field = np.zeros(net.node_count)
+    field[fed % net.node_count] = 1.0
+    assert check_verdict(ConductanceNetwork(net.graph, net.edge_conductance, field)) == frozenset()
+
+
+def test_check_is_satisfied_on_a_disconnected_network_fed_once_per_component():
+    # a triangle and a square with a chord, fed at node 0 and node 6
+    g = UndirectedGraph(7, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6), (3, 5)))
+    field = np.zeros(7)
+    field[[0, 6]] = 1.0
+    assert check_verdict(ConductanceNetwork(g, np.ones(g.edge_count), field)) == frozenset()
