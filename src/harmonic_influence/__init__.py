@@ -15,7 +15,6 @@ from .electrical import (
     InfluenceWeights,
     build_weights,
     exact_message_potentials,
-    glue_leaders,
     grounded_laplacian_solve,
     harmonic_influence_exact,
     uniform_network,
@@ -48,9 +47,7 @@ from .mpa import (
     MessageState,
     MpaResult,
     error_trace,
-    influence_estimates,
     initial_messages,
-    mpa_step,
     run_mpa,
 )
 

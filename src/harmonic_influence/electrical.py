@@ -187,10 +187,8 @@ class InfluenceWeights:
 
 def build_weights(net: ConductanceNetwork) -> InfluenceWeights:
     """Normalize conductances into trust weights, row by row; a trust that underflows to 0 is rejected."""
-    g = net.graph
-    denom = net._totals
-    if not np.all(denom > 0.0):
-        raise ValueError(f"node {np.argmin(denom > 0.0)} is isolated: zero total conductance")
+    # Every total is positive: edge conductances are, and a node without an edge is fed.
+    g, denom = net.graph, net._totals
     arc_trust = _read_only(net.arc_conductance / denom[g._rows])
     if not arc_trust.all():
         p = np.flatnonzero(arc_trust == 0.0)[0]
@@ -335,42 +333,3 @@ def exact_message_potentials(net: ConductanceNetwork, md: MessageDigraph) -> np.
     if md.base != net.graph:
         raise ValueError("network and message digraph cover different graphs")
     return net._exact[1]
-
-
-def glue_leaders(
-    g: UndirectedGraph,
-    edge_conductance: np.ndarray,
-    zero_leader_set: Sequence[int] | set[int],
-) -> ConductanceNetwork:
-    """Collapse a set of leaf nodes with fixed zero opinion into the field.
-
-    Every member of ``zero_leader_set`` must be a leaf; its single edge
-    becomes a field edge of the surviving neighbor, and parallel field
-    edges are merged by summing conductances.  ``edge_conductance`` is in
-    the order of ``g.edges``, as in ``ConductanceNetwork``.  Surviving nodes
-    are renumbered densely in ascending original order.
-    """
-    leaders = set(int(v) for v in zero_leader_set)
-    if not leaders:
-        raise ValueError("zero_leader_set must be nonempty")
-    for v in leaders:
-        if not 0 <= v < g.node_count:
-            raise ValueError(f"leader {v} outside node range")
-        if g.degree(v) != 1:
-            raise ValueError(f"zero-opinion leader {v} is not a leaf (degree {g.degree(v)})")
-    cond = _checked_edge_conductance(g, edge_conductance)
-
-    survivors = g.node_count - len(leaders)
-    if not survivors:
-        raise ValueError("all nodes are zero-opinion leaders; nothing survives")
-    is_leader = np.zeros(g.node_count, dtype=bool)
-    is_leader[list(leaders)] = True
-    new_id = np.cumsum(~is_leader) - 1  # ascending, so kept edges stay sorted
-
-    u, v = g._ends
-    kept = ~is_leader[u] & ~is_leader[v]
-    glued = is_leader[u] != is_leader[v]  # an edge between two leaders collapses into the field node
-    # bincount adds in edge order from 0.0, so each survivor's glued leaves sum in ascending order.
-    gamma = np.bincount(new_id[np.where(is_leader[u], v, u)[glued]], weights=cond[glued], minlength=survivors)
-    new_graph = UndirectedGraph(survivors, np.column_stack((new_id[u[kept]], new_id[v[kept]])))
-    return ConductanceNetwork(graph=new_graph, edge_conductance=cond[kept], field_conductance=gamma)

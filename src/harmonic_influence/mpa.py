@@ -104,24 +104,6 @@ def initial_messages(md: MessageDigraph, weights: InfluenceWeights) -> MessageSt
     return MessageState(md=md, w_msgs=w, h_msgs=h, t=0, _kernel=_Kernel(md, weights))
 
 
-def _kernel_for(state: MessageState, weights: InfluenceWeights) -> _Kernel:
-    k = state._kernel
-    return k if k is not None and k.weights is weights else _Kernel(state.md, weights)
-
-
-def mpa_step(state: MessageState, weights: InfluenceWeights) -> MessageState:
-    """One synchronous update of every message."""
-    kernel = _kernel_for(state, weights)
-    w_new, h_new, _ = map(_read_only, kernel.gather.step(state.w_msgs, state.h_msgs, kernel.alpha, 0.0))
-    return MessageState(md=state.md, w_msgs=w_new, h_msgs=h_new, t=state.t + 1, _kernel=kernel)
-
-
-def influence_estimates(state: MessageState, weights: InfluenceWeights) -> np.ndarray:
-    """Influence estimates of all nodes at the current step: the readouts of one step taken from it."""
-    kernel = _kernel_for(state, weights)
-    return kernel.gather.step(state.w_msgs, state.h_msgs, kernel.alpha, 0.0)[2]
-
-
 @dataclass(frozen=True)
 class MpaResult:
     """Outcome of a full message passing run.

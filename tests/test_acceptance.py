@@ -39,8 +39,9 @@ from harmonic_influence.graphs import (
     message_digraph,
     spanning_tree,
 )
-from harmonic_influence.mpa import initial_messages, mpa_step, run_mpa
+from harmonic_influence.mpa import initial_messages, run_mpa
 from opinions import initial_state, simulate_to_fixed_point
+from stepping import mpa_step
 
 GAMMA = 0.04
 PIPELINE_SEEDS = range(20)

@@ -25,7 +25,8 @@ from harmonic_influence.graphs import (
     is_connected,
     message_digraph,
 )
-from harmonic_influence.mpa import initial_messages, mpa_step, run_mpa
+from harmonic_influence.mpa import initial_messages, run_mpa
+from stepping import mpa_step
 
 
 def constant_state(d, alpha, beta=None):
@@ -495,6 +496,18 @@ def test_spectral_radius_rejects_bad_omega():
         spectral_radius_diagnostic(d, np.array([0.5, 0.0, 0.5]))
     with pytest.raises(ValueError):
         spectral_radius_diagnostic(d, np.array([0.5, 1.5, 0.5]))
+    with pytest.raises(ValueError, match="^omega must have one entry per digraph node$"):
+        spectral_radius_diagnostic(d, np.ones(4))
+
+
+def test_spectral_radius_raises_when_power_iteration_stalls():
+    # Two disjoint 2-cycles with radii 0.5 and 0.5001: the dominant pair of
+    # eigenvalues of the shifted matrix is too close for the iteration to
+    # separate within its step cap, although each cycle alone converges.
+    two_cycles = Digraph(4, ((0, 1), (1, 0), (2, 3), (3, 2)))
+    with pytest.raises(ArithmeticError, match=r"^power iteration did not converge in 10000 steps; last estimate"):
+        spectral_radius_diagnostic(two_cycles, [0.5, 0.5, 0.5001, 0.5001])
+    assert spectral_radius_diagnostic(two_cycles, [0.5, 0.5, 0.51, 0.51]) == pytest.approx(0.51, abs=1e-9)
 
 
 @pytest.mark.parametrize("omega", [[np.nan, 0.5], [0.5, np.nan], [np.inf, 0.5], [-np.inf, 0.5]])
@@ -510,6 +523,8 @@ def test_spectral_radius_rejects_non_finite_omega_before_iterating(omega):
     ([np.inf, 1.0], [0.5, 1.0], [0.0, 0.0], "r and s must be finite"),
     ([1.0, 1.0], [1.0, 1.0], [np.nan, 0.0], "beta must be finite"),
     ([1.0, 1.0], [1.0, 1.0], [0.0, np.inf], "beta must be finite"),
+    ([1.0], [1.0, 1.0], [0.0, 0.0], "r and s must have one entry per digraph node"),
+    ([-1.0, -1.0], [-1.0, -1.0], [0.0, 0.0], "r and s must be positive"),
 ])
 def test_generalized_state_rejects_non_finite_inputs(r, s, beta, message):
     d = Digraph(2, ((0, 1), (1, 0)))

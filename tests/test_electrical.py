@@ -11,7 +11,6 @@ from harmonic_influence.electrical import (
     InfluenceWeights,
     build_weights,
     exact_message_potentials,
-    glue_leaders,
     grounded_laplacian_solve,
     harmonic_influence_exact,
     uniform_network,
@@ -61,10 +60,6 @@ def test_network_rejects_nonpositive_edge_conductance():
     for bad in (0.0, -0.0, -1.5):
         with pytest.raises(ValueError, match=rf"^conductance of edge 1-2 must be positive and finite, got {bad}$"):
             ConductanceNetwork(g, np.array([1.0, bad, -1.0]), np.full(4, 0.1))
-        for glue in (lambda cond: glue_leaders(g, cond, {0}), lambda cond: glue_leaders(g, cond, {1})):
-            # a glued edge is checked like a kept one
-            with pytest.raises(ValueError, match=r"^conductance of edge 0-3 must be positive"):
-                glue(np.array([bad, 1.0, 1.0]))
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -83,8 +78,8 @@ def test_network_rejects_missing_or_extra_conductances():
         message = rf"^edge_conductance must have one entry per edge, shape \(2,\), got {shape}$"
         with pytest.raises(ValueError, match=message):
             ConductanceNetwork(g, cond, np.full(3, 0.1))
-        with pytest.raises(ValueError, match=message):
-            glue_leaders(g, cond, {0})
+    with pytest.raises(ValueError, match="^field_conductance must have one entry per node$"):
+        ConductanceNetwork(UndirectedGraph(2, ((0, 1),)), np.ones(1), np.ones(3))
     # an array in the order of g.edges; a list of floats is read the same way
     net = ConductanceNetwork(g, [2.0, 3.0], np.full(3, 0.1))
     assert net.edge_conductance.tolist() == [2.0, 3.0] and not net.edge_conductance.flags.writeable
@@ -511,112 +506,3 @@ def test_exact_message_potentials_match_per_leader_solves():
     w_star = exact_message_potentials(net, md)
     for idx, (j, i) in enumerate(md.arc_nodes):
         assert w_star[idx] == pytest.approx(grounded_laplacian_solve(net, j)[i], rel=1e-12, abs=0)
-
-
-# ---------------------------------------------------------------------------
-# glue_leaders
-# ---------------------------------------------------------------------------
-
-def fig_style_graph():
-    # nodes 0..6; 0, 5, 6 are leaf leaders with fixed zero opinion
-    edges = ((0, 1), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (4, 6))
-    cond = np.array([0.7, 1.1, 0.9, 1.3, 0.8, 0.6, 0.5])
-    return UndirectedGraph(7, edges), cond
-
-
-def test_glue_parallel_field_edges_sum():
-    g, cond = fig_style_graph()
-    net = glue_leaders(g, cond, {0, 5, 6})
-    # survivors 1,2,3,4 renumbered 0,1,2,3
-    assert net.node_count == 4
-    assert net.field_conductance[0] == pytest.approx(0.7)   # old node 1
-    assert net.field_conductance[3] == pytest.approx(0.6 + 0.5)  # old node 4
-    assert net.graph.edges == ((0, 1), (0, 2), (1, 2), (2, 3))
-    assert net.edge_conductance.tolist() == [1.1, 0.9, 1.3, 0.8]
-
-
-def test_glue_single_leaf():
-    g = path_graph(3)
-    net = glue_leaders(g, np.array([2.5, 1.0]), {2})
-    assert net.node_count == 2
-    assert net.field_conductance[1] == pytest.approx(1.0)
-    assert net.field_conductance[0] == 0.0
-    assert net.edge_conductance.tolist() == [2.5]
-
-
-def glue_field_oracle(g, cond, leaders):
-    """The field of every survivor by a loop over the edges in sorted order, each from 0.0."""
-    survivors = [v for v in range(g.node_count) if v not in leaders]
-    new_id = {v: k for k, v in enumerate(survivors)}
-    gamma = np.zeros(len(survivors))
-    for (u, v), c in sorted(zip(g.edges, cond.tolist())):
-        if (u in leaders) != (v in leaders):
-            gamma[new_id[v if u in leaders else u]] += c
-    return gamma
-
-
-def test_glue_field_sums_match_the_sorted_loop():
-    # the center 0 keeps leaf 4 and takes the field edges of leaves 1, 2, 3
-    g = UndirectedGraph(5, ((0, 4), (3, 0), (0, 2), (1, 0)))
-    field = glue_leaders(g, np.array([0.1, 0.2, 0.3, 1.0]), {1, 2, 3}).field_conductance
-    assert field[0] == 0.0 + 0.1 + 0.2 + 0.3  # ascending leaf order
-    # random trees whose leaves, leaders or not, hang in bunches off a few survivors
-    rng = np.random.default_rng(5)
-    checked = 0
-    for n in (6, 20, 60, 200):
-        for _ in range(5):
-            g = UndirectedGraph(n, tuple((int(rng.integers(max(1, v // 4))), v) for v in range(1, n)))
-            leaves = [v for v in range(n) if g.degree(v) == 1]
-            leaders = {v for v in leaves if rng.random() < 0.7} or {leaves[0]}
-            if len(leaders) == n:
-                continue
-            cond = np.exp(rng.normal(0.0, 3.0, g.edge_count))
-            glued = glue_leaders(g, cond, leaders)
-            assert glued.field_conductance.tobytes() == glue_field_oracle(g, cond, leaders).tobytes()
-            checked += 1
-    assert checked >= 15, checked
-
-
-def test_glue_rejects_non_leaf():
-    g, cond = fig_style_graph()
-    with pytest.raises(ValueError, match="not a leaf"):
-        glue_leaders(g, cond, {3})
-    with pytest.raises(ValueError):
-        glue_leaders(g, cond, set())
-
-
-def split_field(net):
-    """Reverse of gluing: one fresh leaf leader per field edge."""
-    n = net.node_count
-    edges = list(net.graph.edges)
-    cond = dict(zip(edges, net.edge_conductance.tolist()))
-    leaders = []
-    nxt = n
-    for i in range(n):
-        c = float(net.field_conductance[i])
-        if c > 0.0:
-            edges.append((i, nxt))
-            cond[(i, nxt)] = c
-            leaders.append(nxt)
-            nxt += 1
-    g = UndirectedGraph(nxt, tuple(edges))
-    return g, np.array([cond[e] for e in g.edges]), set(leaders)
-
-
-def test_glue_round_trip_preserves_potentials_and_influence():
-    for seed in range(4):
-        net = random_network(12, 0.25, seed=210 + seed)
-        expanded_graph, expanded_cond, leaders = split_field(net)
-        glued = glue_leaders(expanded_graph, expanded_cond, leaders)
-        # surviving nodes keep their original ids: leaders were appended last
-        assert glued.graph.edges == net.graph.edges
-        assert np.allclose(glued.field_conductance, net.field_conductance)
-        for leader in (0, 5):
-            a = grounded_laplacian_solve(net, leader)
-            b = grounded_laplacian_solve(glued, leader)
-            assert np.allclose(a, b, atol=1e-12)
-        assert np.allclose(
-            harmonic_influence_exact(net),
-            harmonic_influence_exact(glued),
-            atol=1e-11,
-        )

@@ -24,6 +24,7 @@ from harmonic_influence.graphs import UndirectedGraph, erdos_renyi
 from harmonic_influence.mpa import DEFAULT_MAX_ITER, DEFAULT_TOL, error_trace, run_mpa
 
 SMALL_CFG = dict(n=16, p=0.25, extra_edges=3, gamma=0.04, seed=7)
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +130,15 @@ def test_report_json_summary(tmp_path):
     for name, run in report.graphs.items():
         assert data["graphs"][name]["edge_count"] == run.edge_count
         assert data["graphs"][name]["iterations"] == run.iterations
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    # The python block under "## Library example", run as written; it writes out/.
+    section = README.read_text(encoding="utf-8").split("\n## Library example\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, f"{README}: Library example", "exec"), {})
+    assert (tmp_path / "out" / "report.json").exists()
 
 
 def test_trace_csv_thinning(tmp_path):

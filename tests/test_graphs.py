@@ -1,3 +1,5 @@
+import copy
+import pickle
 import tracemalloc
 from collections import deque
 
@@ -83,6 +85,13 @@ def test_graph_rejects_self_loops_and_duplicates():
     (lambda: UndirectedGraph(3, ((0, 1), (1, 2.0), (0, 0))), r"^edge \(1, 2\.0\) has a node id that is not an integer$"),
     (lambda: Digraph(3, ((0, 5), (0.5, 1), (0, 1, 2))), r"^arc 0->5 outside node range$"),
     (lambda: Digraph(3, ((0, 1), (np.float64(0.0), 1))), r"^arc \(np\.float64\(0\.0\), 1\) has a node id"),
+    # the node counts and the builders that start from them
+    (lambda: UndirectedGraph(0, ()), r"^node_count must be >= 1$"),
+    (lambda: erdos_renyi(0, 0.5, 1), r"^n must be >= 1$"),
+    (lambda: erdos_renyi(3, 1.5, 1), r"^p must lie in \[0, 1\]$"),
+    (lambda: add_extra_edges(path_graph(3), path_graph(4), 0, 1), r"^tree and pool must share the same node set$"),
+    (lambda: add_extra_edges(path_graph(3), UndirectedGraph(3, ((0, 1), (0, 2))), 0, 1),
+     r"^tree edges must be a subset of pool edges$"),
 ])
 def test_graphs_reject_pairs_of_the_wrong_length(build, message):
     with pytest.raises(ValueError, match=message):
@@ -114,6 +123,13 @@ def test_digraph_derives_its_arcs_tuple_when_read():
     assert from_pairs == from_arrays and hash(from_pairs) == hash(from_arrays)
     assert repr(from_pairs) == repr(from_arrays) == "Digraph(node_count=3, arcs=((0, 2), (2, 1)))"
     assert from_pairs != Digraph(3, ((0, 2),))
+    # Any other missing attribute is reported missing: copy and pickle look
+    # up hooks such as __deepcopy__ and __setstate__, the latter on an
+    # instance whose __dict__ is still empty.
+    d = Digraph(3, [(2, 1), (0, 2)])
+    assert not hasattr(d, "missing")
+    for twin in (copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+        assert twin == d and twin.arcs == ((0, 2), (2, 1))
 
 
 def per_arc_digraph_arcs(node_count, arcs):

@@ -25,16 +25,9 @@ from harmonic_influence.graphs import (
     message_digraph,
     spanning_tree,
 )
-from harmonic_influence.mpa import (
-    BLOCK,
-    ERROR_CHUNK,
-    error_trace,
-    influence_estimates,
-    initial_messages,
-    mpa_step,
-    run_mpa,
-)
-from test_properties import connected_networks, error_trace_oracle, node_influence_estimate
+from harmonic_influence.mpa import BLOCK, ERROR_CHUNK, error_trace, initial_messages, run_mpa
+from stepping import error_rows, influence_estimates, mpa_step, node_influence_estimate, stepped_run
+from test_properties import connected_networks
 
 GAMMA = 0.04
 
@@ -320,42 +313,27 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def stepped_run(g, weights, tol, max_iter):
-    """run_mpa as a plain loop of full mpa_step updates and influence_estimates,
-    keeping the w rows through the step at which w fixes and every residual."""
-    state = initial_messages(message_digraph(g), weights)
-    est = influence_estimates(state, weights)
-    w_rows, est_rows, residuals = [state.w_msgs], [est], []
-    converged, residual, w_fixed_step = False, np.inf, None
-    while state.t < max_iter:
-        nxt = mpa_step(state, weights)
-        est_new = influence_estimates(nxt, weights)
-        residual = float(np.abs(nxt.w_msgs - state.w_msgs).sum() + np.abs(est_new - est).sum())
-        residuals.append(residual)
-        if w_fixed_step is None and same_bits(nxt.w_msgs, state.w_msgs):
-            w_fixed_step = nxt.t
-        state, est = nxt, est_new
-        if w_fixed_step is None or w_fixed_step == state.t:
-            w_rows.append(state.w_msgs)
-        est_rows.append(est)
-        if residual <= tol:
-            converged = True
-            break
+def expected_result(g, weights, tol, max_iter):
+    """The fields of run_mpa's result, read off the rows of the full-step loop:
+    the w rows are kept through the step at which w fixes."""
+    w_rows, est_rows, residuals = stepped_run(g, weights, tol, max_iter)
+    steps = len(residuals)
+    w_fixed_step = next((t for t in range(1, steps + 1) if same_bits(w_rows[t], w_rows[t - 1])), None)
     return {
-        "h_estimates": est,
-        "w_limits": state.w_msgs,
-        "iterations": state.t,
-        "converged": converged,
-        "final_residual": residual,
-        "residuals": np.array(residuals),
-        "h_trace": np.array(est_rows),
-        "w_trace": np.array(w_rows),
+        "h_estimates": est_rows[-1],
+        "w_limits": w_rows[-1],
+        "iterations": steps,
+        "converged": bool(residuals[-1] <= tol),
+        "final_residual": float(residuals[-1]),
+        "residuals": residuals,
+        "h_trace": est_rows,
+        "w_trace": w_rows[: (steps if w_fixed_step is None else w_fixed_step) + 1],
         "w_fixed_step": w_fixed_step,
     }
 
 
 def assert_run_matches_stepped_run(g, weights, tol, max_iter):
-    ref = stepped_run(g, weights, tol, max_iter)
+    ref = expected_result(g, weights, tol, max_iter)
     traced = run_mpa(g, weights, tol=tol, max_iter=max_iter, trace=True)
     plain = run_mpa(g, weights, tol=tol, max_iter=max_iter)
     for name, expected in ref.items():
@@ -582,8 +560,8 @@ def test_error_trace_matches_per_row_oracle_across_chunks():
     g, w = er_run_inputs(60, 3)
     result = run_mpa(g, w, tol=1e-10, trace=True)
     assert result.iterations * g.node_count > 2 * ERROR_CHUNK
-    expected, _ = error_trace_oracle(g, w, 1e-10, 10**5)
-    assert same_bits(error_trace(result), expected)
+    w_rows, est_rows, _ = stepped_run(g, w, 1e-10, 10**5)
+    assert same_bits(error_trace(result), error_rows(w_rows, est_rows))
     # a w trace longer than one chunk, which w fixing within a few dozen steps never gives
     rng = np.random.default_rng(5)
     h_rows, w_rows = rng.uniform(1.0, 9.0, size=(3001, 50)), rng.uniform(0.0, 1.0, size=(2501, 70))

@@ -1,8 +1,9 @@
 """Property tests on drawn connected networks: the array forms of the
 graph, message and weight code against the plain Python loops they
-replaced, the exact layer against per-leader and dense solves, leader
-gluing against the network it collapses, the one-sided bound of
-message passing, and the verdict of the ``check`` command."""
+replaced, the exact layer against per-leader and dense solves, field
+edges against the leaf leaders held at 0 that they stand for, the
+one-sided bound of message passing, and the verdict of the ``check``
+command."""
 
 import numpy as np
 from hypothesis import assume, given
@@ -14,19 +15,13 @@ from harmonic_influence.electrical import (
     _grounded_laplacian,
     build_weights,
     exact_message_potentials,
-    glue_leaders,
     grounded_laplacian_solve,
     harmonic_influence_exact,
 )
 from harmonic_influence.graphs import UndirectedGraph, message_digraph
-from harmonic_influence.mpa import (
-    error_trace,
-    influence_estimates,
-    initial_messages,
-    mpa_step,
-    run_mpa,
-)
+from harmonic_influence.mpa import error_trace, initial_messages, run_mpa
 from opinions import _trust_matrix
+from stepping import error_rows, influence_estimates, mpa_step, node_influence_estimate, stepped_run
 
 conductances = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False)
 
@@ -99,16 +94,6 @@ def same_bits(a, b):
     return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
 
 
-def node_influence_estimate(state, node):
-    """Influence estimate a node can form from its incoming messages, by a loop over them."""
-    # Its incoming messages are CSR row node, ascending in the sender.
-    lo, hi = state.md.base._csr.indptr[node : node + 2]
-    acc = 0.0
-    for p in range(lo, hi):
-        acc += state.w_msgs[p] * state.h_msgs[p]
-    return 1.0 + acc
-
-
 @given(connected_networks())
 def test_message_digraph_matches_loop_oracle(net):
     g = net.graph
@@ -155,33 +140,12 @@ def test_node_estimate_matches_all_node_estimates_bitwise(net, steps):
     assert same_bits(np.array(each, dtype=np.float64), influence_estimates(state, w))
 
 
-def error_trace_oracle(g, weights, tol, max_iter):
-    """Per-step 1-norm distances to the final iterate, by a loop over full
-    mpa_step rows that keeps every w row."""
-    state = initial_messages(message_digraph(g), weights)
-    est = influence_estimates(state, weights)
-    w_rows, est_rows = [state.w_msgs], [est]
-    while state.t < max_iter:
-        nxt = mpa_step(state, weights)
-        est_new = influence_estimates(nxt, weights)
-        residual = float(np.abs(nxt.w_msgs - state.w_msgs).sum() + np.abs(est_new - est).sum())
-        state, est = nxt, est_new
-        w_rows.append(state.w_msgs)
-        est_rows.append(est)
-        if residual <= tol:
-            break
-    out = np.empty((state.t, 2))
-    for t in range(state.t):
-        out[t, 0] = np.abs(est_rows[t] - est_rows[-1]).sum()
-        out[t, 1] = np.abs(w_rows[t] - w_rows[-1]).sum()
-    return out, np.array(w_rows)
-
-
 @given(connected_networks(), st.integers(min_value=1, max_value=300))
 def test_error_trace_matches_full_row_loop_bitwise(net, max_iter):
     w = build_weights(net)
     result = run_mpa(net.graph, w, tol=1e-10, max_iter=max_iter, trace=True)
-    expected, w_rows = error_trace_oracle(net.graph, w, 1e-10, max_iter)
+    w_rows, est_rows, _ = stepped_run(net.graph, w, 1e-10, max_iter)
+    expected = error_rows(w_rows, est_rows)
     got = error_trace(result)
     assert got.shape == expected.shape == (result.iterations, 2)
     assert same_bits(got, expected)
@@ -219,30 +183,25 @@ def test_exact_results_match_per_leader_and_dense_solves(net):
 
 @given(connected_networks())
 def test_glue_leaders_restores_the_network_its_field_edges_were_split_from(net):
-    # Each field edge becomes an edge to a fresh leaf leader, numbered after the nodes.
+    # A field edge acts like a leaf leader held at opinion 0: split each one
+    # off as an edge to a fresh leaf, numbered after the nodes, and solve the
+    # split graph's Laplacian densely with the leaves at 0 and the leader at 1.
     n = net.node_count
     fields = np.flatnonzero(net.field_conductance > 0.0).tolist()
     leaf_edges = {(i, n + k): float(net.field_conductance[i]) for k, i in enumerate(fields)}
     cond = {**dict(zip(net.graph.edges, net.edge_conductance.tolist())), **leaf_edges}
-    split = UndirectedGraph(n + len(fields), tuple(cond))
-    glued = glue_leaders(split, np.array([cond[e] for e in split.edges]), set(range(n, split.node_count)))
-    assert glued.graph == net.graph
-    assert same_bits(glued.field_conductance, net.field_conductance)
-
-    # The uncollapsed reference: a dense Dirichlet solve on the split graph's
-    # Laplacian, the leaf leaders held at 0 and the leader at 1.
-    lap = np.zeros((split.node_count, split.node_count))
+    size = n + len(fields)
+    lap = np.zeros((size, size))
     for (u, v), c in cond.items():
         lap[[u, v], [v, u]] -= c
         lap[[u, v], [u, v]] += c
     rtol = exact_rtol(net)
-    influence = harmonic_influence_exact(glued)
-    np.testing.assert_allclose(influence, harmonic_influence_exact(net), rtol=rtol, atol=0)
+    influence = harmonic_influence_exact(net)
     for leader in range(n):
         rest = [v for v in range(n) if v != leader]
         expected = np.ones(n)
         expected[rest] = np.linalg.solve(lap[np.ix_(rest, rest)], -lap[rest, leader])
-        np.testing.assert_allclose(grounded_laplacian_solve(glued, leader), expected, rtol=rtol, atol=0)
+        np.testing.assert_allclose(grounded_laplacian_solve(net, leader), expected, rtol=rtol, atol=0)
         np.testing.assert_allclose(influence[leader], expected.sum(), rtol=rtol, atol=0)
 
 
