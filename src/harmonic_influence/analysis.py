@@ -228,12 +228,12 @@ def check_convergence_hypothesis(d: Digraph, alpha_support: Iterable[int]) -> fr
 def spectral_radius_diagnostic(d: Digraph, omega: Sequence[float]) -> float:
     """Spectral radius of (adjacency matrix) * diag(omega), by power iteration.
 
-    The iteration runs on the matrix plus the identity, which leaves the
-    radius shifted by exactly one but makes it converge on periodic
-    structures such as directed cycles.  Each product is one gather
-    over the arcs; no dense matrix is formed.  A digraph without a cycle
-    has radius 0, returned directly: there the shifted matrix is a
-    nontrivial Jordan block for eigenvalue 1 and the iteration stalls.
+    Each nontrivial strong component is iterated alone, on its own arcs,
+    and the largest radius is returned, or 0 if there is none: on the whole
+    digraph, components of close radii, or a Jordan block, stall the
+    iteration.  Each runs on its matrix plus the identity, which shifts the
+    radius by exactly one but makes the iteration converge on periodic
+    structures such as directed cycles.  No dense matrix is formed.
     """
     n = d.node_count
     w = np.asarray(omega, dtype=np.float64)
@@ -243,12 +243,24 @@ def spectral_radius_diagnostic(d: Digraph, omega: Sequence[float]) -> float:
         raise ValueError("omega entries must lie in (0, 1]")
     tails, heads = d._ends
     adjacency = _csr_rows(tails, heads, np.ones(len(tails)), (n, n))
-    if not _strong_components(adjacency)[1].any():
-        return 0.0
-    # The products gather by columns, like the arc-gather kernel.
-    adjacency = adjacency.tocsc()
+    labels, nontrivial = _strong_components(adjacency)
+    # Numbered component by component, the nodes make each component one
+    # diagonal block; the arcs between components fall outside every block.
+    order = np.argsort(labels, kind="stable")
+    adjacency = adjacency[order][:, order]
+    bounds = np.cumsum(np.bincount(labels)).tolist()
+    radius = 0.0
+    for start, stop in zip([0] + bounds[:-1], bounds):
+        if nontrivial[order[start]]:
+            # The products gather by columns, like the arc-gather kernel.
+            block = adjacency[start:stop, start:stop].tocsc()
+            radius = max(radius, _power_radius(block, w[order[start:stop]]))
+    return radius
 
-    x = np.ones(n) / np.sqrt(n)
+
+def _power_radius(adjacency: scipy.sparse.csc_matrix, w: np.ndarray) -> float:
+    """Spectral radius of adjacency * diag(w) for one strong component."""
+    x = np.ones(len(w)) / np.sqrt(len(w))
     y = x + adjacency @ (w * x)
     estimate = 0.0
     for _ in range(SPECTRAL_MAX_ITER):

@@ -2,8 +2,7 @@
 
 Subcommands: ``generate`` (emit the three nested graphs), ``exact``
 (grounded-Laplacian influence for a graph file), ``mpa`` (message
-passing run with traces), ``experiment`` (full pipeline), ``check``
-(structural convergence verdict for a graph's message digraph).
+passing run with traces) and ``experiment`` (full pipeline).
 
 Exit codes: 0 success, 1 input error, 2 non-convergence.
 """
@@ -18,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import analysis, mpa
+from . import mpa
 from .electrical import ConductanceNetwork, build_weights, harmonic_influence_exact, uniform_network
 from .experiment import (
     ExperimentConfig,
@@ -28,7 +27,6 @@ from .experiment import (
     run_experiment,
     save_graph,
 )
-from .graphs import message_digraph
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -87,10 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pipeline_args(p_exp)
     _add_mpa_args(p_exp)
     p_exp.add_argument("--out", type=Path, required=True, help="output directory")
-
-    p_check = sub.add_parser("check",
-                             help="structural convergence verdict for the message digraph")
-    _add_graph_args(p_check)
     return parser
 
 
@@ -158,19 +152,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    net = _network(args)
-    md = message_digraph(net.graph)
-    support = np.flatnonzero(net.field_conductance[md.senders()] > 0.0)
-    violating = analysis.check_convergence_hypothesis(md.dependencies, support)
-    if not violating:
-        print("satisfied: every message in a nontrivial component reaches the driving support")
-    else:
-        labels = sorted(f"{i}->{j}" for j, i in (md.arc_nodes[v] for v in violating))
-        print(f"violated by {len(violating)} messages: {', '.join(labels)}")
-    return EXIT_OK
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -182,7 +163,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "exact": _cmd_exact,
         "mpa": _cmd_mpa,
         "experiment": _cmd_experiment,
-        "check": _cmd_check,
     }
     try:
         return handlers[args.command](args)

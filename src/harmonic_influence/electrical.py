@@ -101,7 +101,8 @@ class ConductanceNetwork:
         # Each row sums from 0.0 in ascending neighbor order; the field comes last.
         g = self.graph
         rows = np.bincount(g._rows, weights=self.arc_conductance, minlength=g.node_count)
-        return _read_only(rows + self.field_conductance)
+        with np.errstate(over="ignore"):  # __post_init__ rejects a total that overflows
+            return _read_only(rows + self.field_conductance)
 
     @functools.cached_property
     def _exact(self) -> tuple[np.ndarray, np.ndarray]:
@@ -270,7 +271,8 @@ def _check_residual(a: scipy.sparse.csr_matrix, y: np.ndarray, b: np.ndarray, le
     ||a y - b||_1 / || |a| |y| ||_1 at most RESIDUAL_RTOL; y and b may be vectors."""
     r = a @ y
     r -= b
-    residual = np.atleast_1d(np.abs(r, out=r).sum(axis=0) / (abs(a) @ np.abs(y, out=r)).sum(axis=0))
+    with np.errstate(invalid="ignore"):  # an overflowed solve gives inf / inf
+        residual = np.atleast_1d(np.abs(r, out=r).sum(axis=0) / (abs(a) @ np.abs(y, out=r)).sum(axis=0))
     k = int(np.argmin(residual <= RESIDUAL_RTOL))  # the first failure, if any; NaN fails too
     if not residual[k] <= RESIDUAL_RTOL:
         raise ArithmeticError(f"grounded solve residual {residual[k]:.3e} exceeds tolerance for leader {leaders[k]}")

@@ -166,6 +166,7 @@ class _Rows:
         return self._buf
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_mpa(
     g: UndirectedGraph,
     weights: InfluenceWeights,
@@ -179,7 +180,9 @@ def run_mpa(
     messages plus that of the node estimates drops to ``tol``.  Hitting
     ``max_iter`` first is reported through ``converged=False`` rather
     than raised; the caller decides.  A residual that is NaN or infinite
-    raises ``ArithmeticError`` at its step.
+    raises ``ArithmeticError`` at its step, so numpy's overflow and invalid
+    warnings are off; an overflowing decay denominator only rounds a
+    potential message below 1e-308 to 0.
 
     A full step is two matvecs, whose readout rows give the estimates of
     the step it starts from.  Once w is bitwise fixed, a step is one

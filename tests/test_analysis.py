@@ -485,7 +485,8 @@ def test_spectral_radius_matches_dense_eigvals():
 
 
 def test_spectral_radius_zero_on_acyclic_digraphs():
-    # power iteration on I + A diag(omega) stalls on these (a Jordan block for 1)
+    # no nontrivial strong component, so nothing to iterate; on the whole
+    # digraph, I + A diag(omega) would be a Jordan block for 1 and stall
     for d in (Digraph(3, ((0, 1),)), Digraph(3, ((0, 1), (1, 2)))):
         assert spectral_radius_diagnostic(d, np.full(3, 0.5)) == 0.0
 
@@ -500,14 +501,26 @@ def test_spectral_radius_rejects_bad_omega():
         spectral_radius_diagnostic(d, np.ones(4))
 
 
-def test_spectral_radius_raises_when_power_iteration_stalls():
-    # Two disjoint 2-cycles with radii 0.5 and 0.5001: the dominant pair of
-    # eigenvalues of the shifted matrix is too close for the iteration to
-    # separate within its step cap, although each cycle alone converges.
+def test_spectral_radius_iterates_each_strong_component_alone():
+    # Iterated as a whole, neither digraph converges within the step cap:
+    # two disjoint 2-cycles with radii 0.5 and 0.5001 leave the dominant
+    # pair of eigenvalues of the shifted matrix too close, and a 3-cycle
+    # with an arc into a 2-cycle of the same radius makes a Jordan block
+    # for 1.5.  Each component alone converges.
     two_cycles = Digraph(4, ((0, 1), (1, 0), (2, 3), (3, 2)))
-    with pytest.raises(ArithmeticError, match=r"^power iteration did not converge in 10000 steps; last estimate"):
-        spectral_radius_diagnostic(two_cycles, [0.5, 0.5, 0.5001, 0.5001])
+    assert spectral_radius_diagnostic(two_cycles, [0.5, 0.5, 0.5001, 0.5001]) == pytest.approx(0.5001, abs=1e-9)
     assert spectral_radius_diagnostic(two_cycles, [0.5, 0.5, 0.51, 0.51]) == pytest.approx(0.51, abs=1e-9)
+    joined = Digraph(5, ((0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 3)))
+    assert spectral_radius_diagnostic(joined, np.full(5, 0.5)) == pytest.approx(0.5, abs=1e-9)
+
+
+def test_spectral_radius_raises_when_power_iteration_stalls():
+    # On a 200-node cycle the 200 eigenvalues of A diag(omega) share one
+    # modulus, and after the shift the dominant one is too close to its
+    # neighbours for the iteration to separate within its step cap.
+    omega = np.random.default_rng(0).uniform(0.3, 0.7, 200)
+    with pytest.raises(ArithmeticError, match=r"^power iteration did not converge in 10000 steps; last estimate"):
+        spectral_radius_diagnostic(directed_cycle(200), omega)
 
 
 @pytest.mark.parametrize("omega", [[np.nan, 0.5], [0.5, np.nan], [np.inf, 0.5], [-np.inf, 0.5]])

@@ -402,6 +402,19 @@ def test_influence_vertex_transitive_cycle_all_equal():
     assert np.allclose(inf, inf[0], atol=1e-11)
 
 
+def test_influence_equal_on_each_symmetry_orbit_of_a_square_grid():
+    # Node r * k + c of the 30 x 30 grid sits at row r, column c; the eight
+    # symmetries of the square map the grid to itself, so H must be equal
+    # on each orbit up to rounding, which spreads exact ties by a few eps.
+    k = 30
+    ids = np.arange(k * k).reshape(k, k)
+    edges = np.concatenate((np.column_stack((ids[:, :-1].ravel(), ids[:, 1:].ravel())),
+                            np.column_stack((ids[:-1].ravel(), ids[1:].ravel()))))
+    grid = harmonic_influence_exact(uniform_network(UndirectedGraph(k * k, edges), GAMMA)).reshape(k, k)
+    for image in (np.rot90(g, turns) for g in (grid, grid.T) for turns in range(4)):
+        np.testing.assert_allclose(image, grid, rtol=1e-13, atol=0)
+
+
 def test_influence_bounds():
     for seed in range(5):
         net = random_network(20, 0.2, seed=810 + seed)

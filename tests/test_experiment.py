@@ -1,15 +1,18 @@
+import contextlib
+import io
 import json
 import math
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmonic_influence import cli
-from harmonic_influence.electrical import build_weights, uniform_network
+from harmonic_influence.electrical import build_weights, harmonic_influence_exact, uniform_network
 from harmonic_influence.experiment import (
     ExperimentConfig,
     _csv_text,
@@ -389,6 +392,19 @@ def test_cli_mpa_subnormal_trust_exits_one_with_error_line(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_mpa_overflowing_decay_denominator_runs_without_warning(tmp_path, capsys):
+    # Node 3 trusts node 1 about 1e-308, so the potential message (3, 1) has
+    # alpha near 1e308 and 1 + alpha + its decay sum overflows: w is 0.
+    src = tmp_path / "g.edges"
+    src.write_text("0 1\n1 3 2e-308\n1 2\n0 3 2.5\n0 f 2.5\n3 f 2.5\n")
+    assert cli.main(["mpa", str(src), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+    _, (_, estimates) = read_csv(tmp_path / "out" / "estimates.csv")
+    exact = harmonic_influence_exact(load_graph(src).network(fallback_gamma=0.04))
+    np.testing.assert_allclose(estimates, exact, rtol=1e-14)
+
+
 def test_cli_exact_overflowing_node_total_exits_one_with_error_line(tmp_path, capsys):
     src = tmp_path / "overflow.edges"
     src.write_text("n 3\n0 1 1e308\n1 2 1e308\n")
@@ -407,7 +423,6 @@ def test_cli_defaults_are_the_config_defaults():
         (["experiment", "--out", "x"], pipeline + stopping),
         (["exact", "g"], ("gamma",)),
         (["mpa", "g", "--out", "x"], ("gamma",) + stopping),
-        (["check", "g"], ("gamma",)),
     ]
     parser = cli.build_parser()
     for argv, names in cases:
@@ -454,25 +469,26 @@ def test_cli_mpa_disconnected_graph_exits_one(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_check_verdict(tmp_path, capsys):
-    gdir = tmp_path / "graphs"
-    cli.main(["generate", "--n", "10", "--p", "0.4", "--extra-edges", "2",
-              "--seed", "8", "--out", str(gdir)])
-    rc = cli.main(["check", str(gdir / "erdos_renyi.edges")])
-    assert rc == 0
-    assert "satisfied" in capsys.readouterr().out
-
-
-def test_cli_check_edgeless_graph_exits_one_with_error_line(tmp_path, capsys):
+def test_cli_mpa_edgeless_graph_exits_one_with_error_line(tmp_path, capsys):
     lone = tmp_path / "lone.edges"
     lone.write_text("n 1\n0 f 0.1\n")
-    assert cli.main(["check", str(lone)]) == 1
+    assert cli.main(["mpa", str(lone), "--out", str(tmp_path / "out")]) == 1
     captured = capsys.readouterr()
     assert captured.err == "error: graph has no edges, so there are no messages to pass\n"
     assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["exact", "mpa", "check"])
+def test_cli_unknown_command_check_exits_one_with_usage_line(tmp_path, capsys):
+    graph = tmp_path / "g.edges"
+    graph.write_text("0 1\n0 f 1\n")
+    assert cli.main(["check", str(graph)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "usage: harmonic-influence [-h] {generate,exact,mpa,experiment} ...\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["exact", "mpa"])
 def test_cli_memory_error_exits_one_with_error_line(tmp_path, capsys, monkeypatch, command):
     # What numpy raises for an edge-list file declaring 10**11 nodes, without asking the host for it.
     def refuse(path):
@@ -505,7 +521,12 @@ def test_cli_input_errors_exit_one(tmp_path, capsys):
     # conductances 300 orders of magnitude apart: the grounded matrix is
     # numerically indefinite and the solver raises ArithmeticError
     ("0 1 1e308\n1 2 1e-300\n", "not positive definite"),
+    # a subnormal pivot: the solve overflows, and inf / inf in the residual check warned
+    ("0 f 5e-324\n", "grounded solve residual nan exceeds tolerance for leader 0"),
+    # the overflowing total warned in the add before it was rejected
+    ("0 1 1e308\n0 f 1e308\n", "total conductance of node 0 overflows to inf"),
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_bad_conductances_exit_one_with_error_line(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.edges"
     bad.write_text(text)
@@ -528,7 +549,7 @@ def test_cli_gamma_below_rounding_level_names_the_pivot_node(tmp_path, capsys):
 def test_cli_malformed_graph_file_exits_one_with_error_line(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.edges"
     bad.write_text(text, encoding="utf-8")
-    for argv in (["exact"], ["mpa", "--out", str(tmp_path / "out")], ["check"]):
+    for argv in (["exact"], ["mpa", "--out", str(tmp_path / "out")]):
         assert cli.main(argv + [str(bad)]) == 1
         captured = capsys.readouterr()
         assert re.fullmatch(f"error: {re.escape(str(bad))}{message}\n", captured.err)
@@ -539,8 +560,89 @@ def test_cli_malformed_graph_file_exits_one_with_error_line(tmp_path, capsys, te
 def test_cli_negative_field_conductance_fails_every_command(tmp_path, capsys):
     bad = tmp_path / "bad.edges"
     bad.write_text("n 3\n0 1\n1 2\n0 f -1\n")
-    for argv in (["exact"], ["mpa", "--out", str(tmp_path / "out")], ["check"]):
+    for argv in (["exact"], ["mpa", "--out", str(tmp_path / "out")]):
         assert cli.main(argv + [str(bad)]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: {bad}:4: field conductance must be nonnegative, got '-1'\n"
         assert captured.out == ""
+
+
+# ---------------------------------------------------------------------------
+# grammar fuzz and the README's command lines
+# ---------------------------------------------------------------------------
+
+# Edge-list files: an optional `n` line, distinct edges and field lines
+# in drawn order, with signed zeros, subnormals and values at the edge of
+# the float range among the conductances, and half of the time one
+# hostile line: signs, underscores, hex and a non-ASCII digit in ids,
+# nan and inf, a stray `f` or `n`, non-ASCII text, or a self-loop or a
+# second `n` line drawn from the plain tokens.  Line ends are LF, CRLF or CR.
+IDS = ("0", "1", "2", "3")
+VALUES = ("1", "2.5", "0.04", "0", "-0", "-0.0", "5e-324", "2e-308", "1e-300", "1e300", "1e308")
+HOSTILE = ("-0", "+1", "1_0", "0x1", "9", "٣", "-1", "-1e308", "nan", "inf", "-inf", "n", "f", "# é")
+PAIRS = [(u, v) for u in IDS for v in IDS if u != v]
+ids, values = st.sampled_from(IDS), st.sampled_from(VALUES)
+
+
+@st.composite
+def edge_list_texts(draw):
+    lines = draw(st.lists(st.sampled_from(PAIRS), unique_by=frozenset, max_size=6))
+    lines = [pair + draw(st.sampled_from(((), ("1",), ("2.5",))) | values.map(lambda c: (c,))) for pair in lines]
+    lines += draw(st.lists(st.tuples(ids, st.just("f"), values), max_size=3))
+    lines += draw(st.lists(st.tuples(st.just("n"), st.sampled_from(("4", "5"))), max_size=1))
+    lines = [" ".join(line) for line in draw(st.permutations(lines))]
+    if draw(st.booleans()):
+        hostile = st.lists(st.sampled_from(IDS + VALUES + HOSTILE), min_size=1, max_size=4).map(" ".join)
+        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), draw(hostile))
+    return "".join(line + draw(st.sampled_from(("\n", "\r\n", "\r"))) for line in lines)
+
+
+def non_finite_tokens(text):
+    """The comma- or space-separated fields of text that read as a NaN or an infinity."""
+    found = []
+    for token in re.split(r"[\s,]+", text):
+        try:
+            value = float(token)
+        except ValueError:
+            continue
+        if not math.isfinite(value):
+            found.append(token)
+    return found
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=150)
+@given(edge_list_texts())
+def test_cli_on_drawn_edge_list_files_exits_cleanly(text):
+    # No exception or warning escapes main; an exit 1 prints one error line
+    # and nothing else, and a run that writes files writes finite numbers.
+    with tempfile.TemporaryDirectory() as tmp:
+        graph, out = Path(tmp) / "g.edges", Path(tmp) / "out"
+        graph.write_text(text, encoding="utf-8", newline="")
+        for argv, warning in (
+            (["exact", str(graph), "--out", str(out / "exact.csv")], None),
+            (["mpa", str(graph), "--max-iter", "50", "--out", str(out)], "warning: tolerance not reached within max-iter\n"),
+        ):
+            out.mkdir(exist_ok=True)
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.main(argv)
+            if code == 1:
+                assert re.fullmatch(r"error: [^\n]*\n", stderr.getvalue()), (argv[0], stderr.getvalue())
+                assert stdout.getvalue() == ""
+                continue
+            assert (code, stderr.getvalue()) in ((0, ""), (2, warning)), argv[0]
+            written = stdout.getvalue() + "".join(p.read_text(encoding="ascii") for p in sorted(out.iterdir()))
+            assert non_finite_tokens(written) == [], argv[0]
+
+
+def test_readme_command_lines_parse():
+    # Every command line in the README's code blocks names a command and
+    # options that the parser takes.
+    blocks = README.read_text(encoding="utf-8").split("```")[1::2]
+    lines = [line.split() for block in blocks for line in block.splitlines()
+             if line.startswith("harmonic-influence ")]
+    assert len(lines) >= 4
+    parser = cli.build_parser()
+    for argv in lines:
+        parser.parse_args(argv[1:])

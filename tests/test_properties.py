@@ -2,8 +2,8 @@
 graph, message and weight code against the plain Python loops they
 replaced, the exact layer against per-leader and dense solves, field
 edges against the leaf leaders held at 0 that they stand for, the
-one-sided bound of message passing, and the verdict of the ``check``
-command."""
+one-sided bound of message passing, and the structural convergence
+verdict."""
 
 import numpy as np
 from hypothesis import assume, given
@@ -225,7 +225,7 @@ def test_mpa_bounds_exact_values_one_sided_and_is_exact_on_trees(net):
 
 
 def check_verdict(net):
-    """The messages that ``harmonic-influence check`` reports as violating, computed as it does."""
+    """Messages in nontrivial strong components of the message digraph that reach no message sent by a fed node."""
     md = message_digraph(net.graph)
     support = np.flatnonzero(net.field_conductance[md.senders()] > 0.0)
     return check_convergence_hypothesis(md.dependencies, support)
@@ -235,7 +235,7 @@ def check_verdict(net):
 def test_check_is_satisfied_on_every_network_with_one_fed_node(net, fed):
     # A network is accepted only if every component has a fed node, and a
     # non-backtracking walk from any message on a cycle can leave the cycle
-    # along a shortest path to that node: ``check`` can only say "satisfied".
+    # along a shortest path to that node: the hypothesis always holds.
     field = np.zeros(net.node_count)
     field[fed % net.node_count] = 1.0
     assert check_verdict(ConductanceNetwork(net.graph, net.edge_conductance, field)) == frozenset()
