@@ -236,7 +236,8 @@ def _factor(m: scipy.sparse.csr_matrix, what: str, nodes: np.ndarray | None = No
     carries an error of about n * eps * a_kk, the floor, so a positive one
     at or below it has cancelled to rounding level: m is then numerically
     singular, and the message names the smallest such node, as
-    ``nodes[k]`` for row k when ``nodes`` is given.
+    ``nodes[k]`` for row k when ``nodes`` is given.  The floor is never
+    below 1 / float64 max, for a smaller pivot's reciprocal overflows.
 
     SuperLU stops at an exactly zero pivot without saying where.  The
     elimination order depends on the pattern alone, so m with the floor
@@ -244,7 +245,7 @@ def _factor(m: scipy.sparse.csr_matrix, what: str, nodes: np.ndarray | None = No
     few floors while sound ones stay about 1 / (n * eps) floors up: the
     node with the least pivot against its floor is the one named.
     """
-    floor = m.shape[0] * np.finfo(np.float64).eps * np.abs(m.diagonal())
+    floor = np.maximum(m.shape[0] * np.finfo(np.float64).eps * np.abs(m.diagonal()), 1 / np.finfo(np.float64).max)
     try:
         lu, pivots = _splu(m)
         low = pivots <= floor
@@ -253,8 +254,7 @@ def _factor(m: scipy.sparse.csr_matrix, what: str, nodes: np.ndarray | None = No
             _, pivots = _splu(m + scipy.sparse.diags(floor))
         except RuntimeError:
             raise ArithmeticError(f"{what} is not positive definite") from exc
-        with np.errstate(divide="ignore"):
-            low = np.arange(len(pivots)) == np.argmin(pivots / floor)  # one node, so this branch raises
+        low = np.arange(len(pivots)) == np.argmin(pivots / floor)  # one node, so this branch raises
     if not np.all(pivots > 0.0):
         raise ArithmeticError(f"{what} is not positive definite")
     if low.any():

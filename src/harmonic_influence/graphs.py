@@ -1,6 +1,5 @@
 """Graph containers and algorithms: undirected social graphs, digraphs,
-random generation, spanning trees, the message digraph, and strongly
-connected component / condensation analysis.
+random generation, spanning trees, the message digraph and its strong components.
 
 Both graph kinds are built from arrays: one pair check (``_checked_pairs``)
 turns the edges or arcs into sorted end arrays, and the generators hand
@@ -229,19 +228,14 @@ class MessageDigraph:
 
 @dataclass(frozen=True)
 class CondensationDigraph:
-    """Strongly connected components of a digraph and the acyclic quotient.
+    """Strongly connected components of a digraph, each with its nontrivial flag.
 
-    Component ids form an acyclic ordering: every condensation arc
-    (h, k) has k < h, and all sink components get the smallest ids.
-    Within the sinks, and within the other components, ids follow
-    ``scipy.sparse.csgraph``'s strong-component labels; callers should
-    rely on the two rules only.
+    A component is nontrivial when it holds a directed cycle.  The
+    components come in no promised order.
     """
 
-    component_of: tuple[int, ...]
     components: tuple[frozenset[int], ...]
     nontrivial: tuple[bool, ...]
-    arcs: frozenset[tuple[int, int]]
 
     def nontrivial_components(self) -> tuple[frozenset[int], ...]:
         return tuple(c for c, nt in zip(self.components, self.nontrivial) if nt)
@@ -388,36 +382,15 @@ def message_digraph(g: UndirectedGraph) -> MessageDigraph:
 
 
 def condensation(d: Digraph) -> CondensationDigraph:
-    """Strongly connected components with a sinks-first acyclic numbering.
-
-    Every condensation arc points to a smaller id and the sinks take the
-    smallest ids.  The numbering starts from csgraph's strong-component
-    labels (Pearce's algorithm labels a component when it finishes it),
-    checks that every arc between components runs from a higher label to
-    a lower one (``AssertionError`` if not), and stably moves the sinks first.
-    """
+    """Strongly connected components, grouped by csgraph's strong-component labels."""
     n = d.node_count
     tails, heads = d._ends
     labels, nontrivial = _strong_components(_csr_rows(tails, heads, np.ones(len(tails)), (n, n)))
-    cross = labels[tails] != labels[heads]
-    out_label, in_label = labels[tails[cross]], labels[heads[cross]]
-    if np.any(out_label <= in_label):
-        raise AssertionError("strong component labels are not in reverse topological order")
-    count = int(labels.max()) + 1
-    has_out = np.zeros(count, dtype=bool)
-    has_out[out_label] = True
-    new_id = np.empty(count, dtype=np.intp)
-    new_id[np.argsort(has_out, kind="stable")] = np.arange(count)
-
-    component_of = new_id[labels]
-    members = np.argsort(component_of, kind="stable").tolist()
-    bounds = np.cumsum(np.bincount(component_of, minlength=count)).tolist()
-    flags = np.zeros(count, dtype=bool)
-    flags[component_of] = nontrivial
+    members = np.argsort(labels, kind="stable").tolist()
+    bounds = np.cumsum(np.bincount(labels)).tolist()
+    flags = np.zeros(len(bounds), dtype=bool)
+    flags[labels] = nontrivial
     return CondensationDigraph(
-        component_of=tuple(component_of.tolist()),
         components=tuple(frozenset(members[a:b]) for a, b in zip([0] + bounds, bounds)),
         nontrivial=tuple(flags.tolist()),
-        arcs=frozenset(zip(new_id[out_label].tolist(), new_id[in_label].tolist())),
     )
-

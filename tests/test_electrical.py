@@ -1,9 +1,12 @@
+import functools
 import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmonic_influence import experiment
 from harmonic_influence.electrical import (
@@ -353,10 +356,15 @@ def mpmath_influence(g, gamma):
         return np.array([float(sum(x[k, l] for k in range(n)) / x[l, l]) for l in range(n)])
 
 
+@functools.cache
+def oracle_graphs():
+    """The n=30 spanning tree and ER graph of the pipeline at seed 3."""
+    return experiment.generate_graphs(experiment.ExperimentConfig(n=30, p=1 / 3, extra_edges=3, seed=3))[0]
+
+
 def test_exact_influence_across_gamma_against_a_60_digit_oracle():
-    graphs = experiment.generate_graphs(experiment.ExperimentConfig(n=30, p=1 / 3, extra_edges=3, seed=3))[0]
     for name in ("spanning_tree", "erdos_renyi"):
-        g = graphs[name]
+        g = oracle_graphs()[name]
         for gamma in (0.04, 1e-8, 1e-14):
             expected = mpmath_influence(g, gamma)
             got = harmonic_influence_exact(uniform_network(g, gamma))
@@ -365,6 +373,15 @@ def test_exact_influence_across_gamma_against_a_60_digit_oracle():
         for gamma in (1e-17, 1e-300):
             with pytest.raises(ArithmeticError, match=r"the pivot of node \d+ fell to rounding level"):
                 harmonic_influence_exact(uniform_network(g, gamma))
+
+
+@settings(max_examples=12)
+@given(st.floats(min_value=-12, max_value=2), st.sampled_from(("spanning_tree", "erdos_renyi")))
+def test_exact_influence_at_drawn_gamma_against_a_60_digit_oracle(u, name):
+    g, gamma = oracle_graphs()[name], 10.0**u
+    expected = mpmath_influence(g, gamma)
+    got = harmonic_influence_exact(uniform_network(g, gamma))
+    assert np.max(np.abs(got - expected) / expected) <= 1e-13
 
 
 def test_solve_leader_out_of_range():

@@ -521,8 +521,9 @@ def test_cli_input_errors_exit_one(tmp_path, capsys):
     # conductances 300 orders of magnitude apart: the grounded matrix is
     # numerically indefinite and the solver raises ArithmeticError
     ("0 1 1e308\n1 2 1e-300\n", "not positive definite"),
-    # a subnormal pivot: the solve overflows, and inf / inf in the residual check warned
-    ("0 f 5e-324\n", "grounded solve residual nan exceeds tolerance for leader 0"),
+    # pivots whose reciprocal overflows are refused before the solve
+    ("0 f 5e-324\n", "the pivot of node 0 fell to rounding level"),
+    ("0 f 1e-310\n", "the pivot of node 0 fell to rounding level"),
     # the overflowing total warned in the add before it was rejected
     ("0 1 1e308\n0 f 1e308\n", "total conductance of node 0 overflows to inf"),
 ])
