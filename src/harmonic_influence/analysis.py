@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 import numpy as np
 import scipy.sparse
 
-from .graphs import Digraph, _csr_rows, _strong_components
+from .graphs import Digraph, _csr_rows, _node_id, _strong_components
 
 RS_TOL = 1e-12
 ALPHA_MONOTONE_TOL = 1e-15
@@ -212,7 +212,7 @@ def check_convergence_hypothesis(d: Digraph, alpha_support: Iterable[int]) -> fr
     reach h either, so it keeps the component it has in d.
     """
     n = d.node_count
-    support = np.array(sorted({int(v) for v in alpha_support}), dtype=np.intp)
+    support = np.array(sorted({_node_id(v, "support node") for v in alpha_support}), dtype=np.intp)
     outside = support[(support < 0) | (support >= n)]
     if len(outside):
         raise ValueError(f"support node {outside[0]} outside range")

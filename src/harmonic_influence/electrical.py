@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .graphs import MessageDigraph, UndirectedGraph, _csr_rows, _read_only
+from .graphs import MessageDigraph, UndirectedGraph, _csr_rows, _node_id, _read_only
 
 # Bound on the backward error of every grounded solve A y = b: the
 # residual ||A y - b||_1 over the size || |A| |y| ||_1 of the terms it sums.
@@ -45,6 +45,16 @@ def _checked_edge_conductance(g: UndirectedGraph, values) -> np.ndarray:
     return cond
 
 
+def _checked_field_conductance(g: UndirectedGraph, values) -> np.ndarray:
+    """The field conductances as a float array; raises unless there is one per node and each is nonnegative and finite."""
+    gamma = np.asarray(values, dtype=np.float64)
+    if gamma.shape != (g.node_count,):
+        raise ValueError("field_conductance must have one entry per node")
+    if not np.all((gamma >= 0.0) & (gamma < np.inf)):
+        raise ValueError("field conductances must be nonnegative and finite")
+    return gamma
+
+
 @dataclass(frozen=True)
 class ConductanceNetwork:
     """Conductances of the social graph plus per-node field conductances.
@@ -63,11 +73,7 @@ class ConductanceNetwork:
     def __post_init__(self) -> None:
         g = self.graph
         cond = _checked_edge_conductance(g, self.edge_conductance)
-        gamma = np.asarray(self.field_conductance, dtype=np.float64)
-        if gamma.shape != (g.node_count,):
-            raise ValueError("field_conductance must have one entry per node")
-        if not np.all((gamma >= 0.0) & (gamma < np.inf)):
-            raise ValueError("field conductances must be nonnegative and finite")
+        gamma = _checked_field_conductance(g, self.field_conductance)
         labels = g._component_labels
         # The first unfed node is the smallest node of its component.
         unfed = np.flatnonzero(np.bincount(labels, weights=gamma > 0.0)[labels] == 0.0)
@@ -295,7 +301,7 @@ def grounded_laplacian_solve(net: ConductanceNetwork, leader: int) -> np.ndarray
     ``harmonic_influence_exact`` and ``exact_message_potentials``, which
     it neither reads nor fills.
     """
-    n = net.node_count
+    n, leader = net.node_count, _node_id(leader, "leader")
     if not 0 <= leader < n:
         raise ValueError(f"leader {leader} outside node range")
     if n == 1:

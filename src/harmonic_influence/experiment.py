@@ -35,6 +35,9 @@ TRACE_THIN_STRIDE = 10
 _TREE_SEED_OFFSET = 10_007
 _EXTRA_SEED_OFFSET = 20_011
 GRAPH_NAMES = ("spanning_tree", "few_extra_edges", "erdos_renyi")
+# The GraphRunReport scalars that report.json holds for each graph.
+_SUMMARY_FIELDS = ("edge_count", "diameter", "iterations", "converged", "final_residual",
+                   "spearman_h", "max_h_ratio", "h_negligible_iter", "w_negligible_iter")
 
 
 @dataclass(frozen=True)
@@ -182,7 +185,7 @@ def save_graph(
     field_conductance: Optional[np.ndarray] = None,
 ) -> None:
     """Write the edge-list format; see load_graph for the grammar.  ``edge_conductance``,
-    in the order of ``graph.edges``, is checked as a network checks it."""
+    in the order of ``graph.edges``, and ``field_conductance`` are checked as a network checks them."""
     lines = [f"n {graph.node_count}"]
     if edge_conductance is None:
         lines += (f"{u} {v}" for u, v in graph.edges)
@@ -191,9 +194,8 @@ def save_graph(
         values = electrical._checked_edge_conductance(graph, edge_conductance).tolist()
         lines += (f"{u} {v} {c!r}" for (u, v), c in zip(graph.edges, values))
     if field_conductance is not None:
-        for i, c in enumerate(field_conductance):
-            if c > 0.0:
-                lines.append(f"{i} f {float(c)!r}")
+        gamma = electrical._checked_field_conductance(graph, field_conductance).tolist()
+        lines += (f"{i} f {c!r}" for i, c in enumerate(gamma) if c > 0.0)
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -249,6 +251,8 @@ def load_graph(path: Path | str) -> GraphFile:
         if not math.isfinite(cond):
             raise ValueError(f"{path}:{lineno}: conductance must be finite, got {tokens[2]!r}")
         if tokens[1] == "f":
+            if len(tokens) != 3:
+                raise ValueError(f"{path}:{lineno}: malformed line {raw!r}")
             if cond < 0.0:
                 raise ValueError(f"{path}:{lineno}: field conductance must be nonnegative, got {tokens[2]!r}")
             u = parse_node(tokens[0], lineno)
@@ -284,10 +288,9 @@ def load_graph(path: Path | str) -> GraphFile:
 # ---------------------------------------------------------------------------
 
 def _csv_text(header: str, *columns) -> str:
-    """A header, then one comma-joined row per entry of the columns; one ``%`` fills every row, and ``%s`` of a float is its repr."""
-    columns = [np.asarray(c).tolist() for c in columns]
-    rows = ("\n" + ",".join(["%s"] * len(columns))) * len(columns[0])
-    return header + rows % tuple(x for row in zip(*columns) for x in row) + "\n"
+    """A header, then one comma-joined row per entry of the columns; ``str`` of a float is its repr."""
+    columns = [list(map(str, np.asarray(c).tolist())) for c in columns]
+    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
 
 
 def _write_trace_csv(path: Path, errors: np.ndarray) -> None:
@@ -307,22 +310,12 @@ def save_report(report: ExperimentReport, out_dir: Path | str) -> None:
         "graphs": {},
     }
     for name, run in report.graphs.items():
-        summary["graphs"][name] = {
-            "edge_count": run.edge_count,
-            "diameter": run.diameter,
-            "iterations": run.iterations,
-            "converged": run.converged,
-            "final_residual": run.final_residual,
-            "spearman_h": None if math.isnan(run.spearman_h) else run.spearman_h,
-            "max_h_ratio": run.max_h_ratio,
-            "h_negligible_iter": run.h_negligible_iter,
-            "w_negligible_iter": run.w_negligible_iter,
-        }
+        entry = summary["graphs"][name] = {k: getattr(run, k) for k in _SUMMARY_FIELDS}
+        if math.isnan(run.spearman_h):
+            entry["spearman_h"] = None  # JSON has no NaN
         _write_trace_csv(out / f"{name}_trace.csv", run.errors)
         scatter_h = _csv_text("node,exact,approx", np.arange(len(run.h_exact)), run.h_exact, run.h_estimates)
         (out / f"{name}_scatter_h.csv").write_text(scatter_h, encoding="ascii")
         scatter_w = _csv_text("arc,exact,approx", [f"{i}->{j}" for j, i in run.arc_nodes], run.w_exact, run.w_limits)
         (out / f"{name}_scatter_w.csv").write_text(scatter_w, encoding="ascii")
-    (out / "report.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="ascii"
-    )
+    (out / "report.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="ascii")

@@ -82,6 +82,13 @@ def _checked_pairs(node_count: int, pairs, undirected: bool) -> tuple[np.ndarray
     raise ValueError(f"duplicate edge {min(v, w)}-{max(v, w)}")
 
 
+def _node_id(v, what: str) -> int:
+    """``v`` as an int, if it is a Python or numpy integer as graph ends must be; else ``ValueError`` naming it."""
+    if not isinstance(v, _INTEGER):  # int() would truncate 0.7 and parse "1"
+        raise ValueError(f"{what} {v!r} is not an integer node id")
+    return int(v)
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a

@@ -455,6 +455,19 @@ def test_hypothesis_rejects_support_outside_range():
             check_convergence_hypothesis(d, {0, bad})
 
 
+def test_hypothesis_support_must_be_integer_node_ids():
+    # int() would read 0.7 as node 0, 2.9 as node 2 and "1" as node 1
+    d = directed_cycle(3)
+    for bad, shown in ((0.7, "0.7"), (2.9, "2.9"), ("1", "'1'")):
+        with pytest.raises(ValueError, match=f"^support node {shown} is not an integer node id$"):
+            check_convergence_hypothesis(d, [bad])
+    assert check_convergence_hypothesis(d, [np.int64(1)]) == frozenset()
+    assert check_convergence_hypothesis(d, range(3)) == frozenset()
+    assert check_convergence_hypothesis(Digraph(4, ((0, 1), (1, 0))), [np.int64(3)]) == frozenset({0, 1})
+    with pytest.raises(ValueError, match="^support node 3 outside range$"):
+        check_convergence_hypothesis(d, [np.int64(3)])
+
+
 # ---------------------------------------------------------------------------
 # spectral radius diagnostic
 # ---------------------------------------------------------------------------

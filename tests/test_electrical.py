@@ -389,6 +389,16 @@ def test_solve_leader_out_of_range():
         grounded_laplacian_solve(two_node_network(), leader=5)
 
 
+def test_solve_leader_must_be_an_integer_node_id():
+    # True is node 1, as for graph ends; a float or a string is no node id, even when int() could read it
+    net = uniform_network(path_graph(3), 0.1)
+    assert grounded_laplacian_solve(net, True).tobytes() == grounded_laplacian_solve(net, 1).tobytes()
+    assert grounded_laplacian_solve(net, np.int64(1)).tobytes() == grounded_laplacian_solve(net, 1).tobytes()
+    for bad, shown in ((1.0, "1.0"), (1.5, "1.5"), ("1", "'1'")):
+        with pytest.raises(ValueError, match=f"^leader {shown} is not an integer node id$"):
+            grounded_laplacian_solve(net, bad)
+
+
 def test_single_node_network():
     # a lone node coupled only to the field: leader potential 1, influence 1
     net = ConductanceNetwork(UndirectedGraph(1, ()), np.zeros(0), np.array([0.5]))

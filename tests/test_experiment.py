@@ -169,6 +169,13 @@ TINY, HUGE = np.finfo(np.float64).smallest_subnormal, np.finfo(np.float64).max
 edge_floats = st.sampled_from([TINY, 3 * TINY, np.finfo(np.float64).tiny, HUGE, np.nextafter(HUGE, 0.0), -0.0])
 
 
+def test_csv_text_exact_text():
+    floats = np.array([1e16, 1e-05, 5e-324, -0.0])
+    text = _csv_text("a,b,c", ["x", "y->z", "w", "v"], np.arange(4), floats)
+    assert text == "a,b,c\nx,0,1e+16\ny->z,1,1e-05\nw,2,5e-324\nv,3,-0.0\n"
+    assert _csv_text("a,b", [], np.zeros(0)) == "a,b\n"
+
+
 @given(st.lists(st.one_of(st.floats(allow_nan=False), edge_floats, edge_floats.map(lambda x: -x)), max_size=40))
 def test_csv_float_fields_read_back_bitwise(values):
     values = np.array(values, dtype=np.float64)
@@ -206,6 +213,19 @@ def test_save_graph_rejects_conductances_a_network_rejects(tmp_path):
                           (np.array([1.0, 0.0]), "edge 1-2 must be positive and finite, got 0.0")):
         with pytest.raises(ValueError, match=message):
             save_graph(path, g, edge_conductance=cond)
+        assert not path.exists()
+
+
+def test_save_graph_rejects_field_conductances_a_network_rejects(tmp_path):
+    # load_graph refuses inf; NaN, -1 and a short array would otherwise be dropped or cut off unnoticed
+    g = UndirectedGraph(3, ((0, 1), (1, 2)))
+    path = tmp_path / "g.edges"
+    for gamma, message in (([np.inf, 0.5, 0.5], "nonnegative and finite"),
+                           ([0.5, np.nan, 0.5], "nonnegative and finite"),
+                           ([0.5, 0.5, -1.0], "nonnegative and finite"),
+                           ([0.5], "one entry per node")):
+        with pytest.raises(ValueError, match=message):
+            save_graph(path, g, field_conductance=np.array(gamma))
         assert not path.exists()
 
 
@@ -250,6 +270,7 @@ def test_load_graph_line_forms(tmp_path):
 MALFORMED_GRAPH_FILES = (
     ("n 5\n0 1\n1 2\nn 3\n", ":4: second node-count line 'n 3'$"),
     ("0 1_0\n", ":1: expected a node id of digits 0-9, got '1_0'$"),
+    ("n 2\n0 1\n0 f\n", ":3: malformed line '0 f'$"),  # only edge lines default to 1
     ("0 1\n+1 2\n", ":2: expected a node id of digits 0-9, got '\\+1'$"),
     ("1 -0\n", ":1: expected a node id of digits 0-9, got '-0'$"),
     ("0 1\n1_0 f 0.5\n", ":2: expected a node id of digits 0-9, got '1_0'$"),
@@ -546,7 +567,7 @@ def test_cli_gamma_below_rounding_level_names_the_pivot_node(tmp_path, capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("text, message", MALFORMED_GRAPH_FILES[:2] + MALFORMED_GRAPH_FILES[-1:])
+@pytest.mark.parametrize("text, message", MALFORMED_GRAPH_FILES[:3] + MALFORMED_GRAPH_FILES[-1:])
 def test_cli_malformed_graph_file_exits_one_with_error_line(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.edges"
     bad.write_text(text, encoding="utf-8")
