@@ -50,8 +50,10 @@ def _checked_field_conductance(g: UndirectedGraph, values) -> np.ndarray:
     gamma = np.asarray(values, dtype=np.float64)
     if gamma.shape != (g.node_count,):
         raise ValueError("field_conductance must have one entry per node")
-    if not np.all((gamma >= 0.0) & (gamma < np.inf)):
-        raise ValueError("field conductances must be nonnegative and finite")
+    ok = (gamma >= 0.0) & (gamma < np.inf)  # NaN fails too
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValueError(f"field conductances must be nonnegative and finite, got {gamma[i]} at node {i}")
     return gamma
 
 

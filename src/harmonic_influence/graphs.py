@@ -137,6 +137,9 @@ class UndirectedGraph:
         return len(self.edges)
 
     def degree(self, v: int) -> int:
+        v = _node_id(v, "node")
+        if not 0 <= v < self.node_count:
+            raise ValueError(f"node {v} outside node range")
         return int(self._csr.indptr[v + 1] - self._csr.indptr[v])
 
     @functools.cached_property

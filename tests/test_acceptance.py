@@ -34,16 +34,14 @@ from harmonic_influence.graphs import (
     add_extra_edges,
     condensation,
     diameter,
-    erdos_renyi,
-    is_connected,
     message_digraph,
     spanning_tree,
 )
 from harmonic_influence.mpa import initial_messages, run_mpa
 from opinions import initial_state, simulate_to_fixed_point
+from shared import GAMMA, brute_force_violations, random_connected, random_tree
 from stepping import mpa_step
 
-GAMMA = 0.04
 PIPELINE_SEEDS = range(20)
 
 
@@ -55,18 +53,6 @@ def criterion(num, summary):
         print(f"\n[acceptance] criterion {num}: FAIL - {summary}")
         raise
     print(f"\n[acceptance] criterion {num}: PASS - {summary}")
-
-
-def random_connected(n, p, seed):
-    g = erdos_renyi(n, p, seed)
-    while not is_connected(g):
-        seed += 1
-        g = erdos_renyi(n, p, seed)
-    return g
-
-
-def random_tree(n, seed):
-    return spanning_tree(random_connected(n, min(1.0, 4.0 / n), seed), seed)
 
 
 def snapshots_around(tree, weights, d):
@@ -299,24 +285,6 @@ def test_criterion_7_structure_laws():
 # 8. Convergence machinery of the digraph dynamics
 # ---------------------------------------------------------------------------
 
-def brute_force_violations(d, support):
-    n = d.node_count
-    reach = np.eye(n, dtype=bool)
-    for v, w in d.arcs:
-        reach[v, w] = True
-    for k in range(n):
-        reach |= reach[:, k : k + 1] & reach[k : k + 1, :]
-    arcset = set(d.arcs)
-    out = set()
-    for v in range(n):
-        in_cycle = any(reach[v, w] and reach[w, v] for w in range(n) if w != v)
-        if not (in_cycle or (v, v) in arcset):
-            continue
-        if not any(reach[v, w] for w in support):
-            out.add(v)
-    return frozenset(out)
-
-
 def test_criterion_8_convergence_machinery():
     with criterion(8, "unbounded growth without driving; spectral radius < 1; checker agrees with brute force"):
         # negative control: 2-cycle with no driving grows linearly without bound
@@ -333,8 +301,9 @@ def test_criterion_8_convergence_machinery():
         msg = initial_messages(md, weights)
         for _ in range(2000):
             msg = mpa_step(msg, weights)
-        cond = condensation(md.to_digraph())
-        for comp in cond.nontrivial_components():
+        comps = condensation(md.to_digraph()).nontrivial_components()
+        assert len(comps) == 2
+        for comp in comps:
             nodes = sorted(comp)
             relabel = {v: i for i, v in enumerate(nodes)}
             sub = Digraph(

@@ -16,17 +16,16 @@ from harmonic_influence.analysis import (
     spearman,
     spectral_radius_diagnostic,
 )
-from harmonic_influence.electrical import ConductanceNetwork, build_weights, harmonic_influence_exact, uniform_network
-from harmonic_influence.graphs import (
-    Digraph,
-    UndirectedGraph,
-    condensation,
-    erdos_renyi,
-    is_connected,
-    message_digraph,
+from harmonic_influence.electrical import (
+    ConductanceNetwork,
+    build_weights,
+    exact_message_potentials,
+    harmonic_influence_exact,
+    uniform_network,
 )
-from harmonic_influence.mpa import initial_messages, run_mpa
-from stepping import mpa_step
+from harmonic_influence.graphs import Digraph, UndirectedGraph, add_extra_edges, condensation, message_digraph, spanning_tree
+from harmonic_influence.mpa import run_mpa
+from shared import bincount_steps, brute_force_violations, closure, random_connected, same_bits
 
 
 def constant_state(d, alpha, beta=None):
@@ -96,16 +95,6 @@ def test_nondecreasing_callable_alpha_accepted():
     for _ in range(10):
         state = run_generalized(state, 1)
     assert np.all(state.omega < 1.0)
-
-
-def closure(d):
-    """reach[v, w]: w is reachable from v by a directed path of length >= 0."""
-    reach = np.eye(d.node_count, dtype=bool)
-    for v, w in d.arcs:
-        reach[v, w] = True
-    for k in range(d.node_count):
-        reach |= reach[:, k : k + 1] & reach[k : k + 1, :]
-    return reach
 
 
 def all_dags(n):
@@ -200,23 +189,10 @@ def test_csr_kernel_matches_bincount_reference_bitwise():
         alpha = rng.uniform(0.01, 0.6, size=n)
         beta = rng.uniform(-0.2, 0.4, size=n)
         state = initial_generalized_state(d, alpha, beta, r, s)
-        arc_from = np.array([v for v, _ in d.arcs], dtype=np.intp)
-        arc_to = np.array([w for _, w in d.arcs], dtype=np.intp)
-        coef = r[arc_from] * s[arc_to]
-        omega, eta = np.ones(n), np.ones(n)
-        for t in range(200):
-            contrib = np.bincount(arc_from, weights=coef * (1.0 - omega)[arc_to], minlength=n)
-            omega, eta = (
-                1.0 / (1.0 + alpha + contrib),
-                1.0 + beta + np.bincount(arc_from, weights=(omega * eta)[arc_to], minlength=n),
-            )
+        for t, (omega, eta) in enumerate(bincount_steps(d, lambda v, w: r[v] * s[w], alpha, beta, 200)):
             state = run_generalized(state, 1)
             assert np.array_equal(state.omega, omega), (n, t)
             assert np.array_equal(state.eta, eta), (n, t)
-
-
-def same_bits(a, b):
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def stepped_generalized(state, steps):
@@ -261,23 +237,6 @@ def test_run_generalized_matches_single_step_loop_bitwise():
             assert_same_state(run_generalized(mid, 300 - mid.t), ref)
 
 
-def bincount_generalized_steps(d, alpha, beta, r, s, steps):
-    """The decay/growth recursion as per-arc bincount gathers, in arc order."""
-    n = d.node_count
-    arc_from = np.array([v for v, _ in d.arcs], dtype=np.intp)
-    arc_to = np.array([w for _, w in d.arcs], dtype=np.intp)
-    coef = r[arc_from] * s[arc_to]
-    omega, eta = np.ones(n), np.ones(n)
-    for t in range(steps):
-        beta_t = beta(t) if callable(beta) else beta
-        contrib = np.bincount(arc_from, weights=coef * (1.0 - omega)[arc_to], minlength=n)
-        omega, eta = (
-            1.0 / (1.0 + alpha + contrib),
-            1.0 + beta_t + np.bincount(arc_from, weights=(omega * eta)[arc_to], minlength=n),
-        )
-        yield omega, eta
-
-
 def test_run_generalized_past_fixed_omega_matches_bincount_reference_bitwise():
     """The folded fixed-omega steps against the bincount loop, which shares no code with them."""
     rng = np.random.default_rng(517)
@@ -289,7 +248,7 @@ def test_run_generalized_past_fixed_omega_matches_bincount_reference_bitwise():
         alpha = rng.uniform(0.01, 0.6, size=n)
         beta = rng.uniform(-0.2, 0.4, size=n)
         for b in (beta, lambda t: beta / (1.0 + t)):
-            ref = [(np.ones(n), np.ones(n))] + list(bincount_generalized_steps(d, alpha, b, r, s, 300))
+            ref = [(np.ones(n), np.ones(n))] + list(bincount_steps(d, lambda v, w: r[v] * s[w], alpha, b, 300))
             fixed = next(t for t in range(1, 301) if same_bits(ref[t][0], ref[t - 1][0]))
             assert fixed < 250, n
             start = initial_generalized_state(d, alpha, b, r, s)
@@ -314,10 +273,7 @@ def test_fold_gives_the_growth_and_readout_sums_of_a_step_at_any_omega():
         r = rng.uniform(0.2, 5.0, size=n)
         gathers.append(_generalized_gather(d, r, 1.0 / r))
     for n, seed in ((2, 1), (12, 2), (40, 3)):
-        g = erdos_renyi(n, 0.3, seed)
-        while not is_connected(g):
-            seed += 100
-            g = erdos_renyi(n, 0.3, seed)
+        g = random_connected(n, 0.3, seed, step=100)
         field = rng.uniform(0.0, 2.0, size=n) * (rng.uniform(size=n) < 0.6)
         field[0] = 0.5
         net = ConductanceNetwork(g, rng.uniform(0.01, 10.0, size=g.edge_count), field)
@@ -358,20 +314,6 @@ def test_run_generalized_callable_alpha_takes_full_steps():
 # convergence hypothesis checker
 # ---------------------------------------------------------------------------
 
-def brute_force_violations(d, support):
-    n = d.node_count
-    reach = closure(d)
-    arcset = set(d.arcs)
-    out = set()
-    for v in range(n):
-        in_cycle = any(reach[v, w] and reach[w, v] for w in range(n) if w != v)
-        if not (in_cycle or (v, v) in arcset):
-            continue
-        if not any(reach[v, w] for w in support):
-            out.add(v)
-    return frozenset(out)
-
-
 @st.composite
 def digraphs_with_support(draw, max_nodes=12):
     """A digraph with self-loops allowed, and a support list that may be
@@ -404,11 +346,7 @@ def test_hypothesis_two_cycle_empty_support_violates():
 
 def test_hypothesis_on_message_digraphs_with_full_field():
     for seed in range(10):
-        g = erdos_renyi(20, 0.15, seed=1000 + seed)
-        while not is_connected(g):
-            seed += 100
-            g = erdos_renyi(20, 0.15, seed=1000 + seed)
-        md = message_digraph(g)
+        md = message_digraph(random_connected(20, 0.15, 1000 + seed, step=100))
         # positive field trust everywhere: every message drives
         support = range(md.size)
         assert check_convergence_hypothesis(md.to_digraph(), support) == frozenset()
@@ -558,27 +496,6 @@ def test_generalized_state_rejects_non_finite_inputs(r, s, beta, message):
         initial_generalized_state(d, [0.1, 0.1], beta, r, s)
 
 
-def test_spectral_radius_below_one_on_converged_triangle_component():
-    tri = UndirectedGraph(3, ((0, 1), (1, 2), (0, 2)))
-    w = build_weights(uniform_network(tri, 0.04))
-    md = message_digraph(tri)
-    state = initial_messages(md, w)
-    for _ in range(2000):
-        state = mpa_step(state, w)
-    cond = condensation(md.to_digraph())
-    comps = cond.nontrivial_components()
-    assert len(comps) == 2
-    for comp in comps:
-        nodes = sorted(comp)
-        relabel = {v: i for i, v in enumerate(nodes)}
-        sub = Digraph(
-            len(nodes),
-            tuple((relabel[a], relabel[b]) for a, b in md.arcs if a in comp and b in comp),
-        )
-        rho = spectral_radius_diagnostic(sub, state.w_msgs[nodes])
-        assert rho < 1.0
-
-
 # ---------------------------------------------------------------------------
 # spearman and the scatter pairs
 # ---------------------------------------------------------------------------
@@ -666,13 +583,7 @@ def test_fractional_ranks_match_scipy_bitwise():
 
 def test_scatter_pairs_on_tree_and_cyclic_fixtures():
     """The (exact, estimate) pairs of the report's scatter plots against the 45-degree line."""
-    from harmonic_influence.electrical import exact_message_potentials, harmonic_influence_exact
-    from harmonic_influence.graphs import add_extra_edges, spanning_tree
-    from harmonic_influence.mpa import run_mpa
-
-    g = erdos_renyi(25, 0.2, seed=90)
-    while not is_connected(g):
-        g = erdos_renyi(25, 0.2, seed=91)
+    g = random_connected(25, 0.2, 90)
     tree = spanning_tree(g, seed=90)
 
     # tree: every point sits on the 45-degree line

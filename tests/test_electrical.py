@@ -8,7 +8,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmonic_influence import experiment
+from harmonic_influence import electrical, experiment
 from harmonic_influence.electrical import (
     ConductanceNetwork,
     InfluenceWeights,
@@ -18,35 +18,17 @@ from harmonic_influence.electrical import (
     harmonic_influence_exact,
     uniform_network,
 )
-from harmonic_influence.graphs import (
-    UndirectedGraph,
-    erdos_renyi,
-    is_connected,
-    message_digraph,
-)
-
-GAMMA = 0.04
+from harmonic_influence.graphs import UndirectedGraph, message_digraph
+from shared import GAMMA, cycle_graph, path_graph, random_connected
 
 
-def path_graph(n):
-    return UndirectedGraph(n, tuple((i, i + 1) for i in range(n - 1)))
+def random_network(n, p, seed):
+    return uniform_network(random_connected(n, p, seed), GAMMA)
 
 
 def trust_by_arc(w):
     """``arc_trust`` keyed by the arc (j, i): how much j trusts its neighbor i."""
     return dict(zip(message_digraph(w.graph).arc_nodes, w.arc_trust.tolist()))
-
-
-def cycle_graph(n):
-    return UndirectedGraph(n, tuple((i, (i + 1) % n) for i in range(n)))
-
-
-def random_network(n, p, seed, gamma=GAMMA):
-    g = erdos_renyi(n, p, seed)
-    while not is_connected(g):
-        seed += 1
-        g = erdos_renyi(n, p, seed)
-    return uniform_network(g, gamma)
 
 
 def two_node_network():
@@ -176,7 +158,7 @@ def test_weights_of_wide_conductance_ranges_pass_the_row_sum_check():
     rng = np.random.default_rng(71)
     checked = 0
     for k in range(60):
-        g = random_network(int(rng.integers(3, 60)), 0.3, seed=1200 + k).graph
+        g = random_connected(int(rng.integers(3, 60)), 0.3, 1200 + k)
         sigma = (0.1, 1.0, 10.0, 100.0)[k % 4]
         conductance = np.exp(np.clip(rng.normal(0.0, sigma, g.edge_count), -690.0, 690.0))
         field = np.exp(np.clip(rng.normal(0.0, sigma, g.node_count), -690.0, 690.0))
@@ -260,9 +242,7 @@ def test_solve_potentials_within_unit_interval():
 def test_grounded_matrix_is_positive_definite():
     for seed in range(4):
         net = random_network(15, 0.25, seed=60 + seed)
-        from harmonic_influence.electrical import _grounded_laplacian
-
-        lap = _grounded_laplacian(net).toarray()
+        lap = electrical._grounded_laplacian(net).toarray()
         for leader in range(net.node_count):
             keep = [i for i in range(net.node_count) if i != leader]
             np.linalg.cholesky(lap[np.ix_(keep, keep)])  # raises if not PD
@@ -271,7 +251,7 @@ def test_grounded_matrix_is_positive_definite():
 def random_conductance_network(n, seed):
     # non-uniform edge conductances; about a third of the nodes have no field edge
     rng = np.random.default_rng(seed)
-    g = random_network(n, min(1.0, 4.0 / n), seed=seed).graph
+    g = random_connected(n, min(1.0, 4.0 / n), seed)
     gamma = rng.uniform(0.01, 0.2, size=n) * (rng.random(n) < 0.67)
     gamma[rng.integers(n)] = 0.05
     return ConductanceNetwork(g, rng.uniform(0.2, 5.0, size=g.edge_count), gamma)
@@ -304,8 +284,6 @@ class PerturbedSolve:
 
 
 def test_closed_form_checks_raise_arithmetic_error(monkeypatch):
-    import harmonic_influence.electrical as electrical
-
     net = random_network(12, 0.3, seed=14)
     lap = electrical._grounded_laplacian(net)
     md = message_digraph(net.graph)
@@ -477,8 +455,6 @@ def test_exact_message_potentials_reject_another_graphs_digraph():
 
 
 def test_exact_results_are_cached_per_network(monkeypatch):
-    import harmonic_influence.electrical as electrical
-
     calls = []
     factor = electrical._factor
     monkeypatch.setattr(electrical, "_factor", lambda m, what, *nodes: calls.append(what) or factor(m, what, *nodes))
@@ -496,8 +472,6 @@ def test_exact_results_are_cached_per_network(monkeypatch):
 
 
 def test_exact_results_do_not_depend_on_the_solve_block(monkeypatch):
-    import harmonic_influence.electrical as electrical
-
     config = experiment.ExperimentConfig(n=300, p=0.03, extra_edges=30, seed=5)  # the output fixture's run
     nets = [uniform_network(g, GAMMA) for g in experiment.generate_graphs(config)[0].values()]
     block = electrical._SOLVE_BLOCK
@@ -525,8 +499,6 @@ def test_exact_results_of_a_path_need_no_n_by_n_array():
 
 
 def test_residual_failure_names_the_leader_whose_column_failed(monkeypatch):
-    import harmonic_influence.electrical as electrical
-
     class SpoiledColumn(PerturbedSolve):
         def solve(self, b, **kwargs):
             x = self.lu.solve(b, **kwargs)

@@ -25,6 +25,7 @@ from harmonic_influence.experiment import (
 )
 from harmonic_influence.graphs import UndirectedGraph, erdos_renyi
 from harmonic_influence.mpa import DEFAULT_MAX_ITER, DEFAULT_TOL, error_trace, run_mpa
+from shared import same_bits
 
 SMALL_CFG = dict(n=16, p=0.25, extra_edges=3, gamma=0.04, seed=7)
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -155,10 +156,6 @@ def test_trace_csv_thinning(tmp_path):
     assert 10001 not in ts and 10010 in ts and 9999 in ts
 
 
-def same_bits(a, b):
-    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
-
-
 def read_csv(path):
     """The header line and the columns of a table, numbers parsed back as floats."""
     header, *rows = path.read_text().splitlines()
@@ -220,9 +217,10 @@ def test_save_graph_rejects_field_conductances_a_network_rejects(tmp_path):
     # load_graph refuses inf; NaN, -1 and a short array would otherwise be dropped or cut off unnoticed
     g = UndirectedGraph(3, ((0, 1), (1, 2)))
     path = tmp_path / "g.edges"
-    for gamma, message in (([np.inf, 0.5, 0.5], "nonnegative and finite"),
-                           ([0.5, np.nan, 0.5], "nonnegative and finite"),
-                           ([0.5, 0.5, -1.0], "nonnegative and finite"),
+    for gamma, message in (([np.inf, 0.5, 0.5], "^field conductances must be nonnegative and finite, got inf at node 0$"),
+                           ([0.5, np.nan, 0.5], "nonnegative and finite, got nan at node 1$"),
+                           ([0.5, 0.5, -1.0], "nonnegative and finite, got -1.0 at node 2$"),
+                           ([0.5, -1.0, np.inf], "nonnegative and finite, got -1.0 at node 1$"),
                            ([0.5], "one entry per node")):
         with pytest.raises(ValueError, match=message):
             save_graph(path, g, field_conductance=np.array(gamma))

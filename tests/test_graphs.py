@@ -22,14 +22,7 @@ from harmonic_influence.graphs import (
     message_digraph,
     spanning_tree,
 )
-
-
-def path_graph(n):
-    return UndirectedGraph(n, tuple((i, i + 1) for i in range(n - 1)))
-
-
-def cycle_graph(n):
-    return UndirectedGraph(n, tuple((i, (i + 1) % n) for i in range(n)))
+from shared import closure, cycle_graph, path_graph, random_connected
 
 
 def bfs_distances(g, source):
@@ -45,14 +38,6 @@ def bfs_distances(g, source):
                 dist[w] = dist[v] + 1
                 queue.append(w)
     return dist
-
-
-def random_connected_graph(n, p, seed):
-    g = erdos_renyi(n, p, seed)
-    while not is_connected(g):
-        seed += 1
-        g = erdos_renyi(n, p, seed)
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +88,20 @@ def test_graph_normalizes_edge_order():
     assert g.edges == ((0, 1), (0, 2))
     assert g._csr.indices[: g._csr.indptr[1]].tolist() == [1, 2]
     assert g.degree(0) == 2 and g.degree(1) == 1
+
+
+@pytest.mark.parametrize("v, message", [
+    (-1, r"^node -1 outside node range$"),
+    (3, r"^node 3 outside node range$"),
+    (1.0, r"^node 1\.0 is not an integer node id$"),
+    ("1", r"^node '1' is not an integer node id$"),
+])
+def test_degree_rejects_a_node_outside_the_graph(v, message):
+    # -1 is a valid numpy index, so only the range check refuses it
+    path = path_graph(3)
+    assert path.degree(np.int64(1)) == 2 and path.degree(True) == 2
+    with pytest.raises(ValueError, match=message):
+        path.degree(v)
 
 
 def test_digraph_allows_self_loops_rejects_duplicates():
@@ -355,7 +354,7 @@ def test_spanning_tree_of_triangle():
 
 def test_spanning_tree_properties_random():
     for seed in range(10):
-        g = random_connected_graph(50, 0.1, seed=100 + seed)
+        g = random_connected(50, 0.1, seed=100 + seed)
         st = spanning_tree(g, seed=seed)
         assert st.edge_count == 49
         assert is_connected(st)
@@ -369,13 +368,13 @@ def test_spanning_tree_disconnected_names_pair():
 
 
 def test_add_extra_edges_zero_keeps_tree():
-    g = random_connected_graph(20, 0.3, seed=5)
+    g = random_connected(20, 0.3, seed=5)
     st = spanning_tree(g, seed=5)
     assert add_extra_edges(st, g, 0, seed=1).edges == st.edges
 
 
 def test_add_extra_edges_counts_and_nesting():
-    g = random_connected_graph(50, 0.1, seed=11)
+    g = random_connected(50, 0.1, seed=11)
     st = spanning_tree(g, seed=11)
     fe = add_extra_edges(st, g, 10, seed=11)
     assert fe.edge_count == 59
@@ -383,14 +382,14 @@ def test_add_extra_edges_counts_and_nesting():
 
 
 def test_add_extra_edges_exhaustion_returns_pool():
-    g = random_connected_graph(15, 0.4, seed=2)
+    g = random_connected(15, 0.4, seed=2)
     st = spanning_tree(g, seed=2)
     full = add_extra_edges(st, g, g.edge_count - st.edge_count, seed=9)
     assert set(full.edges) == set(g.edges)
 
 
 def test_add_extra_edges_k_too_large():
-    g = random_connected_graph(10, 0.5, seed=4)
+    g = random_connected(10, 0.5, seed=4)
     st = spanning_tree(g, seed=4)
     with pytest.raises(ValueError):
         add_extra_edges(st, g, g.edge_count, seed=0)
@@ -436,7 +435,7 @@ def test_message_digraph_triangle_matches_enumeration():
 
 def test_message_digraph_structural_invariants_random():
     for seed in range(12):
-        g = random_connected_graph(25, 0.15, seed=300 + seed)
+        g = random_connected(25, 0.15, seed=300 + seed)
         md = message_digraph(g)
         assert md.size == 2 * g.edge_count
         assert md.receivers().tolist() == [j for j, _ in md.arc_nodes]
@@ -459,16 +458,8 @@ def test_message_digraph_structural_invariants_random():
 # ---------------------------------------------------------------------------
 
 def brute_force_sccs(d):
-    n = d.node_count
-    reach = np.eye(n, dtype=bool)
-    for v, w in d.arcs:
-        reach[v, w] = True
-    for k in range(n):
-        reach |= reach[:, k : k + 1] & reach[k : k + 1, :]
-    comps = set()
-    for v in range(n):
-        comps.add(frozenset(w for w in range(n) if reach[v, w] and reach[w, v]))
-    return comps
+    n, reach = d.node_count, closure(d)
+    return {frozenset(w for w in range(n) if reach[v, w] and reach[w, v]) for v in range(n)}
 
 
 def test_condensation_acyclic_all_trivial():
@@ -486,7 +477,7 @@ def test_condensation_self_loop_is_nontrivial():
 
 def test_condensation_tree_message_digraph_trivial():
     for seed in range(5):
-        g = spanning_tree(random_connected_graph(30, 0.15, seed=40 + seed), seed=seed)
+        g = spanning_tree(random_connected(30, 0.15, seed=40 + seed), seed=seed)
         cond = condensation(message_digraph(g).to_digraph())
         assert not any(cond.nontrivial)
 
@@ -523,7 +514,7 @@ def test_structure_law_on_scc_counts():
     # connected graph: tree -> 0 nontrivial, |E| = n -> 2, |E| > n -> 1
     rng = np.random.default_rng(77)
     for trial in range(30):
-        g = random_connected_graph(20, 0.2, seed=500 + trial)
+        g = random_connected(20, 0.2, seed=500 + trial)
         st = spanning_tree(g, seed=trial)
         slack = g.edge_count - st.edge_count
         if slack < 2:
@@ -545,10 +536,9 @@ def test_diameter_path_and_cycle():
 
 def test_diameter_matches_all_pairs_bfs():
     for seed in range(8):
-        g = random_connected_graph(int(10 + 15 * seed), 0.15, seed=900 + seed)
+        g = random_connected(int(10 + 15 * seed), 0.15, seed=900 + seed)
         for graph in (g, spanning_tree(g, seed)):
-            expected = max(int(bfs_distances(graph, v).max()) for v in range(graph.node_count))
-            assert diameter(graph) == expected
+            assert diameter(graph) == bfs_diameter(graph)
     assert diameter(UndirectedGraph(1, ())) == 0
 
 
@@ -613,7 +603,7 @@ def test_diameter_named_shapes(monkeypatch, g, expected, min_sweeps):
 
 
 def test_diameter_on_er_graph_where_the_fringe_needs_many_bfs(monkeypatch):
-    g = random_connected_graph(300, 0.03, seed=3)
+    g = random_connected(300, 0.03, seed=3)
     calls = counting_sweeps(monkeypatch)
     assert diameter(g) == int(scipy.sparse.csgraph.shortest_path(g._csr, unweighted=True).max())
     assert calls[0] > 100

@@ -8,51 +8,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from harmonic_influence import mpa
-from harmonic_influence.analysis import initial_generalized_state, run_generalized
-from harmonic_influence.electrical import (
-    ConductanceNetwork,
-    InfluenceWeights,
-    build_weights,
-    exact_message_potentials,
-    harmonic_influence_exact,
-    uniform_network,
-)
-from harmonic_influence.graphs import (
-    UndirectedGraph,
-    diameter,
-    erdos_renyi,
-    is_connected,
-    message_digraph,
-    spanning_tree,
-)
+from harmonic_influence.electrical import ConductanceNetwork, InfluenceWeights, build_weights, uniform_network
+from harmonic_influence.graphs import UndirectedGraph, diameter, erdos_renyi, message_digraph
 from harmonic_influence.mpa import BLOCK, ERROR_CHUNK, error_trace, initial_messages, run_mpa
+from shared import GAMMA, bincount_steps, connected_networks, path_graph, random_connected, random_tree, same_bits
 from stepping import error_rows, influence_estimates, mpa_step, node_influence_estimate, stepped_run
-from test_properties import connected_networks
-
-GAMMA = 0.04
 
 
-def path_graph(n):
-    return UndirectedGraph(n, tuple((i, i + 1) for i in range(n - 1)))
-
-
-def random_connected(n, p, seed):
-    g = erdos_renyi(n, p, seed)
-    while not is_connected(g):
-        seed += 1
-        g = erdos_renyi(n, p, seed)
-    return g
-
-
-def random_tree(n, seed):
-    return spanning_tree(random_connected(n, min(1.0, 4.0 / n), seed), seed)
-
-
-def setup(g, gamma=GAMMA):
-    net = uniform_network(g, gamma)
-    w = build_weights(net)
-    md = message_digraph(g)
-    return net, w, md
+def setup(g):
+    net = uniform_network(g, GAMMA)
+    return net, build_weights(net), message_digraph(g)
 
 
 def square_with_chord():
@@ -152,22 +117,12 @@ def test_run_mpa_matches_manual_stepping():
 
 def bincount_reference_steps(md, weights, steps):
     """The message updates and estimates as per-arc bincount gathers, in arc order."""
-    m, n = md.size, md.base.node_count
     trust = dict(zip(md.arc_nodes, weights.arc_trust))  # trust[(j, i)]: how much j trusts i
     sender_trust = np.array([trust[(i, j)] for j, i in md.arc_nodes])
     receiver_trust = np.array([trust[(j, i)] for j, i in md.arc_nodes])
     alpha = weights.field_trust[md.senders()] / sender_trust
-    arc_from = np.array([a for a, _ in md.arcs], dtype=np.intp)
-    arc_to = np.array([b for _, b in md.arcs], dtype=np.intp)
-    coef = receiver_trust[arc_to] / sender_trust[arc_from]
-    receivers = md.receivers()
-    w, h = np.ones(m), np.ones(m)
-    for _ in range(steps):
-        contrib = np.bincount(arc_from, weights=coef * (1.0 - w)[arc_to], minlength=m)
-        w, h = (
-            1.0 / (1.0 + alpha + contrib),
-            1.0 + np.bincount(arc_from, weights=(w * h)[arc_to], minlength=m),
-        )
+    receivers, n = md.receivers(), md.base.node_count
+    for w, h in bincount_steps(md.to_digraph(), lambda a, b: receiver_trust[b] / sender_trust[a], alpha, 0.0, steps):
         yield w, h, 1.0 + np.bincount(receivers, weights=w * h, minlength=n)
 
 
@@ -308,11 +263,6 @@ def test_kernel_rejects_a_trust_whose_quotients_overflow():
         run_mpa(path, no_field)
 
 
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 def expected_result(g, weights, tol, max_iter):
     """The fields of run_mpa's result, read off the rows of the full-step loop:
     the w rows are kept through the step at which w fixes."""
@@ -409,41 +359,6 @@ def test_tree_fixes_after_exactly_diameter_steps():
         assert not np.array_equal(result.w_trace[d - 1], result.w_trace[d])
 
 
-def test_tree_messages_bitwise_fixed_including_h():
-    tree = random_tree(25, seed=17)
-    _, w, md = setup(tree)
-    d = diameter(tree)
-    state = initial_messages(md, w)
-    snaps = {}
-    for t in range(1, d + 2):
-        state = mpa_step(state, w)
-        if t >= d - 1:
-            snaps[t] = state
-    assert np.array_equal(snaps[d].w_msgs, snaps[d + 1].w_msgs)
-    assert np.array_equal(snaps[d].h_msgs, snaps[d + 1].h_msgs)
-    changed = not np.array_equal(snaps[d - 1].w_msgs, snaps[d].w_msgs) or not np.array_equal(
-        snaps[d - 1].h_msgs, snaps[d].h_msgs
-    )
-    assert changed
-
-
-def test_tree_estimates_match_exact_influence():
-    for seed in range(5):
-        tree = random_tree(40, seed=900 + seed)
-        net, w, md = setup(tree)
-        result = run_mpa(tree, w, tol=0.0, max_iter=1000)
-        exact = harmonic_influence_exact(net)
-        assert np.abs(result.h_estimates - exact).max() <= 1e-9
-
-
-def test_tree_w_limits_match_exact_potentials():
-    tree = random_tree(35, seed=31)
-    net, w, md = setup(tree)
-    result = run_mpa(tree, w, tol=0.0, max_iter=1000)
-    w_star = exact_message_potentials(net, result.md)
-    assert np.abs(result.w_limits - w_star).max() <= 1e-9
-
-
 def test_run_smallest_input_two_nodes():
     g = UndirectedGraph(2, ((0, 1),))
     _, w, _ = setup(g)
@@ -471,16 +386,6 @@ def test_max_iter_equal_diameter_still_returns_fixed_messages():
     assert not capped.converged  # it never got to observe a zero residual
     assert np.array_equal(capped.w_limits, longer.w_limits)
     assert np.array_equal(capped.h_estimates, longer.h_estimates)
-
-
-def test_overestimation_on_cyclic_graph():
-    g = random_connected(30, 0.15, seed=55)
-    net, w, _ = setup(g)
-    result = run_mpa(g, w)
-    exact = harmonic_influence_exact(net)
-    w_star = exact_message_potentials(net, result.md)
-    assert np.all(result.h_estimates >= exact - 1e-9)
-    assert np.all(result.w_limits <= w_star + 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -594,25 +499,3 @@ def test_traced_run_holds_its_trace_once():
     assert peak <= 1.3 * result.h_trace.nbytes + kernel_bytes, (peak, result.h_trace.nbytes)
     errors, peak = traced_peak(lambda: error_trace(result))
     assert peak <= 2 * 8 * ERROR_CHUNK, peak
-
-
-# ---------------------------------------------------------------------------
-# equivalence with the generalized digraph dynamics
-# ---------------------------------------------------------------------------
-
-def test_generalized_dynamics_reproduces_messages_bitwise():
-    g = square_with_chord()
-    _, w, md = setup(g)
-    m = md.size
-    trust = dict(zip(md.arc_nodes, w.arc_trust))
-    alpha = np.array([w.field_trust[i] / trust[(i, j)] for j, i in md.arc_nodes])
-    # unit conductances: the per-message scaling is 1/C = C = 1
-    r = np.ones(m)
-    s = np.ones(m)
-    gen = initial_generalized_state(md.to_digraph(), alpha, np.zeros(m), r, s)
-    msg = initial_messages(md, w)
-    for t in range(100):
-        gen = run_generalized(gen, 1)
-        msg = mpa_step(msg, w)
-        assert np.array_equal(gen.omega, msg.w_msgs), t
-        assert np.array_equal(gen.eta, msg.h_msgs), t

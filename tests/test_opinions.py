@@ -6,7 +6,7 @@ from harmonic_influence.electrical import (
     grounded_laplacian_solve,
     uniform_network,
 )
-from harmonic_influence.graphs import UndirectedGraph, erdos_renyi, is_connected
+from harmonic_influence.graphs import UndirectedGraph
 from opinions import (
     NonConvergenceError,
     OpinionState,
@@ -14,16 +14,7 @@ from opinions import (
     simulate_to_fixed_point,
     step,
 )
-
-GAMMA = 0.04
-
-
-def random_network(n, p, seed, gamma=GAMMA):
-    g = erdos_renyi(n, p, seed)
-    while not is_connected(g):
-        seed += 1
-        g = erdos_renyi(n, p, seed)
-    return uniform_network(g, gamma)
+from shared import GAMMA, random_connected
 
 
 def two_node():
@@ -45,7 +36,7 @@ def test_initial_state_rejects_leader_outside_range(leader):
 
 
 def test_leader_opinion_never_moves():
-    net = random_network(15, 0.25, seed=3)
+    net = uniform_network(random_connected(15, 0.25, 3), GAMMA)
     w = build_weights(net)
     st = initial_state(15, leader=4, regular_opinion=0.3)
     for _ in range(20):
@@ -67,7 +58,7 @@ def test_two_node_limit():
 
 
 def test_initial_condition_irrelevance():
-    net = random_network(12, 0.3, seed=8)
+    net = uniform_network(random_connected(12, 0.3, 8), GAMMA)
     w = build_weights(net)
     tol = 1e-12
     lo = simulate_to_fixed_point(initial_state(12, leader=2, regular_opinion=0.0), w, tol=tol)
@@ -77,7 +68,7 @@ def test_initial_condition_irrelevance():
 
 def test_limit_matches_grounded_solve():
     for seed in range(6):
-        net = random_network(14, 0.25, seed=120 + seed, gamma=0.3)
+        net = uniform_network(random_connected(14, 0.25, 120 + seed), 0.3)
         w = build_weights(net)
         leader = seed % 14
         st = simulate_to_fixed_point(initial_state(14, leader=leader), w, tol=1e-12)
@@ -86,7 +77,7 @@ def test_limit_matches_grounded_solve():
 
 
 def test_opinions_stay_in_unit_interval():
-    net = random_network(20, 0.2, seed=42)
+    net = uniform_network(random_connected(20, 0.2, 42), GAMMA)
     w = build_weights(net)
     rng = np.random.default_rng(0)
     opinions = rng.random(20)
@@ -103,7 +94,7 @@ def test_windowed_geometric_decay():
     # window of node-count steps it must not grow
     n = 20
     for seed in range(8):
-        net = random_network(n, 0.2, seed=600 + seed)
+        net = uniform_network(random_connected(n, 0.2, 600 + seed), GAMMA)
         w = build_weights(net)
         st = initial_state(n, leader=0)
         residuals = []
@@ -117,7 +108,7 @@ def test_windowed_geometric_decay():
 
 
 def test_max_iter_exceeded_raises_with_residual():
-    net = random_network(15, 0.2, seed=77)
+    net = uniform_network(random_connected(15, 0.2, 77), GAMMA)
     w = build_weights(net)
     with pytest.raises(NonConvergenceError) as err:
         simulate_to_fixed_point(initial_state(15, leader=0), w, tol=1e-15, max_iter=3)

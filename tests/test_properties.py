@@ -21,30 +21,8 @@ from harmonic_influence.electrical import (
 from harmonic_influence.graphs import UndirectedGraph, message_digraph
 from harmonic_influence.mpa import error_trace, initial_messages, run_mpa
 from opinions import _trust_matrix
+from shared import connected_networks, same_bits
 from stepping import error_rows, influence_estimates, mpa_step, node_influence_estimate, stepped_run
-
-conductances = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False)
-
-
-@st.composite
-def connected_networks(draw, max_nodes=14):
-    """A connected graph (a random tree plus extra edges), listed in drawn
-    order and direction, with drawn edge conductances in the order of
-    ``g.edges`` and drawn field conductances; fields may be zero except at
-    one node."""
-    n = draw(st.integers(min_value=2, max_value=max_nodes))
-    tree = [(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)]
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    extra = draw(st.lists(st.sampled_from(pairs), max_size=2 * n, unique=True))
-    edges = draw(st.permutations(sorted(set(tree) | set(extra))))
-    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
-    fields = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=10.0))
-    gamma = draw(st.lists(fields, min_size=n, max_size=n))
-    gamma[draw(st.integers(min_value=0, max_value=n - 1))] = draw(conductances)
-    g = UndirectedGraph(n, tuple(edges))
-    cond = draw(st.lists(conductances, min_size=g.edge_count, max_size=g.edge_count))
-    return ConductanceNetwork(g, np.array(cond), np.array(gamma))
-
 
 def neighbor_lists(g):
     nbrs = [[] for _ in range(g.node_count)]
@@ -88,10 +66,6 @@ def grounded_laplacian_oracle(net):
         lap[v, v] += c
     lap[np.diag_indices(n)] += net.field_conductance
     return lap
-
-
-def same_bits(a, b):
-    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
 
 
 @given(connected_networks())
@@ -182,7 +156,7 @@ def test_exact_results_match_per_leader_and_dense_solves(net):
 
 
 @given(connected_networks())
-def test_glue_leaders_restores_the_network_its_field_edges_were_split_from(net):
+def test_field_edges_act_as_leaf_leaders_held_at_zero(net):
     # A field edge acts like a leaf leader held at opinion 0: split each one
     # off as an edge to a fresh leaf, numbered after the nodes, and solve the
     # split graph's Laplacian densely with the leaves at 0 and the leader at 1.
@@ -224,7 +198,7 @@ def test_mpa_bounds_exact_values_one_sided_and_is_exact_on_trees(net):
         assert np.all(result.w_limits <= w_exact * (1.0 + rtol))
 
 
-def check_verdict(net):
+def convergence_violators(net):
     """Messages in nontrivial strong components of the message digraph that reach no message sent by a fed node."""
     md = message_digraph(net.graph)
     support = np.flatnonzero(net.field_conductance[md.senders()] > 0.0)
@@ -232,18 +206,18 @@ def check_verdict(net):
 
 
 @given(connected_networks(), st.integers(min_value=0, max_value=13))
-def test_check_is_satisfied_on_every_network_with_one_fed_node(net, fed):
+def test_convergence_hypothesis_holds_on_every_network_with_one_fed_node(net, fed):
     # A network is accepted only if every component has a fed node, and a
     # non-backtracking walk from any message on a cycle can leave the cycle
     # along a shortest path to that node: the hypothesis always holds.
     field = np.zeros(net.node_count)
     field[fed % net.node_count] = 1.0
-    assert check_verdict(ConductanceNetwork(net.graph, net.edge_conductance, field)) == frozenset()
+    assert convergence_violators(ConductanceNetwork(net.graph, net.edge_conductance, field)) == frozenset()
 
 
-def test_check_is_satisfied_on_a_disconnected_network_fed_once_per_component():
+def test_convergence_hypothesis_holds_on_a_disconnected_network_fed_once_per_component():
     # a triangle and a square with a chord, fed at node 0 and node 6
     g = UndirectedGraph(7, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6), (3, 5)))
     field = np.zeros(7)
     field[[0, 6]] = 1.0
-    assert check_verdict(ConductanceNetwork(g, np.ones(g.edge_count), field)) == frozenset()
+    assert convergence_violators(ConductanceNetwork(g, np.ones(g.edge_count), field)) == frozenset()
