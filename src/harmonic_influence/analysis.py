@@ -226,14 +226,17 @@ def check_convergence_hypothesis(d: Digraph, alpha_support: Iterable[int]) -> fr
 
 
 def spectral_radius_diagnostic(d: Digraph, omega: Sequence[float]) -> float:
-    """Spectral radius of (adjacency matrix) * diag(omega), by power iteration.
+    """Spectral radius of (adjacency matrix) * diag(omega), per strong component.
 
-    Each nontrivial strong component is iterated alone, on its own arcs,
+    Each nontrivial strong component is handled alone, on its own arcs,
     and the largest radius is returned, or 0 if there is none: on the whole
     digraph, components of close radii, or a Jordan block, stall the
-    iteration.  Each runs on its matrix plus the identity, which shifts the
-    radius by exactly one but makes the iteration converge on periodic
-    structures such as directed cycles.  No dense matrix is formed.
+    iteration.  A component with as many arcs as nodes is one directed
+    cycle of some length k, where B^k = (prod omega) * I, so its radius is
+    the geometric mean of its omega.  Any other is power-iterated on its
+    matrix plus the identity, which shifts the radius by exactly one but
+    makes the iteration converge on periodic structures.  No dense matrix
+    is formed.
     """
     n = d.node_count
     w = np.asarray(omega, dtype=np.float64)
@@ -252,9 +255,12 @@ def spectral_radius_diagnostic(d: Digraph, omega: Sequence[float]) -> float:
     radius = 0.0
     for start, stop in zip([0] + bounds[:-1], bounds):
         if nontrivial[order[start]]:
-            # The products gather by columns, like the arc-gather kernel.
-            block = adjacency[start:stop, start:stop].tocsc()
-            radius = max(radius, _power_radius(block, w[order[start:stop]]))
+            block, w_block = adjacency[start:stop, start:stop], w[order[start:stop]]
+            if block.nnz == stop - start:
+                radius = max(radius, float(np.exp(np.mean(np.log(w_block)))))
+            else:
+                # The products gather by columns, like the arc-gather kernel.
+                radius = max(radius, _power_radius(block.tocsc(), w_block))
     return radius
 
 

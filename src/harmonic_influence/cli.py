@@ -4,7 +4,9 @@ Subcommands: ``generate`` (emit the three nested graphs), ``exact``
 (grounded-Laplacian influence for a graph file), ``mpa`` (message
 passing run with traces) and ``experiment`` (full pipeline).
 
-Exit codes: 0 success, 1 input error, 2 non-convergence.
+Exit codes: 0 success, 1 bad input, 2 non-convergence.  Every exit 1
+ends stderr with exactly one line, ``error: <why>``; an argument error
+prints the usage before it.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad arguments; reserve 2 for non-convergence.
     def error(self, message: str):
         self.print_usage(sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_INPUT_ERROR)
 
 

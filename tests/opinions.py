@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from harmonic_influence.electrical import InfluenceWeights
-from harmonic_influence.graphs import _read_only
+from harmonic_influence.graphs import _node_id, _read_only
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10**6
@@ -46,7 +46,11 @@ def initial_state(
     field_opinion: float = 0.0,
     regular_opinion: float = 0.0,
 ) -> OpinionState:
-    """All regular agents start at regular_opinion; the leader at its fixed value."""
+    """All regular agents start at regular_opinion; the leader at its fixed value.
+
+    The leader is a node id checked as graph ends are, so ``True`` is node 1.
+    """
+    leader = _node_id(leader, "leader")
     if not 0 <= leader < n:
         raise ValueError(f"leader {leader} outside node range")
     opinions = np.full(n, float(regular_opinion))

@@ -1,4 +1,5 @@
 import itertools
+from statistics import geometric_mean
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from harmonic_influence.electrical import (
 )
 from harmonic_influence.graphs import Digraph, UndirectedGraph, add_extra_edges, condensation, message_digraph, spanning_tree
 from harmonic_influence.mpa import run_mpa
-from shared import bincount_steps, brute_force_violations, closure, random_connected, same_bits
+from shared import bincount_steps, brute_force_violations, closure, cycle_graph, random_connected, same_bits
 
 
 def constant_state(d, alpha, beta=None):
@@ -415,9 +416,22 @@ def test_spectral_radius_cycle_identity_omega():
 
 
 def test_spectral_radius_cycle_scaled_omega():
+    # On one directed k-cycle B^k = (prod omega) I: the radius is the geometric mean of omega.
     c = 0.63
     got = spectral_radius_diagnostic(directed_cycle(4), np.full(4, c))
     assert got == pytest.approx(c, abs=1e-8)
+    for k in (200, 1000):
+        omega = np.random.default_rng(0).uniform(0.3, 0.7, k)
+        assert spectral_radius_diagnostic(directed_cycle(k), omega) == pytest.approx(geometric_mean(omega), rel=1e-12)
+    # A 200-node ring, whose message digraph is two directed 200-cycles, one each way round.
+    ring = cycle_graph(200)
+    cond = np.random.default_rng(0).uniform(0.5, 2.0, ring.edge_count)
+    result = run_mpa(ring, build_weights(ConductanceNetwork(ring, cond, np.full(200, 0.04))))
+    md, w = result.md, result.w_limits
+    forward = md.senders() == (md.receivers() + 1) % 200
+    got = spectral_radius_diagnostic(md.dependencies, w)
+    assert got == pytest.approx(max(geometric_mean(w[forward]), geometric_mean(w[~forward])), rel=1e-12)
+    assert got < 1.0
 
 
 def test_spectral_radius_matches_dense_eigvals():
@@ -466,12 +480,15 @@ def test_spectral_radius_iterates_each_strong_component_alone():
 
 
 def test_spectral_radius_raises_when_power_iteration_stalls():
-    # On a 200-node cycle the 200 eigenvalues of A diag(omega) share one
-    # modulus, and after the shift the dominant one is too close to its
-    # neighbours for the iteration to separate within its step cap.
-    omega = np.random.default_rng(0).uniform(0.3, 0.7, 200)
+    # Two directed 200-cycles through node 0 make one strong component that
+    # is not a cycle but has period 200: its eigenvalues of largest modulus
+    # are rho e^(2 pi i k / 200), and after the shift the dominant one is too
+    # close to its neighbours for the iteration to separate within its step cap.
+    second = ((0, 200),) + tuple((i, i + 1) for i in range(200, 398)) + ((398, 0),)
+    figure_eight = Digraph(399, directed_cycle(200).arcs + second)
+    omega = np.random.default_rng(0).uniform(0.3, 0.7, 399)
     with pytest.raises(ArithmeticError, match=r"^power iteration did not converge in 10000 steps; last estimate"):
-        spectral_radius_diagnostic(directed_cycle(200), omega)
+        spectral_radius_diagnostic(figure_eight, omega)
 
 
 @pytest.mark.parametrize("omega", [[np.nan, 0.5], [0.5, np.nan], [np.inf, 0.5], [-np.inf, 0.5]])

@@ -368,49 +368,6 @@ def test_cli_mpa_nonconvergence_exit_code(tmp_path, capsys):
     assert rc == 2
 
 
-@pytest.mark.parametrize("command", ["mpa", "experiment"])
-@pytest.mark.parametrize("max_iter", ["0", "-3"])
-def test_cli_nonpositive_max_iter_exits_one_with_error_line(tmp_path, capsys, command, max_iter):
-    gdir = tmp_path / "graphs"
-    cli.main(["generate", "--n", "10", "--p", "0.4", "--extra-edges", "2",
-              "--seed", "5", "--out", str(gdir)])
-    capsys.readouterr()
-    out = tmp_path / "out"
-    source = [str(gdir / "few_extra_edges.edges")] if command == "mpa" else []
-    rc = cli.main([command, *source, "--max-iter", max_iter, "--out", str(out)])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert captured.err == "error: max_iter must be positive\n"
-    assert captured.out == ""
-    assert not out.exists()
-
-
-def test_cli_mpa_underflowing_trust_exits_one_with_error_line(tmp_path, capsys):
-    # trust 1e-300 / 1e300 underflows to 0; message passing would divide 0 by 0
-    src = tmp_path / "underflow.edges"
-    src.write_text("n 3\n0 1 1e-300\n1 2 1e-300\n0 f 1e300\n1 f 1e300\n2 f 1e300\n")
-    out = tmp_path / "out"
-    rc = cli.main(["mpa", str(src), "--out", str(out)])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert captured.err == "error: edge 0-1: trust of node 0 in node 1 underflows to 0\n"
-    assert captured.out == ""
-    assert not out.exists()
-
-
-def test_cli_mpa_subnormal_trust_exits_one_with_error_line(tmp_path, capsys):
-    # node 1 trusts node 0 about 1e-310; message passing would divide by it and overflow
-    src = tmp_path / "subnormal.edges"
-    src.write_text("n 3\n0 1 1e-310\n1 2 1.0\n0 f 0.04\n1 f 0.04\n2 f 0.04\n")
-    out = tmp_path / "out"
-    rc = cli.main(["mpa", str(src), "--out", str(out)])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert captured.err == "error: edge 0-1: trust of node 1 in node 0 is 9.62e-311, and dividing by it overflows to inf\n"
-    assert captured.out == ""
-    assert not out.exists()
-
-
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_mpa_overflowing_decay_denominator_runs_without_warning(tmp_path, capsys):
     # Node 3 trusts node 1 about 1e-308, so the potential message (3, 1) has
@@ -422,15 +379,6 @@ def test_cli_mpa_overflowing_decay_denominator_runs_without_warning(tmp_path, ca
     _, (_, estimates) = read_csv(tmp_path / "out" / "estimates.csv")
     exact = harmonic_influence_exact(load_graph(src).network(fallback_gamma=0.04))
     np.testing.assert_allclose(estimates, exact, rtol=1e-14)
-
-
-def test_cli_exact_overflowing_node_total_exits_one_with_error_line(tmp_path, capsys):
-    src = tmp_path / "overflow.edges"
-    src.write_text("n 3\n0 1 1e308\n1 2 1e308\n")
-    assert cli.main(["exact", str(src)]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == "error: total conductance of node 1 overflows to inf\n"
-    assert captured.out == ""
 
 
 def test_cli_defaults_are_the_config_defaults():
@@ -470,43 +418,6 @@ def test_cli_experiment_not_converged_exits_two(tmp_path, capsys):
         assert not runs[name]["converged"] and runs[name]["iterations"] == 3000
 
 
-def test_cli_experiment_without_connected_graph_exits_one(tmp_path, capsys):
-    assert cli.main(["experiment", "--n", "5", "--p", "0", "--out", str(tmp_path / "out")]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == "error: no connected Erdos-Renyi graph found in 100 attempts from seed 0\n"
-    assert captured.out == ""
-    assert not (tmp_path / "out").exists()
-
-
-def test_cli_mpa_disconnected_graph_exits_one(tmp_path, capsys):
-    two = tmp_path / "two.edges"
-    two.write_text("0 1\n2 3\n0 f 1\n2 f 1\n")
-    assert cli.main(["mpa", str(two), "--out", str(tmp_path / "out")]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == "error: message passing requires a connected graph\n"
-    assert captured.out == ""
-    assert not (tmp_path / "out").exists()
-
-
-def test_cli_mpa_edgeless_graph_exits_one_with_error_line(tmp_path, capsys):
-    lone = tmp_path / "lone.edges"
-    lone.write_text("n 1\n0 f 0.1\n")
-    assert cli.main(["mpa", str(lone), "--out", str(tmp_path / "out")]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == "error: graph has no edges, so there are no messages to pass\n"
-    assert captured.out == ""
-    assert not (tmp_path / "out").exists()
-
-
-def test_cli_unknown_command_check_exits_one_with_usage_line(tmp_path, capsys):
-    graph = tmp_path / "g.edges"
-    graph.write_text("0 1\n0 f 1\n")
-    assert cli.main(["check", str(graph)]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == "usage: harmonic-influence [-h] {generate,exact,mpa,experiment} ...\n"
-    assert captured.out == ""
-
-
 @pytest.mark.parametrize("command", ["exact", "mpa"])
 def test_cli_memory_error_exits_one_with_error_line(tmp_path, capsys, monkeypatch, command):
     # What numpy raises for an edge-list file declaring 10**11 nodes, without asking the host for it.
@@ -523,68 +434,80 @@ def test_cli_memory_error_exits_one_with_error_line(tmp_path, capsys, monkeypatc
     assert captured.out == ""
 
 
-def test_cli_input_errors_exit_one(tmp_path, capsys):
-    assert cli.main(["exact", str(tmp_path / "missing.edges")]) == 1
-    bad = tmp_path / "bad.edges"
-    bad.write_text("0 1 zap\n")
-    assert cli.main(["exact", str(bad)]) == 1
-    assert cli.main(["generate", "--n", "oops", "--out", str(tmp_path)]) == 1
-    assert cli.main(["nonsense"]) == 1
+PIVOT = ("error: grounded Laplacian L + diag(gamma) is not positive definite to working precision: "
+         "the pivot of node {} fell to rounding level (numerically singular)")
+CHOICES = "(choose from 'generate', 'exact', 'mpa', 'experiment')"
+VALID = "0 1\n0 f 1\n"
 
-
-@pytest.mark.parametrize("text, message", [
-    ("0 1 inf\n", "conductance must be finite"),
-    ("0 1\n0 f nan\n", "conductance must be finite"),
-    ("n 3\n0 1\n1 2\n0 f -1\n", ":4: field conductance must be nonnegative, got '-1'"),
-    ("0 1\n0 f 0.5\n0 f -0.5\n", ":3: field conductance must be nonnegative, got '-0.5'"),
-    # conductances 300 orders of magnitude apart: the grounded matrix is
-    # numerically indefinite and the solver raises ArithmeticError
-    ("0 1 1e308\n1 2 1e-300\n", "not positive definite"),
-    # pivots whose reciprocal overflows are refused before the solve
-    ("0 f 5e-324\n", "the pivot of node 0 fell to rounding level"),
-    ("0 f 1e-310\n", "the pivot of node 0 fell to rounding level"),
-    # the overflowing total warned in the add before it was rejected
-    ("0 1 1e308\n0 f 1e308\n", "total conductance of node 0 overflows to inf"),
-])
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_cli_bad_conductances_exit_one_with_error_line(tmp_path, capsys, text, message):
-    bad = tmp_path / "bad.edges"
-    bad.write_text(text)
-    assert cli.main(["exact", str(bad)]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error:") and message in captured.err
-    assert captured.out == ""
-
-
-def test_cli_gamma_below_rounding_level_names_the_pivot_node(tmp_path, capsys):
+# Each bad input: the edge-list text written to {graph} (None: no file), the
+# command line, and the one error line that ends stderr.
+BAD_INPUTS = {
+    # argument errors, after the usage
+    "generate-n-not-int": (None, "generate --n oops --out {out}", "error: argument --n: invalid int value: 'oops'"),
+    "unknown-command": (None, "nonsense", f"error: argument command: invalid choice: 'nonsense' {CHOICES}"),
+    "unknown-command-check": (VALID, "check {graph}", f"error: argument command: invalid choice: 'check' {CHOICES}"),
+    # step limits, refused before any step
+    "mpa-max-iter-0": (VALID, "mpa {graph} --max-iter 0 --out {out}", "error: max_iter must be positive"),
+    "mpa-max-iter-negative": (VALID, "mpa {graph} --max-iter -3 --out {out}", "error: max_iter must be positive"),
+    "experiment-max-iter-0": (None, "experiment --max-iter 0 --out {out}", "error: max_iter must be positive"),
+    "experiment-max-iter-negative": (None, "experiment --max-iter -3 --out {out}", "error: max_iter must be positive"),
+    # the pipeline's graphs
+    "experiment-no-connected-er": (None, "experiment --n 5 --p 0 --out {out}",
+                                   "error: no connected Erdos-Renyi graph found in 100 attempts from seed 0"),
     # gamma = 1e-17 rounds away in every diagonal sum degree + gamma: M is stored singular
-    argv = ["experiment", "--n", "6", "--p", "1", "--extra-edges", "2", "--gamma", "1e-17", "--out", str(tmp_path)]
-    assert cli.main(argv) == 1
+    "experiment-gamma-1e-17": (None, "experiment --n 6 --p 1 --extra-edges 2 --gamma 1e-17 --out {out}", PIVOT.format(0)),
+    # edge-list files
+    "exact-missing-file": (None, "exact {graph}", "error: [Errno 2] No such file or directory: '{graph}'"),
+    "exact-malformed-conductance": ("0 1 zap\n", "exact {graph}", "error: {graph}:1: malformed conductance in '0 1 zap'"),
+    "exact-inf-conductance": ("0 1 inf\n", "exact {graph}", "error: {graph}:1: conductance must be finite, got 'inf'"),
+    "exact-nan-field": ("0 1\n0 f nan\n", "exact {graph}", "error: {graph}:2: conductance must be finite, got 'nan'"),
+    "exact-negative-field": ("n 3\n0 1\n1 2\n0 f -1\n", "exact {graph}",
+                             "error: {graph}:4: field conductance must be nonnegative, got '-1'"),
+    "mpa-negative-field": ("n 3\n0 1\n1 2\n0 f -1\n", "mpa {graph} --out {out}",
+                           "error: {graph}:4: field conductance must be nonnegative, got '-1'"),
+    "exact-negative-second-field-line": ("0 1\n0 f 0.5\n0 f -0.5\n", "exact {graph}",
+                                         "error: {graph}:3: field conductance must be nonnegative, got '-0.5'"),
+    "exact-second-n-line": ("n 5\n0 1\n1 2\nn 3\n", "exact {graph}", "error: {graph}:4: second node-count line 'n 3'"),
+    "mpa-second-n-line": ("n 5\n0 1\n1 2\nn 3\n", "mpa {graph} --out {out}", "error: {graph}:4: second node-count line 'n 3'"),
+    "exact-underscore-id": ("0 1_0\n", "exact {graph}", "error: {graph}:1: expected a node id of digits 0-9, got '1_0'"),
+    "mpa-underscore-id": ("0 1_0\n", "mpa {graph} --out {out}", "error: {graph}:1: expected a node id of digits 0-9, got '1_0'"),
+    "exact-bare-field-line": ("n 2\n0 1\n0 f\n", "exact {graph}", "error: {graph}:3: malformed line '0 f'"),
+    "mpa-bare-field-line": ("n 2\n0 1\n0 f\n", "mpa {graph} --out {out}", "error: {graph}:3: malformed line '0 f'"),
+    "exact-non-ascii-digit": ("n 3\n0 \u0661\n", "exact {graph}", "error: {graph}:2: expected ASCII text, got byte 0xd9"),
+    "mpa-non-ascii-digit": ("n 3\n0 \u0661\n", "mpa {graph} --out {out}", "error: {graph}:2: expected ASCII text, got byte 0xd9"),
+    # networks and the exact solve
+    "exact-node-total-overflow": ("n 3\n0 1 1e308\n1 2 1e308\n", "exact {graph}",
+                                  "error: total conductance of node 1 overflows to inf"),
+    "exact-edge-and-field-overflow": ("0 1 1e308\n0 f 1e308\n", "exact {graph}",
+                                      "error: total conductance of node 0 overflows to inf"),
+    "exact-conductances-far-apart": ("0 1 1e308\n1 2 1e-300\n", "exact {graph}", PIVOT.format(1)),
+    "exact-field-5e-324": ("0 f 5e-324\n", "exact {graph}", PIVOT.format(0)),
+    "exact-field-1e-310": ("0 f 1e-310\n", "exact {graph}", PIVOT.format(0)),
+    # message passing
+    "mpa-underflowing-trust": ("n 3\n0 1 1e-300\n1 2 1e-300\n0 f 1e300\n1 f 1e300\n2 f 1e300\n", "mpa {graph} --out {out}",
+                               "error: edge 0-1: trust of node 0 in node 1 underflows to 0"),
+    "mpa-subnormal-trust": ("n 3\n0 1 1e-310\n1 2 1.0\n0 f 0.04\n1 f 0.04\n2 f 0.04\n", "mpa {graph} --out {out}",
+                            "error: edge 0-1: trust of node 1 in node 0 is 9.62e-311, and dividing by it overflows to inf"),
+    "mpa-disconnected": ("0 1\n2 3\n0 f 1\n2 f 1\n", "mpa {graph} --out {out}",
+                         "error: message passing requires a connected graph"),
+    "mpa-edgeless": ("n 1\n0 f 0.1\n", "mpa {graph} --out {out}",
+                     "error: graph has no edges, so there are no messages to pass"),
+}
+
+
+@pytest.mark.parametrize("text, argv, line", BAD_INPUTS.values(), ids=list(BAD_INPUTS))
+def test_cli_bad_input_exits_one(tmp_path, capsys, text, argv, line):
+    graph, out = tmp_path / "g.edges", tmp_path / "out"
+    if text is not None:
+        graph.write_text(text, encoding="utf-8")
+    assert cli.main([arg.format(graph=graph, out=out) for arg in argv.split()]) == 1
     captured = capsys.readouterr()
-    assert re.fullmatch(r"error: .* the pivot of node \d+ fell to rounding level \(numerically singular\)\n", captured.err)
+    *before, last = captured.err.splitlines()
+    assert last == line.format(graph=graph) and captured.err.endswith("\n")
+    assert before == [] or before[0].startswith("usage: ")
+    assert not any(earlier.startswith("error:") for earlier in before)
     assert captured.out == ""
-
-
-@pytest.mark.parametrize("text, message", MALFORMED_GRAPH_FILES[:3] + MALFORMED_GRAPH_FILES[-1:])
-def test_cli_malformed_graph_file_exits_one_with_error_line(tmp_path, capsys, text, message):
-    bad = tmp_path / "bad.edges"
-    bad.write_text(text, encoding="utf-8")
-    for argv in (["exact"], ["mpa", "--out", str(tmp_path / "out")]):
-        assert cli.main(argv + [str(bad)]) == 1
-        captured = capsys.readouterr()
-        assert re.fullmatch(f"error: {re.escape(str(bad))}{message}\n", captured.err)
-        assert captured.out == ""
-    assert not (tmp_path / "out").exists()
-
-
-def test_cli_negative_field_conductance_fails_every_command(tmp_path, capsys):
-    bad = tmp_path / "bad.edges"
-    bad.write_text("n 3\n0 1\n1 2\n0 f -1\n")
-    for argv in (["exact"], ["mpa", "--out", str(tmp_path / "out")]):
-        assert cli.main(argv + [str(bad)]) == 1
-        captured = capsys.readouterr()
-        assert captured.err == f"error: {bad}:4: field conductance must be nonnegative, got '-1'\n"
-        assert captured.out == ""
+    assert list(tmp_path.iterdir()) == ([] if text is None else [graph])
 
 
 # ---------------------------------------------------------------------------

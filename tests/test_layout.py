@@ -1,9 +1,12 @@
-"""The test code's layout: a helper is defined in one module only (shared
-ones in ``shared.py``), and no test module imports another."""
+"""The code's layout: a test helper is defined in one module only (shared
+ones in ``shared.py``), no test module imports another, and no source
+module reaches a private scipy module or name."""
 
 import ast
 from collections import defaultdict
 from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def top_level_names(tree):
@@ -34,3 +37,37 @@ def test_each_helper_is_defined_once_and_no_test_module_imports_another():
         test_imports += [(path.name, m) for m in imported_modules(tree) if m.startswith("test_")]
     assert {name: files for name, files in defined.items() if len(files) > 1} == {}
     assert test_imports == []
+
+
+def dotted_names(tree):
+    """The dotted names a module imports, and those it reads as attribute
+    chains from an imported name, with each import alias resolved."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name
+                bound = alias.asname or alias.name.split(".")[0]  # import a.b binds a
+                aliases[bound] = alias.name if alias.asname else bound
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            for alias in node.names:
+                yield f"{node.module}.{alias.name}"
+                aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    for node in ast.walk(tree):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if parts and isinstance(node, ast.Name) and node.id in aliases:
+            yield ".".join([aliases[node.id], *reversed(parts)])
+
+
+def test_no_source_module_reaches_a_private_scipy_name():
+    # scipy.sparse._sparsetools and the like may change in any scipy release.
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for name in dotted_names(ast.parse(path.read_text(), path.name)):
+            head, *rest = name.split(".")
+            if head == "scipy" and any(part.startswith("_") for part in rest):
+                found.append((path.name, name))
+    assert found == []

@@ -35,6 +35,16 @@ def test_initial_state_rejects_leader_outside_range(leader):
         initial_state(3, leader)
 
 
+def test_initial_state_reads_its_leader_as_a_node_id():
+    # as grounded_laplacian_solve does: True is node 1, and 1.0 is refused rather than truncated
+    with pytest.raises(ValueError, match=r"^leader 1.0 is not an integer node id$"):
+        initial_state(3, 1.0)
+    st = initial_state(3, True)
+    assert type(st.leader) is int and st.opinions.tolist() == [0.0, 1.0, 0.0]
+    st = step(st, build_weights(uniform_network(UndirectedGraph(3, ((0, 1), (1, 2))), GAMMA)))
+    assert st.opinions[1] == 1.0 and st.opinions[0] == st.opinions[2] < 1.0
+
+
 def test_leader_opinion_never_moves():
     net = uniform_network(random_connected(15, 0.25, 3), GAMMA)
     w = build_weights(net)
