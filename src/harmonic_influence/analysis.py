@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 import numpy as np
 import scipy.sparse
 
-from .graphs import Digraph, _csr_rows, _node_id, _strong_components
+from .graphs import Digraph, _count, _csr_rows, _node_id, _strong_components
 
 RS_TOL = 1e-12
 ALPHA_MONOTONE_TOL = 1e-15
@@ -53,8 +53,15 @@ class _ArcGather:
 
     Once omega stops changing, the decay sums are the same at every step,
     and ``fixed`` folds omega into the growth matrix: its stored entries
-    are exactly 1.0, so ``fixed(omega) @ eta`` is bitwise ``growth @
+    are exactly 1.0, so ``fixed(omega) * eta`` is bitwise ``growth *
     (omega * eta)`` without forming omega * eta.
+
+    Every per-step product is written ``*``, which for these
+    ``csc_matrix`` objects (scipy's spmatrix, not ``csc_array``) is the
+    matrix product.  ``@`` reaches the same CSC matvec on the same arrays,
+    so the bits are the same, but it first runs scipy's scalar check,
+    about 1 us a call: a fifth of a folded product at n = 50.  On a sparse
+    array ``*`` is elementwise, so the three matrices must stay spmatrix.
     """
 
     def __init__(self, tails: np.ndarray, heads: np.ndarray, size: int, coef: np.ndarray, receivers=(), readouts=0):
@@ -68,8 +75,8 @@ class _ArcGather:
 
     def step(self, omega: np.ndarray, eta: np.ndarray, alpha, beta) -> tuple[np.ndarray, ...]:
         """From the step-t buffers: omega and eta of step t + 1, and the readouts (1 plus each row's sum) of step t."""
-        sums = self.growth @ (omega * eta)
-        omega_new = 1.0 / (1.0 + alpha + self.decay @ (1.0 - omega))
+        sums = self.growth * (omega * eta)
+        omega_new = 1.0 / (1.0 + alpha + self.decay * (1.0 - omega))
         return omega_new, 1.0 + beta + sums[: self.size], 1.0 + sums[self.size :]
 
     def fixed(self, omega: np.ndarray) -> scipy.sparse.csc_matrix:
@@ -169,7 +176,10 @@ def run_generalized(state: GeneralizedDynamicsState, steps: int) -> GeneralizedD
     constant beta.  The sum is that of a full step with its terms swapped,
     and IEEE addition commutes, so the result is bitwise that of full
     steps.  A callable alpha may change, so it always takes them.
+    ``steps`` is a nonnegative integer; zero returns the state unchanged.
     """
+    if _count(steps, "steps") < 0:
+        raise ValueError("steps must be nonnegative")
     gather = state._gather or _generalized_gather(state.d, state.r, state.s)
     alpha, beta = state.alpha, state.beta
     omega, eta, t, last_alpha = state.omega, state.eta, state.t, state._last_alpha
@@ -182,7 +192,7 @@ def run_generalized(state: GeneralizedDynamicsState, steps: int) -> GeneralizedD
                 raise ValueError(f"alpha decreased at t={t}; the driving sequence must be non-decreasing")
         beta_t = _driving(beta(t), gather.size, f"beta(t) at t={t}", finite=True) if callable(beta) else beta
         if folded is not None:
-            eta = folded @ eta
+            eta = folded * eta
             eta += 1.0 + beta_t if shift is None else shift
         else:
             omega_new, eta, _ = gather.step(omega, eta, alpha_t, beta_t)
@@ -267,11 +277,11 @@ def spectral_radius_diagnostic(d: Digraph, omega: Sequence[float]) -> float:
 def _power_radius(adjacency: scipy.sparse.csc_matrix, w: np.ndarray) -> float:
     """Spectral radius of adjacency * diag(w) for one strong component."""
     x = np.ones(len(w)) / np.sqrt(len(w))
-    y = x + adjacency @ (w * x)
+    y = x + adjacency * (w * x)
     estimate = 0.0
     for _ in range(SPECTRAL_MAX_ITER):
         x = y / float(np.linalg.norm(y))
-        y = x + adjacency @ (w * x)
+        y = x + adjacency * (w * x)
         estimate = float(x @ y)
         if float(np.linalg.norm(y - estimate * x)) <= SPECTRAL_TOL:
             return max(estimate - 1.0, 0.0)

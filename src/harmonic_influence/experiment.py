@@ -22,6 +22,7 @@ from . import analysis, electrical, mpa
 from .electrical import ConductanceNetwork, build_weights, uniform_network
 from .graphs import (
     UndirectedGraph,
+    _count,
     add_extra_edges,
     diameter,
     erdos_renyi,
@@ -52,6 +53,9 @@ class ExperimentConfig:
     outputs: Optional[Path] = None
 
     def __post_init__(self) -> None:
+        for name in ("n", "extra_edges", "seed", "max_iter"):
+            # Stored as int: the report's JSON encoder refuses numpy integers.
+            object.__setattr__(self, name, _count(getattr(self, name), name))
         if self.n < 2:
             raise ValueError("n must be at least 2")
         if not 0.0 <= self.p <= 1.0:

@@ -89,6 +89,13 @@ def _node_id(v, what: str) -> int:
     return int(v)
 
 
+def _count(v, name: str) -> int:
+    """``v`` as an int, if it is a Python or numpy integer, as ``_node_id`` takes; else ``ValueError`` naming it."""
+    if not isinstance(v, _INTEGER):  # a float count would run ceil(v) steps or fail deep inside
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    return int(v)
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a

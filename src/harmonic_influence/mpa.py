@@ -26,7 +26,10 @@ Every per-step product is a matvec of a matrix stored by columns (CSC):
 each product goes to its own output row, so consecutive additions do
 not wait on each other, and every row sums its terms in ascending
 column order, which is ascending neighbor index, so runs are bitwise
-reproducible.
+reproducible.  The products are written ``matrix * vector``: on scipy's
+``csc_matrix`` that is the matrix product without the scalar check that
+``@`` runs first, about 1 us of a 5 us step at n = 50 (see
+``analysis._ArcGather``).
 A traced run appends each step's rows to one buffer that grows in
 place, so the trace is held once.  ``error_trace`` reduces it to one
 ``(iterations, 2)`` array of h and w errors, a fixed number of floats
@@ -43,7 +46,7 @@ import numpy as np
 
 from .analysis import _ArcGather, _same_bits
 from .electrical import InfluenceWeights
-from .graphs import MessageDigraph, UndirectedGraph, _read_only, is_connected, message_digraph
+from .graphs import MessageDigraph, UndirectedGraph, _count, _read_only, is_connected, message_digraph
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10**5
@@ -204,7 +207,7 @@ def run_mpa(
         raise ValueError("message passing requires a connected graph")
     if not tol >= 0.0:
         raise ValueError("tol must be nonnegative")
-    if max_iter < 1:
+    if _count(max_iter, "max_iter") < 1:
         raise ValueError("max_iter must be positive")
 
     state = initial_messages(md, weights)
@@ -231,11 +234,11 @@ def run_mpa(
             rows, w_change = block[:2], np.abs(w_next - w).sum()
             w, (w_next, h, rows[1]) = w_next, kernel.gather.step(w_next, h, kernel.alpha, 0.0)
         else:
-            # Up to BLOCK steps with w folded in: y = folded @ h_t + 1 holds
+            # Up to BLOCK steps with w folded in: y = folded * h_t + 1 holds
             # h_{t+1} over the messages and the estimates at step t below them.
             rows, w_change = block[: min(BLOCK, max_iter - steps) + 1], 0.0
             for row in rows[1:]:
-                y = folded @ h
+                y = folded * h
                 y += 1.0
                 h, row[:] = y[:m], y[m:]
         # Row-wise sums are bitwise the per-step 1-D sums; steps after the first within tol are discarded.

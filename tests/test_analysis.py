@@ -3,6 +3,7 @@ from statistics import geometric_mean
 
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
@@ -286,6 +287,18 @@ def test_fold_gives_the_growth_and_readout_sums_of_a_step_at_any_omega():
             eta = rng.uniform(1.0, 100.0, size=size)
             _, eta_next, readouts = gather.step(omega, eta, rng.uniform(0.0, 1.0, size=size), 0.0)
             assert same_bits(1.0 + gather.fixed(omega) @ eta, np.concatenate((eta_next, readouts)))
+
+
+def test_gather_kernels_are_spmatrix_so_star_is_the_matrix_product():
+    """The steps multiply with ``*``, which on a ``csc_array`` would be elementwise."""
+    g = random_connected(12, 0.3, 2, step=100)
+    d = directed_cycle(5)
+    for gather in (_generalized_gather(d, np.ones(5), np.ones(5)),
+                   mpa._Kernel(message_digraph(g), build_weights(uniform_network(g, 0.04))).gather):
+        omega = np.linspace(0.2, 1.0, gather.size)
+        for kernel in (gather.growth, gather.decay, gather.fixed(omega)):
+            assert isinstance(kernel, scipy.sparse.spmatrix)
+            assert same_bits(kernel * omega, kernel @ omega)
 
 
 def test_run_generalized_callable_alpha_takes_full_steps():

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmonic_influence import cli
+from harmonic_influence.analysis import initial_generalized_state, run_generalized
 from harmonic_influence.electrical import build_weights, harmonic_influence_exact, uniform_network
 from harmonic_influence.experiment import (
     ExperimentConfig,
@@ -23,7 +24,7 @@ from harmonic_influence.experiment import (
     save_graph,
     save_report,
 )
-from harmonic_influence.graphs import UndirectedGraph, erdos_renyi
+from harmonic_influence.graphs import Digraph, UndirectedGraph, erdos_renyi
 from harmonic_influence.mpa import DEFAULT_MAX_ITER, DEFAULT_TOL, error_trace, run_mpa
 from shared import same_bits
 
@@ -46,6 +47,41 @@ def test_config_rejects_bad_values():
         ExperimentConfig(extra_edges=-1)
     with pytest.raises(ValueError):
         ExperimentConfig(max_iter=0)
+
+
+def _triangle_mpa(max_iter):
+    g = UndirectedGraph(3, ((0, 1), (0, 2), (1, 2)))
+    return run_mpa(g, build_weights(uniform_network(g, 0.04)), tol=0.0, max_iter=max_iter)
+
+
+def _two_cycle_steps(steps):
+    d = Digraph(2, ((0, 1), (1, 0)))
+    return run_generalized(initial_generalized_state(d, [0.1, 0.1], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]), steps)
+
+
+@pytest.mark.parametrize("call, value, message", [
+    (_triangle_mpa, 37.5, "max_iter must be an integer, got 37.5"),
+    (_triangle_mpa, "5", "max_iter must be an integer, got '5'"),
+    (lambda v: ExperimentConfig(n=v), 50.0, "n must be an integer, got 50.0"),
+    (lambda v: ExperimentConfig(extra_edges=v), 2.5, "extra_edges must be an integer, got 2.5"),
+    (lambda v: ExperimentConfig(seed=v), 1.5, "seed must be an integer, got 1.5"),
+    (lambda v: ExperimentConfig(max_iter=v), 100.5, "max_iter must be an integer, got 100.5"),
+    (lambda v: ExperimentConfig(max_iter=v), np.float64(3.0), "max_iter must be an integer, got np.float64(3.0)"),
+    (_two_cycle_steps, 2.5, "steps must be an integer, got 2.5"),
+    (_two_cycle_steps, -3, "steps must be nonnegative"),
+])
+def test_counts_must_be_integers(call, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+def test_counts_take_numpy_integers_and_zero_steps_is_a_no_op(tmp_path):
+    assert _triangle_mpa(np.int64(3)).iterations == 3
+    counts = dict(n=np.int32(16), extra_edges=np.uint8(3), seed=np.int64(7))
+    save_report(run_experiment(ExperimentConfig(**{**SMALL_CFG, **counts})), tmp_path)
+    assert json.loads((tmp_path / "report.json").read_text())["config"]["n"] == 16
+    assert _two_cycle_steps(np.int64(0)).t == 0
+    assert _two_cycle_steps(0).omega.tolist() == [1.0, 1.0]
 
 
 @pytest.mark.parametrize("tol", [-1.0, math.nan])
