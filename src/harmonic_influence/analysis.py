@@ -41,27 +41,26 @@ class _ArcGather:
     holds the unit-weighted arcs in rows 0..size-1 and, given
     ``receivers``, ``readouts`` rows below them, where column w has one
     more entry at row size + receivers[w]; ``decay`` holds the
-    ``coef``-weighted arcs.  A step is one matvec of each.
+    ``coef``-weighted arcs.  A step is one product ``F * eta`` of F =
+    ``fixed(omega)``, the growth matrix with omega as its entries: growth's
+    are exactly 1.0, so it is bitwise ``growth * (omega * eta)``.  While
+    omega moves, ``potentials`` gives the next one and ``refold`` rewrites
+    F from it in place.  Each engine call builds its own F.
 
-    Both are stored by columns (CSC), built from the arcs' CSR pattern,
-    whose transpose lists each column's tails ascending.  A CSC matvec
-    zeroes the output and scatters column w, in ascending w, into the rows
-    of the arcs (v, w), so row v starts at 0.0 and adds its rounded
-    products in ascending head order: the arc order, since arcs come
-    sorted by (tail, head) without duplicates.  A CSR matvec would chain
-    each row's additions; the scatter's go to different rows.
-
-    Once omega stops changing, the decay sums are the same at every step,
-    and ``fixed`` folds omega into the growth matrix: its stored entries
-    are exactly 1.0, so ``fixed(omega) * eta`` is bitwise ``growth *
-    (omega * eta)`` without forming omega * eta.
+    Both matrices are stored by columns (CSC), built from the arcs' CSR
+    pattern, whose transpose lists each column's tails ascending.  A CSC
+    matvec zeroes the output and scatters column w, in ascending w, into
+    the rows of the arcs (v, w), so row v starts at 0.0 and adds its
+    rounded products in ascending head order: the arc order, since arcs
+    come sorted by (tail, head) without duplicates.  A CSR matvec would
+    chain each row's additions; the scatter's go to different rows.
 
     Every per-step product is written ``*``, which for these
     ``csc_matrix`` objects (scipy's spmatrix, not ``csc_array``) is the
     matrix product.  ``@`` reaches the same CSC matvec on the same arrays,
     so the bits are the same, but it first runs scipy's scalar check,
-    about 1 us a call: a fifth of a folded product at n = 50.  On a sparse
-    array ``*`` is elementwise, so the three matrices must stay spmatrix.
+    about 1 us a call: a fifth of a product at n = 50.  On a sparse
+    array ``*`` is elementwise, so the matrices must stay spmatrix.
     """
 
     def __init__(self, tails: np.ndarray, heads: np.ndarray, size: int, coef: np.ndarray, receivers=(), readouts=0):
@@ -72,18 +71,20 @@ class _ArcGather:
         growth_heads = np.concatenate((heads, np.arange(len(receivers))))
         self.growth = _csr_rows(growth_tails, growth_heads, np.ones(len(growth_tails)), (size + readouts, size)).tocsc()
         self.decay = _csr_rows(tails, heads, coef, (size, size)).tocsc()
+        self._columns = np.repeat(np.arange(size), np.diff(self.growth.indptr))
 
-    def step(self, omega: np.ndarray, eta: np.ndarray, alpha, beta) -> tuple[np.ndarray, ...]:
-        """From the step-t buffers: omega and eta of step t + 1, and the readouts (1 plus each row's sum) of step t."""
-        sums = self.growth * (omega * eta)
-        omega_new = 1.0 / (1.0 + alpha + self.decay * (1.0 - omega))
-        return omega_new, 1.0 + beta + sums[: self.size], 1.0 + sums[self.size :]
+    def potentials(self, omega: np.ndarray, alpha) -> np.ndarray:
+        """The decay recursion: omega of the step after the one whose omega is given."""
+        return 1.0 / (1.0 + alpha + self.decay * (1.0 - omega))
 
     def fixed(self, omega: np.ndarray) -> scipy.sparse.csc_matrix:
-        """The growth matrix with each entry multiplied by the fixed omega of its column."""
-        indptr = self.growth.indptr
-        scaled = np.repeat(omega, np.diff(indptr))
-        return scipy.sparse.csc_matrix((scaled, self.growth.indices, indptr), shape=self.growth.shape)
+        """The growth matrix with each entry multiplied by omega at its column; it shares growth's index arrays."""
+        growth = self.growth
+        return scipy.sparse.csc_matrix((omega[self._columns], growth.indices, growth.indptr), shape=growth.shape)
+
+    def refold(self, folded: scipy.sparse.csc_matrix, omega: np.ndarray) -> None:
+        """Rewrite the entries of a matrix from ``fixed`` in place, from a new omega."""
+        np.take(omega, self._columns, out=folded.data)
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -169,13 +170,11 @@ def initial_generalized_state(
 def run_generalized(state: GeneralizedDynamicsState, steps: int) -> GeneralizedDynamicsState:
     """Apply ``steps`` updates.
 
-    Under a constant alpha, once a step returns omega bitwise equal to its
-    input, the later steps update eta alone through the growth rows with
-    omega folded in (``_ArcGather.fixed``): the product, then the shift
-    1 + beta added in place, the shift formed once at the fold for a
-    constant beta.  The sum is that of a full step with its terms swapped,
-    and IEEE addition commutes, so the result is bitwise that of full
-    steps.  A callable alpha may change, so it always takes them.
+    Every step is one product of F (``_ArcGather.fixed``), built by this
+    call from the state's omega, then the shift 1 + beta, formed once for
+    a constant beta, added in place: bitwise 1 + beta + growth * (omega *
+    eta), as IEEE addition commutes.  While omega moves, the step also
+    updates omega and refolds F; a callable alpha keeps it moving.
     ``steps`` is a nonnegative integer; zero returns the state unchanged.
     """
     if _count(steps, "steps") < 0:
@@ -183,25 +182,25 @@ def run_generalized(state: GeneralizedDynamicsState, steps: int) -> GeneralizedD
     gather = state._gather or _generalized_gather(state.d, state.r, state.s)
     alpha, beta = state.alpha, state.beta
     omega, eta, t, last_alpha = state.omega, state.eta, state.t, state._last_alpha
-    folded = shift = None
+    folded, moving = gather.fixed(omega), True
+    shift = None if callable(beta) else 1.0 + beta
     for _ in range(steps):
         alpha_t = alpha
         if callable(alpha):
             alpha_t = _driving(alpha(t), gather.size, "alpha(t)", nonnegative=True)
             if last_alpha is not None and np.any(alpha_t < last_alpha - ALPHA_MONOTONE_TOL):
                 raise ValueError(f"alpha decreased at t={t}; the driving sequence must be non-decreasing")
-        beta_t = _driving(beta(t), gather.size, f"beta(t) at t={t}", finite=True) if callable(beta) else beta
-        if folded is not None:
-            eta = folded * eta
-            eta += 1.0 + beta_t if shift is None else shift
-        else:
-            omega_new, eta, _ = gather.step(omega, eta, alpha_t, beta_t)
+        if callable(beta):
+            shift = 1.0 + _driving(beta(t), gather.size, f"beta(t) at t={t}", finite=True)
+        eta = folded * eta
+        eta += shift
+        if moving:
+            omega_new = gather.potentials(omega, alpha_t)
             # Under a constant alpha omega_{t+1} is a function of omega_t
             # alone, so once it repeats bit for bit it never changes again.
-            if not callable(alpha) and _same_bits(omega_new, omega):
-                folded = gather.fixed(omega)
-                shift = None if callable(beta) else 1.0 + beta
+            moving = callable(alpha) or not _same_bits(omega_new, omega)
             omega = omega_new
+            gather.refold(folded, omega)
         last_alpha = alpha_t
         t += 1
     return replace(state, omega=omega, eta=eta, t=t, _last_alpha=last_alpha, _gather=gather)

@@ -57,6 +57,12 @@ def _checked_field_conductance(g: UndirectedGraph, values) -> np.ndarray:
     return gamma
 
 
+def _first_unfed(g: UndirectedGraph, field: np.ndarray) -> int | None:
+    """The smallest node whose connected component has no positive entry of ``field``, or None."""
+    unfed = np.flatnonzero(np.bincount(g._component_labels, weights=field > 0.0)[g._component_labels] == 0.0)
+    return int(unfed[0]) if unfed.size else None
+
+
 @dataclass(frozen=True)
 class ConductanceNetwork:
     """Conductances of the social graph plus per-node field conductances.
@@ -76,13 +82,10 @@ class ConductanceNetwork:
         g = self.graph
         cond = _checked_edge_conductance(g, self.edge_conductance)
         gamma = _checked_field_conductance(g, self.field_conductance)
-        labels = g._component_labels
-        # The first unfed node is the smallest node of its component.
-        unfed = np.flatnonzero(np.bincount(labels, weights=gamma > 0.0)[labels] == 0.0)
-        if unfed.size:
+        unfed = _first_unfed(g, gamma)
+        if unfed is not None:
             raise ValueError(
-                "extended network is disconnected: component containing node "
-                f"{unfed[0]} has no field conductance"
+                f"extended network is disconnected: component containing node {unfed} has no field conductance"
             )
         object.__setattr__(self, "edge_conductance", _read_only(cond))
         object.__setattr__(self, "field_conductance", _read_only(gamma))
@@ -195,7 +198,8 @@ class InfluenceWeights:
 
 
 def build_weights(net: ConductanceNetwork) -> InfluenceWeights:
-    """Normalize conductances into trust weights, row by row; a trust that underflows to 0 is rejected."""
+    """Normalize conductances into trust weights, row by row; an arc trust, or every field trust of a
+    component, that underflows to 0 is rejected: message passing would divide by it, or run undriven."""
     # Every total is positive: edge conductances are, and a node without an edge is fed.
     g, denom = net.graph, net._totals
     arc_trust = _read_only(net.arc_conductance / denom[g._rows])
@@ -203,7 +207,11 @@ def build_weights(net: ConductanceNetwork) -> InfluenceWeights:
         p = np.flatnonzero(arc_trust == 0.0)[0]
         j, i = int(g._rows[p]), int(g._csr.indices[p])
         raise ValueError(f"edge {min(i, j)}-{max(i, j)}: trust of node {j} in node {i} underflows to 0")
-    return InfluenceWeights(graph=g, arc_trust=arc_trust, field_trust=_read_only(net.field_conductance / denom))
+    field_trust = _read_only(net.field_conductance / denom)
+    unfed = _first_unfed(g, field_trust)
+    if unfed is not None:
+        raise ValueError(f"every field trust in the component containing node {unfed} underflows to 0")
+    return InfluenceWeights(graph=g, arc_trust=arc_trust, field_trust=field_trust)
 
 
 def _grounded_laplacian(net: ConductanceNetwork) -> scipy.sparse.csr_matrix:

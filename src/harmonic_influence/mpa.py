@@ -11,29 +11,20 @@ The potential messages w are a closed recursion, w_{t+1} = f(w_t), and
 settle within a few dozen steps, while the influence messages creep
 towards their limit at the rate of rho(A diag(w)), close to 1, over
 thousands.  The estimates, 1 + sum_i w_ji * h_ji at each node j, are
-readout rows of the growth matrix, so a full step, estimates included,
-is two matvecs: growth over w * h and decay over 1 - w.  ``run_mpa``
-watches for the first step that returns w bitwise equal to its input;
-every later w is then the same.  The remaining steps fold w into the
-growth matrix's columns, so each is one matvec over h.  One loop runs
-both kinds: each pass takes one full step, or up to ``BLOCK`` folded
-steps, into a scratch block of estimate rows, and one scan of the pass's
-residuals numbers the steps, raises at the first that is not finite and
-stops at the first within tolerance.  The output is bitwise that of full
-steps checked one at a time.
+readout rows of the growth matrix.  Every step is one matvec over h of
+that matrix with w folded in, plus 1; while w moves, the step also takes
+the next w and refolds it, until a step returns w bitwise equal to its
+input.  Each pass of one loop takes one step while w moves, or up to
+``BLOCK`` steps once it is fixed, and one scan of the pass's residuals
+numbers the steps, raises at the first that is not finite and stops at
+the first within tolerance.
 
-Every per-step product is a matvec of a matrix stored by columns (CSC):
-each product goes to its own output row, so consecutive additions do
-not wait on each other, and every row sums its terms in ascending
-column order, which is ascending neighbor index, so runs are bitwise
-reproducible.  The products are written ``matrix * vector``: on scipy's
-``csc_matrix`` that is the matrix product without the scalar check that
-``@`` runs first, about 1 us of a 5 us step at n = 50 (see
-``analysis._ArcGather``).
-A traced run appends each step's rows to one buffer that grows in
-place, so the trace is held once.  ``error_trace`` reduces it to one
-``(iterations, 2)`` array of h and w errors, a fixed number of floats
-at a time.
+Every per-step product is a CSC matvec written ``matrix * vector``,
+whose rows sum their terms in ascending neighbor index, so runs are
+bitwise reproducible (see ``analysis._ArcGather``).  A traced run
+appends each step's rows to one buffer that grows in place, so the trace
+is held once.  ``error_trace`` reduces it to one ``(iterations, 2)``
+array of h and w errors, a fixed number of floats at a time.
 """
 
 from __future__ import annotations
@@ -61,10 +52,10 @@ class _Kernel:
     (i, k), k != j, with coefficient trust[(i, k)] / trust[(i, j)], is
     driven by alpha = q_i / trust[(i, j)], and its influence message has
     no driving term (beta = 0); the gather's readout row j sums the
-    messages (j, i), so each step also returns the estimates of the state
-    it starts from.  Message p and ``arc_trust[p]`` share the graph's CSR
-    entry, so trust[(i, j)] is ``arc_trust[reverse[p]]``.  A trust so
-    small that one of these quotients overflows is rejected.
+    messages (j, i), so each step's product also gives the estimates of
+    the state it starts from.  Message p and ``arc_trust[p]`` share the
+    graph's CSR entry, so trust[(i, j)] is ``arc_trust[reverse[p]]``.  A
+    trust so small that one of these quotients overflows is rejected.
     """
 
     def __init__(self, md: MessageDigraph, weights: InfluenceWeights):
@@ -187,12 +178,10 @@ def run_mpa(
     warnings are off; an overflowing decay denominator only rounds a
     potential message below 1e-308 to 0.
 
-    A full step is two matvecs, whose readout rows give the estimates of
-    the step it starts from.  Once w is bitwise fixed, a step is one
-    matvec: h times the growth and readout rows with w folded in, and a
-    pass of the loop takes up to ``BLOCK`` of them where it took one full
-    step.  One scan checks the residuals of each pass; their w term is
-    0.0 once w is folded.  Every output is bitwise that of full steps.
+    Every step is one matvec, h times the growth and readout rows with w
+    folded in; while w moves it also updates w and refolds it.  Once w is
+    bitwise fixed, a pass takes up to ``BLOCK`` steps where it took one,
+    and the w term of their residuals is 0.0.
     With ``trace``, every step's estimates and potential messages go
     straight into the buffers that become ``h_trace`` and ``w_trace``
     (see ``_Rows``), so at the peak a run holds at most 1.25 times the
@@ -211,36 +200,36 @@ def run_mpa(
         raise ValueError("max_iter must be positive")
 
     state = initial_messages(md, weights)
-    kernel, m = state._kernel, md.size
-    # h runs one step ahead of the estimates: the product from step t gives
-    # w and h of step t + 1 and the estimates of step t.  One scratch block
-    # holds the estimates of a pass's steps below those of the step before
-    # them, in row 0.
+    kernel, m, w = state._kernel, md.size, state.w_msgs
+    folded = kernel.gather.fixed(w)
+    # h runs one step ahead: the product of step t gives h of step t + 1
+    # above the estimates of step t.  A scratch block holds the estimates of
+    # a pass's steps below those of the step before them, in row 0.
     block = np.empty((BLOCK + 1, g.node_count))
-    w = state.w_msgs
-    w_next, h, block[0] = kernel.gather.step(w, state.h_msgs, kernel.alpha, 0.0)
+    y = folded * state.h_msgs
+    y += 1.0
+    h, block[0] = y[:m], y[m:]
     w_rows, h_rows = (_Rows(w), _Rows(block[0])) if trace else (None, None)
     residuals = []
 
     converged, steps, w_fixed_step = False, 0, None
     while steps < max_iter and not converged:
         if w_fixed_step is None:
+            # One step while w moves, on F refolded from its w.
+            rows, w_next = block[:2], kernel.gather.potentials(w, kernel.alpha)
+            w_change = np.abs(w_next - w).sum()
             if trace:
                 w_rows.add(w_next)
             if _same_bits(w_next, w):
-                w_fixed_step, folded = steps + 1, kernel.gather.fixed(w)
-        if w_fixed_step is None:
-            # One full step: rows 0-1 hold the estimates before and after it.
-            rows, w_change = block[:2], np.abs(w_next - w).sum()
-            w, (w_next, h, rows[1]) = w_next, kernel.gather.step(w_next, h, kernel.alpha, 0.0)
+                w_fixed_step = steps + 1
+            w = w_next
+            kernel.gather.refold(folded, w)
         else:
-            # Up to BLOCK steps with w folded in: y = folded * h_t + 1 holds
-            # h_{t+1} over the messages and the estimates at step t below them.
             rows, w_change = block[: min(BLOCK, max_iter - steps) + 1], 0.0
-            for row in rows[1:]:
-                y = folded * h
-                y += 1.0
-                h, row[:] = y[:m], y[m:]
+        for row in rows[1:]:
+            y = folded * h
+            y += 1.0
+            h, row[:] = y[:m], y[m:]
         # Row-wise sums are bitwise the per-step 1-D sums; steps after the first within tol are discarded.
         for done, r in enumerate((w_change + np.abs(rows[1:] - rows[:-1]).sum(axis=1)).tolist(), 1):
             if not math.isfinite(r):

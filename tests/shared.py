@@ -93,9 +93,10 @@ def brute_force_violations(d, support):
     return frozenset(out)
 
 
-def bincount_steps(d, coef, alpha, beta, steps):
+def bincount_steps(d, coef, alpha, beta, steps, start=None):
     """The decay/growth recursion as per-arc bincount gathers, in arc order:
-    (omega, eta) of steps 1 .. ``steps`` from omega = eta = 1.
+    (omega, eta) of the ``steps`` steps after ``start``, a pair of arrays
+    that defaults to omega = eta = 1.
 
     ``coef(tails, heads)`` gives the decay coefficient of each arc from the
     arrays of its ends; ``beta`` is an array or a function of the step.
@@ -104,7 +105,7 @@ def bincount_steps(d, coef, alpha, beta, steps):
     arc_from = np.array([v for v, _ in d.arcs], dtype=np.intp)
     arc_to = np.array([w for _, w in d.arcs], dtype=np.intp)
     scale = coef(arc_from, arc_to)
-    omega, eta = np.ones(n), np.ones(n)
+    omega, eta = (np.ones(n), np.ones(n)) if start is None else start
     for t in range(steps):
         beta_t = beta(t) if callable(beta) else beta
         contrib = np.bincount(arc_from, weights=scale * (1.0 - omega)[arc_to], minlength=n)

@@ -28,6 +28,7 @@ from harmonic_influence.electrical import (
 from harmonic_influence.graphs import Digraph, UndirectedGraph, add_extra_edges, condensation, message_digraph, spanning_tree
 from harmonic_influence.mpa import run_mpa
 from shared import bincount_steps, brute_force_violations, closure, cycle_graph, random_connected, same_bits
+from stepping import estimates, message_recursion
 
 
 def constant_state(d, alpha, beta=None):
@@ -198,7 +199,7 @@ def test_csr_kernel_matches_bincount_reference_bitwise():
 
 
 def stepped_generalized(state, steps):
-    """run_generalized as a loop of single calls, each one full step.
+    """run_generalized as a loop of single calls, each one step.
 
     Also returns the first step whose omega repeats the previous one bitwise.
     """
@@ -234,13 +235,13 @@ def test_run_generalized_matches_single_step_loop_bitwise():
             ref, fixed_at = stepped_generalized(start, 300)
             assert fixed_at is not None and fixed_at < 290, n
             assert_same_state(run_generalized(start, 300), ref)
-            # a second call starts with full steps and detects the fixed omega anew
+            # a second call folds its own F from the state's omega and detects the fixed omega anew
             mid = run_generalized(start, fixed_at + 3)
             assert_same_state(run_generalized(mid, 300 - mid.t), ref)
 
 
 def test_run_generalized_past_fixed_omega_matches_bincount_reference_bitwise():
-    """The folded fixed-omega steps against the bincount loop, which shares no code with them."""
+    """The fixed-omega steps against the bincount loop, which shares no code with them."""
     rng = np.random.default_rng(517)
     for n in (2, 15, 80):
         d = random_digraph(rng, n, 3 * n, self_loops=max(1, n // 4))
@@ -267,26 +268,37 @@ def test_run_generalized_past_fixed_omega_matches_bincount_reference_bitwise():
 
 
 def test_fold_gives_the_growth_and_readout_sums_of_a_step_at_any_omega():
-    """1 + fixed(omega) @ eta is bitwise the eta and readouts of a step with beta = 0, off the fixed point too."""
+    """One step of the gather against one step of the bincount oracle, off the fixed point too:
+    ``potentials`` gives its omega, and 1 + F * eta its eta above the readouts, with beta = 0, for
+    F from ``fixed`` and for F from another omega refolded in place."""
     rng = np.random.default_rng(518)
-    gathers = []
+    cases = []  # (gather, digraph and coefficient function of the oracle, message digraph or None)
     for n in (1, 9, 50):
         d = random_digraph(rng, n, 3 * n, self_loops=max(1, n // 4))
         r = rng.uniform(0.2, 5.0, size=n)
-        gathers.append(_generalized_gather(d, r, 1.0 / r))
+        s = 1.0 / r
+        cases.append((_generalized_gather(d, r, s), d, lambda v, w, r=r, s=s: r[v] * s[w], None))
     for n, seed in ((2, 1), (12, 2), (40, 3)):
         g = random_connected(n, 0.3, seed, step=100)
         field = rng.uniform(0.0, 2.0, size=n) * (rng.uniform(size=n) < 0.6)
         field[0] = 0.5
-        net = ConductanceNetwork(g, rng.uniform(0.01, 10.0, size=g.edge_count), field)
-        gathers.append(mpa._Kernel(message_digraph(g), build_weights(net)).gather)
-    for gather in gathers:
+        weights = build_weights(ConductanceNetwork(g, rng.uniform(0.01, 10.0, size=g.edge_count), field))
+        md = message_digraph(g)
+        d, coef, _ = message_recursion(md, weights)
+        cases.append((mpa._Kernel(md, weights).gather, d, coef, md))
+    for gather, d, coef, md in cases:
         size = gather.size
+        refolded = gather.fixed(np.ones(size))
         for _ in range(5):
             omega = 1.0 - rng.uniform(size=size)  # in (0, 1]
             eta = rng.uniform(1.0, 100.0, size=size)
-            _, eta_next, readouts = gather.step(omega, eta, rng.uniform(0.0, 1.0, size=size), 0.0)
-            assert same_bits(1.0 + gather.fixed(omega) @ eta, np.concatenate((eta_next, readouts)))
+            alpha = rng.uniform(0.0, 1.0, size=size)
+            omega_next, eta_next = next(bincount_steps(d, coef, alpha, 0.0, 1, start=(omega, eta)))
+            readouts = [] if md is None else estimates(md, omega, eta)
+            assert same_bits(gather.potentials(omega, alpha), omega_next)
+            gather.refold(refolded, omega)
+            for folded in (gather.fixed(omega), refolded):
+                assert same_bits(1.0 + folded * eta, np.concatenate((eta_next, readouts)))
 
 
 def test_gather_kernels_are_spmatrix_so_star_is_the_matrix_product():
@@ -299,6 +311,22 @@ def test_gather_kernels_are_spmatrix_so_star_is_the_matrix_product():
         for kernel in (gather.growth, gather.decay, gather.fixed(omega)):
             assert isinstance(kernel, scipy.sparse.spmatrix)
             assert same_bits(kernel * omega, kernel @ omega)
+
+
+def test_one_state_stepped_twice_gives_the_same_bits_around_a_longer_call():
+    """Each call folds its own F: a longer call from the same state, past the step at
+    which omega fixes, leaves the next short call's bits as they were."""
+    rng = np.random.default_rng(519)
+    n = 20
+    d = random_digraph(rng, n, 3 * n, self_loops=4)
+    r = rng.uniform(0.2, 5.0, size=n)
+    state = initial_generalized_state(d, rng.uniform(0.01, 0.6, size=n), rng.uniform(-0.2, 0.4, size=n), r, 1.0 / r)
+    state = run_generalized(state, 3)
+    first = run_generalized(state, 5)
+    assert not same_bits(first.omega, run_generalized(first, 1).omega)  # omega still moves
+    longer = run_generalized(state, 300)
+    assert same_bits(longer.omega, run_generalized(longer, 1).omega)  # omega has fixed
+    assert_same_state(run_generalized(state, 5), first)
 
 
 def test_run_generalized_callable_alpha_takes_full_steps():

@@ -524,6 +524,11 @@ BAD_INPUTS = {
                                "error: edge 0-1: trust of node 0 in node 1 underflows to 0"),
     "mpa-subnormal-trust": ("n 3\n0 1 1e-310\n1 2 1.0\n0 f 0.04\n1 f 0.04\n2 f 0.04\n", "mpa {graph} --out {out}",
                             "error: edge 0-1: trust of node 1 in node 0 is 9.62e-311, and dividing by it overflows to inf"),
+    # every field trust of the component underflows to 0: message passing would run undriven
+    "mpa-field-trust-5e-324": ("n 3\n0 1\n1 2\n0 2\n0 f 5e-324\n", "mpa {graph} --out {out}",
+                               "error: every field trust in the component containing node 0 underflows to 0"),
+    "mpa-field-trust-1e-300": ("n 3\n0 1 1e300\n1 2 1e300\n0 2 1e300\n0 f 1e-300\n", "mpa {graph} --out {out}",
+                               "error: every field trust in the component containing node 0 underflows to 0"),
     "mpa-disconnected": ("0 1\n2 3\n0 f 1\n2 f 1\n", "mpa {graph} --out {out}",
                          "error: message passing requires a connected graph"),
     "mpa-edgeless": ("n 1\n0 f 0.1\n", "mpa {graph} --out {out}",

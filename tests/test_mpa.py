@@ -11,7 +11,7 @@ from harmonic_influence import mpa
 from harmonic_influence.electrical import ConductanceNetwork, InfluenceWeights, build_weights, uniform_network
 from harmonic_influence.graphs import UndirectedGraph, diameter, erdos_renyi, message_digraph
 from harmonic_influence.mpa import BLOCK, ERROR_CHUNK, error_trace, initial_messages, run_mpa
-from shared import GAMMA, bincount_steps, connected_networks, path_graph, random_connected, random_tree, same_bits
+from shared import GAMMA, connected_networks, path_graph, random_connected, random_tree, same_bits
 from stepping import error_rows, influence_estimates, mpa_step, node_influence_estimate, stepped_run
 
 
@@ -115,67 +115,22 @@ def test_run_mpa_matches_manual_stepping():
     assert np.array_equal(result.h_estimates, influence_estimates(state, w))
 
 
-def bincount_reference_steps(md, weights, steps):
-    """The message updates and estimates as per-arc bincount gathers, in arc order."""
-    trust = dict(zip(md.arc_nodes, weights.arc_trust))  # trust[(j, i)]: how much j trusts i
-    sender_trust = np.array([trust[(i, j)] for j, i in md.arc_nodes])
-    receiver_trust = np.array([trust[(j, i)] for j, i in md.arc_nodes])
-    alpha = weights.field_trust[md.senders()] / sender_trust
-    receivers, n = md.receivers(), md.base.node_count
-    for w, h in bincount_steps(md.to_digraph(), lambda a, b: receiver_trust[b] / sender_trust[a], alpha, 0.0, steps):
-        yield w, h, 1.0 + np.bincount(receivers, weights=w * h, minlength=n)
-
-
-def test_csr_kernel_matches_bincount_reference_bitwise():
-    rng = np.random.default_rng(41)
-    for n, p, seed in ((12, 0.3, 5), (40, 0.12, 6), (90, 0.06, 7)):
-        g = random_connected(n, p, seed)
-        conductance = rng.uniform(0.05, 5.0, size=g.edge_count)
-        net = ConductanceNetwork(g, conductance, rng.uniform(0.001, 0.8, size=n))
-        w = build_weights(net)
-        md = message_digraph(g)
-        state = initial_messages(md, w)
-        for t, (w_ref, h_ref, est_ref) in enumerate(bincount_reference_steps(md, w, 200)):
-            state = mpa_step(state, w)
-            assert np.array_equal(state.w_msgs, w_ref), (n, t)
-            assert np.array_equal(state.h_msgs, h_ref), (n, t)
-            assert np.array_equal(influence_estimates(state, w), est_ref), (n, t)
-
-
 def test_run_mpa_past_fixed_w_matches_bincount_reference_bitwise():
-    """The folded fixed-w phase against the bincount loop, which shares no code with it."""
+    """Runs cut at and around the blocks of fixed-w steps, with tol = 0, against the bincount loop."""
     rng = np.random.default_rng(43)
     runs_past_blocks = 0
     for n, p, seed in ((9, 0.4, 11), (40, 0.12, 12), (110, 0.05, 13)):
         g = random_connected(n, p, seed)
         conductance = rng.uniform(0.05, 5.0, size=g.edge_count)
         w = build_weights(ConductanceNetwork(g, conductance, rng.uniform(0.001, 0.8, size=n)))
-        md = message_digraph(g)
-        # (w, estimates) of steps 0 .. 400
-        steps = [(np.ones(md.size), 1.0 + np.bincount(md.receivers(), weights=np.ones(md.size), minlength=n))]
-        steps += [(w_t, est_t) for w_t, _, est_t in bincount_reference_steps(md, w, 400)]
-        fixed = next(t for t in range(1, len(steps)) if same_bits(steps[t][0], steps[t - 1][0]))
-        assert fixed + 4 * BLOCK < 400, n
-        residuals = [
-            float(np.abs(w_t - w_prev).sum() + np.abs(est_t - est_prev).sum())
-            for (w_prev, est_prev), (w_t, est_t) in zip(steps, steps[1:])
-        ]
         # with tol=0.0 a run stops at its first zero residual, if any
-        zero = next((t for t, r in enumerate(residuals, 1) if r == 0.0), None)
+        ref = assert_run_matches_stepped_run(g, w, 0.0, 400)
+        fixed = ref["w_fixed_step"]
+        assert fixed + 4 * BLOCK < 400, n
         last = fixed + BLOCK - 1  # the last step of the first block of fixed-w steps
-        for max_iter in (1, 2, fixed - 1, fixed, fixed + 1, last, last + 1, last + 2, last + BLOCK, 400):
-            t = max_iter if zero is None else min(max_iter, zero)
-            for traced in (True, False):
-                result = run_mpa(g, w, tol=0.0, max_iter=max_iter, trace=traced)
-                assert result.iterations == t and result.converged == (t == zero), (n, max_iter)
-                assert same_bits(result.w_limits, steps[min(fixed, t)][0]), (n, max_iter)
-                assert same_bits(result.h_estimates, steps[t][1]), (n, max_iter)
-                assert same_bits(result.residuals, np.array(residuals[:t])), (n, max_iter)
-                assert result.w_fixed_step == (fixed if t >= fixed else None), (n, max_iter)
-                if traced:
-                    assert same_bits(result.h_trace, np.array([e for _, e in steps[: t + 1]])), (n, max_iter)
-                    assert same_bits(result.w_trace, np.array([w_t for w_t, _ in steps[: min(fixed, t) + 1]]))
-        runs_past_blocks += zero is None or zero > last + BLOCK
+        for max_iter in (1, 2, fixed - 1, fixed, fixed + 1, last, last + 1, last + 2, last + BLOCK):
+            assert_run_matches_stepped_run(g, w, 0.0, max_iter)
+        runs_past_blocks += ref["iterations"] > last + BLOCK
     assert runs_past_blocks >= 2
 
 
@@ -219,7 +174,7 @@ def test_steps_reject_weights_of_another_graph():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_raises_at_first_non_finite_residual(monkeypatch):
-    # a NaN driving term makes one w NaN after step 1 of the full-step phase
+    # a NaN driving term makes one w NaN at step 1, while w still moves
     # (the kernel rejects the trusts that used to produce it, so it is planted)
     class NanAlphaKernel(mpa._Kernel):
         def __init__(self, md, weights):
@@ -264,7 +219,7 @@ def test_kernel_rejects_a_trust_whose_quotients_overflow():
 
 
 def expected_result(g, weights, tol, max_iter):
-    """The fields of run_mpa's result, read off the rows of the full-step loop:
+    """The fields of run_mpa's result, read off the rows of the stepped oracle:
     the w rows are kept through the step at which w fixes."""
     w_rows, est_rows, residuals = stepped_run(g, weights, tol, max_iter)
     steps = len(residuals)
