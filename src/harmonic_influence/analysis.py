@@ -37,13 +37,15 @@ class _ArcGather:
     """The synchronous decay/growth step on a digraph's arcs, as two CSC matrices.
 
     Node v gathers from every w with an arc (v, w): the growth term sums
-    omega_w * eta_w, the decay term sums coef * (1 - omega_w).  ``growth``
-    holds the unit-weighted arcs in rows 0..size-1 and, given
+    omega_w * eta_w, the decay term sums coef * (1 - omega_w).  The growth
+    matrix holds the unit-weighted arcs in rows 0..size-1 and, given
     ``receivers``, ``readouts`` rows below them, where column w has one
     more entry at row size + receivers[w]; ``decay`` holds the
     ``coef``-weighted arcs.  A step is one product ``F * eta`` of F =
     ``fixed(omega)``, the growth matrix with omega as its entries: growth's
-    are exactly 1.0, so it is bitwise ``growth * (omega * eta)``.  While
+    are exactly 1.0, so it is bitwise ``growth * (omega * eta)``.  No step
+    reads those 1.0 entries, so the gather keeps growth's pattern alone:
+    ``growth_pattern``, its row indices, column pointers and shape.  While
     omega moves, ``potentials`` gives the next one and ``refold`` rewrites
     F from it in place.  Each engine call builds its own F.
 
@@ -69,18 +71,19 @@ class _ArcGather:
         # so the arcs stay sorted by tail.
         growth_tails = np.concatenate((tails, size + np.asarray(receivers, dtype=np.intp)))
         growth_heads = np.concatenate((heads, np.arange(len(receivers))))
-        self.growth = _csr_rows(growth_tails, growth_heads, np.ones(len(growth_tails)), (size + readouts, size)).tocsc()
+        growth = _csr_rows(growth_tails, growth_heads, np.ones(len(growth_tails)), (size + readouts, size)).tocsc()
+        self.growth_pattern = (growth.indices, growth.indptr, growth.shape)
         self.decay = _csr_rows(tails, heads, coef, (size, size)).tocsc()
-        self._columns = np.repeat(np.arange(size), np.diff(self.growth.indptr))
+        self._columns = np.repeat(np.arange(size), np.diff(growth.indptr))
 
     def potentials(self, omega: np.ndarray, alpha) -> np.ndarray:
         """The decay recursion: omega of the step after the one whose omega is given."""
         return 1.0 / (1.0 + alpha + self.decay * (1.0 - omega))
 
     def fixed(self, omega: np.ndarray) -> scipy.sparse.csc_matrix:
-        """The growth matrix with each entry multiplied by omega at its column; it shares growth's index arrays."""
-        growth = self.growth
-        return scipy.sparse.csc_matrix((omega[self._columns], growth.indices, growth.indptr), shape=growth.shape)
+        """The growth matrix with omega at its column as each entry; it shares the pattern's index arrays."""
+        indices, indptr, shape = self.growth_pattern
+        return scipy.sparse.csc_matrix((omega[self._columns], indices, indptr), shape=shape)
 
     def refold(self, folded: scipy.sparse.csc_matrix, omega: np.ndarray) -> None:
         """Rewrite the entries of a matrix from ``fixed`` in place, from a new omega."""
@@ -97,14 +100,14 @@ def _generalized_gather(d: Digraph, r: np.ndarray, s: np.ndarray) -> _ArcGather:
     return _ArcGather(tails, heads, d.node_count, r[tails] * s[heads])
 
 
-def _driving(seq, size: int, name: str, nonnegative: bool = False, finite: bool = False) -> np.ndarray:
+def _driving(seq, size: int, name: str, nonnegative: bool = False) -> np.ndarray:
     arr = np.asarray(seq, dtype=np.float64)
     if arr.shape != (size,):
         raise ValueError(f"{name} must have one entry per digraph node")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
     if nonnegative and not np.all(arr >= 0.0):
         raise ValueError(f"{name} must be nonnegative")
-    if finite and not np.isfinite(arr).all():
-        raise ValueError(f"{name} must be finite")
     return arr
 
 
@@ -114,7 +117,7 @@ class GeneralizedDynamicsState:
 
     ``alpha`` and ``beta`` are constant arrays, checked once at the
     start, or callables of t, whose values are checked at every step:
-    one entry per node, alpha nonnegative and beta finite.
+    one finite entry per node, alpha's nonnegative.
     """
 
     d: Digraph
@@ -141,7 +144,7 @@ def initial_generalized_state(
     if not callable(alpha):
         alpha = _driving(alpha, n, "alpha", nonnegative=True)
     if not callable(beta):
-        beta = _driving(beta, n, "beta", finite=True)
+        beta = _driving(beta, n, "beta")
     r_arr = np.asarray(r, dtype=np.float64)
     s_arr = np.asarray(s, dtype=np.float64)
     if r_arr.shape != (n,) or s_arr.shape != (n,):
@@ -191,7 +194,7 @@ def run_generalized(state: GeneralizedDynamicsState, steps: int) -> GeneralizedD
             if last_alpha is not None and np.any(alpha_t < last_alpha - ALPHA_MONOTONE_TOL):
                 raise ValueError(f"alpha decreased at t={t}; the driving sequence must be non-decreasing")
         if callable(beta):
-            shift = 1.0 + _driving(beta(t), gather.size, f"beta(t) at t={t}", finite=True)
+            shift = 1.0 + _driving(beta(t), gather.size, f"beta(t) at t={t}")
         eta = folded * eta
         eta += shift
         if moving:

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .graphs import MessageDigraph, UndirectedGraph, _csr_rows, _node_id, _read_only
+from .graphs import MessageDigraph, UndirectedGraph, _csr_rows, _node_id, _read_only, _real
 
 # Bound on the backward error of every grounded solve A y = b: the
 # residual ||A y - b||_1 over the size || |A| |y| ||_1 of the terms it sums.
@@ -157,7 +157,7 @@ def uniform_network(g: UndirectedGraph, gamma: float) -> ConductanceNetwork:
     return ConductanceNetwork(
         graph=g,
         edge_conductance=np.ones(g.edge_count),
-        field_conductance=np.full(g.node_count, float(gamma)),
+        field_conductance=np.full(g.node_count, _real(gamma, "gamma")),
     )
 
 
@@ -169,7 +169,7 @@ class InfluenceWeights:
     CSR entry at row j and column i (the message (j, i)); ``field_trust[j]``
     is how much j trusts the opinion field.  Construction checks the shapes,
     that arc trusts lie in (0, 1] and field trusts in [0, 1], and that each
-    row sums to one within eps per term.
+    row sums to one within eps per term, and stores both as read-only float arrays.
     """
 
     graph: UndirectedGraph
@@ -180,7 +180,7 @@ class InfluenceWeights:
         g = self.graph
         for name, size, above_low, bounds in (("arc_trust", 2 * g.edge_count, np.greater, "(0, 1]"),
                                               ("field_trust", g.node_count, np.greater_equal, "[0, 1]")):
-            values = np.asarray(getattr(self, name))
+            values = np.asarray(getattr(self, name), dtype=np.float64)
             if values.shape != (size,):
                 raise ValueError(f"{name} must have shape ({size},), got {values.shape}")
             # NaN and inf fail the range test too.
@@ -188,6 +188,7 @@ class InfluenceWeights:
             if bad.any():
                 p = int(np.argmax(bad))
                 raise ValueError(f"{name}[{p}] is {values[p]}: a trust must be finite and lie in {bounds}")
+            object.__setattr__(self, name, _read_only(values))
         # A row of degree + 1 terms may miss 1 by eps per term: build_weights sums the terms and
         # rounds each quotient, this sums again, and to first order that is (2 * degree + 1) * eps / 2.
         totals = np.bincount(g._rows, weights=self.arc_trust, minlength=g.node_count) + self.field_trust

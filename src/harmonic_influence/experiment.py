@@ -23,6 +23,7 @@ from .electrical import ConductanceNetwork, build_weights, uniform_network
 from .graphs import (
     UndirectedGraph,
     _count,
+    _real,
     add_extra_edges,
     diameter,
     erdos_renyi,
@@ -53,19 +54,21 @@ class ExperimentConfig:
     outputs: Optional[Path] = None
 
     def __post_init__(self) -> None:
+        # Stored as int and float: the report's JSON encoder refuses numpy integers and float32.
         for name in ("n", "extra_edges", "seed", "max_iter"):
-            # Stored as int: the report's JSON encoder refuses numpy integers.
             object.__setattr__(self, name, _count(getattr(self, name), name))
+        for name in ("p", "gamma", "tol"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if self.n < 2:
             raise ValueError("n must be at least 2")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
         if self.extra_edges < 0:
             raise ValueError("extra_edges must be nonnegative")
-        if not self.gamma > 0.0:
-            raise ValueError("gamma must be positive: every node trusts the field")
-        if not self.tol >= 0.0:
-            raise ValueError("tol must be nonnegative")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError("gamma must be positive and finite: every node trusts the field")
+        if not 0.0 <= self.tol < math.inf:
+            raise ValueError("tol must be nonnegative and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
 
@@ -142,9 +145,7 @@ def generate_graphs(cfg: ExperimentConfig) -> tuple[dict[str, UndirectedGraph], 
             break
         er_seed += 1
     else:
-        raise RuntimeError(
-            f"no connected Erdos-Renyi graph found in 100 attempts from seed {cfg.seed}"
-        )
+        raise ValueError(f"no connected Erdos-Renyi graph found in 100 attempts from seed {cfg.seed}")
     g_st = spanning_tree(g_er, cfg.seed + _TREE_SEED_OFFSET)
     g_fe = add_extra_edges(g_st, g_er, cfg.extra_edges, cfg.seed + _EXTRA_SEED_OFFSET)
     return dict(zip(GRAPH_NAMES, (g_st, g_fe, g_er))), er_seed
@@ -178,7 +179,7 @@ class GraphFile:
         if not gamma.any():  # a negative entry is the network's to reject
             if fallback_gamma is None:
                 raise ValueError("file has no field edges and no fallback gamma given")
-            gamma = np.full(self.graph.node_count, float(fallback_gamma))
+            gamma = np.full(self.graph.node_count, _real(fallback_gamma, "fallback_gamma"))
         return ConductanceNetwork(graph=self.graph, edge_conductance=self.edge_conductance, field_conductance=gamma)
 
 

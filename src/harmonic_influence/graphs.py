@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,15 +39,16 @@ def _checked_pairs(node_count: int, pairs, undirected: bool) -> tuple[np.ndarray
 
     An undirected edge is stored as (smaller, larger).  Raises ``ValueError`` on the first offending
     pair in input order: one not of length two, with an end that is not an integer or lies outside
-    0..node_count-1, repeating an earlier pair or, for an edge, a self-loop or an earlier edge reversed."""
-    if node_count < 1:
+    0..node_count-1, repeating an earlier pair or, for an edge, a self-loop or an earlier edge reversed,
+    and when ``node_count`` is not an integer of at least 1."""
+    if _count(node_count, "node_count") < 1:
         raise ValueError("node_count must be >= 1")
     if isinstance(pairs, np.ndarray) and pairs.shape[1:] == (2,) and np.issubdtype(pairs.dtype, np.signedinteger):
         ends, count = pairs.astype(np.intp).ravel(), len(pairs)
     else:
         pairs = tuple(pairs)
         # The pairs before the first of the wrong length are read as one flat stream.
-        count = len(pairs) if set(map(len, pairs)) <= {2} else next(k for k, a in enumerate(pairs) if len(a) != 2)
+        count = next((k for k, a in enumerate(pairs) if _length(a) != 2), len(pairs))
         flat = tuple(itertools.chain.from_iterable(pairs[:count]))
         try:
             if not all(issubclass(t, _INTEGER) for t in set(map(type, flat))):
@@ -68,8 +70,8 @@ def _checked_pairs(node_count: int, pairs, undirected: bool) -> tuple[np.ndarray
     if k == len(pairs):
         return _read_only(first), _read_only(second)
     # The first offending pair's error, judged in the order of a per-pair check.
-    if len(pairs[k]) != 2 or not all(isinstance(x, _INTEGER) for x in pairs[k]):
-        what = "is not a pair of nodes" if len(pairs[k]) != 2 else "has a node id that is not an integer"
+    if _length(pairs[k]) != 2 or not all(isinstance(x, _INTEGER) for x in pairs[k]):
+        what = "is not a pair of nodes" if _length(pairs[k]) != 2 else "has a node id that is not an integer"
         raise ValueError(f"{'edge' if undirected else 'arc'} {pairs[k]!r} {what}")
     v, w = (int(x) for x in pairs[k])
     inside = 0 <= v < node_count and 0 <= w < node_count
@@ -80,6 +82,14 @@ def _checked_pairs(node_count: int, pairs, undirected: bool) -> tuple[np.ndarray
     if not inside:
         raise ValueError(f"edge {v}-{w} outside node range 0..{node_count - 1}")
     raise ValueError(f"duplicate edge {min(v, w)}-{max(v, w)}")
+
+
+def _length(pair) -> int:
+    """``len(pair)``, or -1 for an object with no length, such as a node id where a pair goes."""
+    try:
+        return len(pair)
+    except TypeError:
+        return -1
 
 
 def _node_id(v, what: str) -> int:
@@ -94,6 +104,13 @@ def _count(v, name: str) -> int:
     if not isinstance(v, _INTEGER):  # a float count would run ceil(v) steps or fail deep inside
         raise ValueError(f"{name} must be an integer, got {v!r}")
     return int(v)
+
+
+def _real(v, name: str) -> float:
+    """``v`` as a float, if it is a real number: a bool, or a Python or numpy integer or float; else ``ValueError``."""
+    if not isinstance(v, numbers.Real):  # a string would fail each range check with a TypeError
+        raise ValueError(f"{name} must be a real number, got {v!r}")
+    return float(v)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -136,6 +153,7 @@ class UndirectedGraph:
 
     def __post_init__(self) -> None:
         ends = _checked_pairs(self.node_count, self.edges, undirected=True)
+        object.__setattr__(self, "node_count", int(self.node_count))
         object.__setattr__(self, "edges", tuple(zip(*(e.tolist() for e in ends))))
         self.__dict__["_ends"] = ends
 
@@ -183,6 +201,7 @@ class Digraph:
 
     def __post_init__(self) -> None:
         self.__dict__["_ends"] = _checked_pairs(self.node_count, self.arcs, undirected=False)
+        object.__setattr__(self, "node_count", int(self.node_count))
         del self.__dict__["arcs"]
 
     @classmethod
@@ -263,11 +282,12 @@ def erdos_renyi(n: int, p: float, seed: int) -> UndirectedGraph:
 
     One draw per pair in row-major order (0, 1), (0, 2), ..., (n-2, n-1), which fixes each pair's
     draw, so seeded graphs never change; the draws come in chunks of whole rows, in O(n + m) memory."""
+    n = _count(n, "n")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not 0.0 <= p <= 1.0:
+    if not 0.0 <= _real(p, "p") <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count(seed, "seed"))
     row_ends = np.cumsum(np.arange(n - 1, 0, -1))  # pairs in rows 0..i
     kept, start, stop = [], 0, 0
     while stop < n - 1:
@@ -354,7 +374,7 @@ def spanning_tree(g: UndirectedGraph, seed: int) -> UndirectedGraph:
     uniformly shuffled order, keeping the n-1 discovery edges.
     """
     _require_connected(g)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count(seed, "seed"))
     indptr, indices = g._csr.indptr.tolist(), g._csr.indices
     order = [int(rng.integers(g.node_count))]  # the nodes in visiting order, from the root
     parent = {order[0]: order[0]}
@@ -377,9 +397,10 @@ def add_extra_edges(tree: UndirectedGraph, pool: UndirectedGraph, k: int, seed: 
     if not np.isin(tree_keys, pool_keys).all():
         raise ValueError("tree edges must be a subset of pool edges")
     candidates = np.setdiff1d(pool_keys, tree_keys, assume_unique=True)
+    k = _count(k, "k")
     if k < 0 or k > len(candidates):
         raise ValueError(f"k={k} exceeds the {len(candidates)} available extra edges")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count(seed, "seed"))
     chosen = candidates[rng.choice(len(candidates), size=k, replace=False)] if k else candidates[:0]
     keys = np.concatenate((tree_keys, chosen))
     return UndirectedGraph(n, np.column_stack((keys // n, keys % n)))

@@ -37,7 +37,7 @@ import numpy as np
 
 from .analysis import _ArcGather, _same_bits
 from .electrical import InfluenceWeights
-from .graphs import MessageDigraph, UndirectedGraph, _count, _read_only, is_connected, message_digraph
+from .graphs import MessageDigraph, UndirectedGraph, _count, _read_only, _real, is_connected, message_digraph
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10**5
@@ -194,8 +194,8 @@ def run_mpa(
     md = message_digraph(g)
     if not is_connected(g):
         raise ValueError("message passing requires a connected graph")
-    if not tol >= 0.0:
-        raise ValueError("tol must be nonnegative")
+    if not 0.0 <= _real(tol, "tol") < math.inf:
+        raise ValueError("tol must be nonnegative and finite")
     if _count(max_iter, "max_iter") < 1:
         raise ValueError("max_iter must be positive")
 

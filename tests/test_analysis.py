@@ -62,32 +62,6 @@ def test_zero_alpha_keeps_omega_at_one():
             assert np.all(state.omega == 1.0)
 
 
-def test_scaling_vectors_must_be_reciprocal():
-    d = directed_cycle(3)
-    with pytest.raises(ValueError, match="reciprocal"):
-        initial_generalized_state(d, np.zeros(3), np.zeros(3), np.full(3, 2.0), np.full(3, 2.0))
-
-
-def test_constant_alpha_validated_once_at_start():
-    d = directed_cycle(3)
-    with pytest.raises(ValueError, match="nonnegative"):
-        initial_generalized_state(d, np.array([0.1, -0.1, 0.1]), np.zeros(3), np.ones(3), np.ones(3))
-    with pytest.raises(ValueError, match="one entry per digraph node"):
-        initial_generalized_state(d, np.zeros(4), np.zeros(3), np.ones(3), np.ones(3))
-
-
-def test_decreasing_alpha_raises():
-    d = directed_cycle(3)
-
-    def alpha(t):
-        return np.full(3, 1.0 / (t + 1.0))
-
-    state = initial_generalized_state(d, alpha, np.zeros(3), np.ones(3), np.ones(3))
-    state = run_generalized(state, 1)
-    with pytest.raises(ValueError, match="non-decreasing"):
-        run_generalized(state, 1)
-
-
 def test_nondecreasing_callable_alpha_accepted():
     d = directed_cycle(3)
 
@@ -308,7 +282,7 @@ def test_gather_kernels_are_spmatrix_so_star_is_the_matrix_product():
     for gather in (_generalized_gather(d, np.ones(5), np.ones(5)),
                    mpa._Kernel(message_digraph(g), build_weights(uniform_network(g, 0.04))).gather):
         omega = np.linspace(0.2, 1.0, gather.size)
-        for kernel in (gather.growth, gather.decay, gather.fixed(omega)):
+        for kernel in (gather.decay, gather.fixed(omega)):
             assert isinstance(kernel, scipy.sparse.spmatrix)
             assert same_bits(kernel * omega, kernel @ omega)
 
@@ -428,24 +402,12 @@ def test_hypothesis_matches_condensation_form_random():
     assert partial >= 10  # sparse supports that leave some, but not all, suspects violating
 
 
-def test_hypothesis_rejects_support_outside_range():
-    d = directed_cycle(3)
-    for bad in (-1, 3):
-        with pytest.raises(ValueError, match="outside range"):
-            check_convergence_hypothesis(d, {0, bad})
-
-
 def test_hypothesis_support_must_be_integer_node_ids():
-    # int() would read 0.7 as node 0, 2.9 as node 2 and "1" as node 1
+    # numpy integers and any iterable of node ids; BAD_CALLS holds floats, strings and ids out of range
     d = directed_cycle(3)
-    for bad, shown in ((0.7, "0.7"), (2.9, "2.9"), ("1", "'1'")):
-        with pytest.raises(ValueError, match=f"^support node {shown} is not an integer node id$"):
-            check_convergence_hypothesis(d, [bad])
     assert check_convergence_hypothesis(d, [np.int64(1)]) == frozenset()
     assert check_convergence_hypothesis(d, range(3)) == frozenset()
     assert check_convergence_hypothesis(Digraph(4, ((0, 1), (1, 0))), [np.int64(3)]) == frozenset({0, 1})
-    with pytest.raises(ValueError, match="^support node 3 outside range$"):
-        check_convergence_hypothesis(d, [np.int64(3)])
 
 
 # ---------------------------------------------------------------------------
@@ -497,16 +459,6 @@ def test_spectral_radius_zero_on_acyclic_digraphs():
         assert spectral_radius_diagnostic(d, np.full(3, 0.5)) == 0.0
 
 
-def test_spectral_radius_rejects_bad_omega():
-    d = directed_cycle(3)
-    with pytest.raises(ValueError):
-        spectral_radius_diagnostic(d, np.array([0.5, 0.0, 0.5]))
-    with pytest.raises(ValueError):
-        spectral_radius_diagnostic(d, np.array([0.5, 1.5, 0.5]))
-    with pytest.raises(ValueError, match="^omega must have one entry per digraph node$"):
-        spectral_radius_diagnostic(d, np.ones(4))
-
-
 def test_spectral_radius_iterates_each_strong_component_alone():
     # Iterated as a whole, neither digraph converges within the step cap:
     # two disjoint 2-cycles with radii 0.5 and 0.5001 leave the dominant
@@ -530,28 +482,6 @@ def test_spectral_radius_raises_when_power_iteration_stalls():
     omega = np.random.default_rng(0).uniform(0.3, 0.7, 399)
     with pytest.raises(ArithmeticError, match=r"^power iteration did not converge in 10000 steps; last estimate"):
         spectral_radius_diagnostic(figure_eight, omega)
-
-
-@pytest.mark.parametrize("omega", [[np.nan, 0.5], [0.5, np.nan], [np.inf, 0.5], [-np.inf, 0.5]])
-def test_spectral_radius_rejects_non_finite_omega_before_iterating(omega):
-    # a NaN used to pass the range test and run every power step
-    with pytest.raises(ValueError, match=r"omega entries must lie in \(0, 1\]"):
-        spectral_radius_diagnostic(Digraph(2, ((0, 1), (1, 0))), omega)
-
-
-@pytest.mark.parametrize("r, s, beta, message", [
-    ([np.nan, 1.0], [np.nan, 1.0], [0.0, 0.0], "r and s must be finite"),
-    ([1.0, 1.0], [1.0, np.nan], [0.0, 0.0], "r and s must be finite"),
-    ([np.inf, 1.0], [0.5, 1.0], [0.0, 0.0], "r and s must be finite"),
-    ([1.0, 1.0], [1.0, 1.0], [np.nan, 0.0], "beta must be finite"),
-    ([1.0, 1.0], [1.0, 1.0], [0.0, np.inf], "beta must be finite"),
-    ([1.0], [1.0, 1.0], [0.0, 0.0], "r and s must have one entry per digraph node"),
-    ([-1.0, -1.0], [-1.0, -1.0], [0.0, 0.0], "r and s must be positive"),
-])
-def test_generalized_state_rejects_non_finite_inputs(r, s, beta, message):
-    d = Digraph(2, ((0, 1), (1, 0)))
-    with pytest.raises(ValueError, match=message):
-        initial_generalized_state(d, [0.1, 0.1], beta, r, s)
 
 
 # ---------------------------------------------------------------------------
@@ -614,22 +544,6 @@ def test_spearman_ignores_a_one_ulp_move_within_a_tie():
             assert spearman(*((moved, b) if x is a else (a, moved))) == rho
 
 
-def test_spearman_errors():
-    with pytest.raises(ValueError):
-        spearman([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        spearman([1.0], [2.0])
-    with pytest.raises(ValueError):
-        spearman([1.0, 2.0], [1.0, 2.0, 3.0])
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_spearman_rejects_non_finite_input(bad):
-    for a, b in (([1.0, bad, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0]), ([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, bad, 3.0])):
-        with pytest.raises(ValueError, match="finite"):
-            spearman(a, b)
-
-
 def test_fractional_ranks_match_scipy_bitwise():
     rng = np.random.default_rng(29)
     for trial in range(300):
@@ -659,23 +573,3 @@ def test_scatter_pairs_on_tree_and_cyclic_fixtures():
     w_star = exact_message_potentials(net, result.md)
     for exact, approx in zip(w_star, result.w_limits):
         assert approx <= exact + 1e-9
-
-
-@pytest.mark.parametrize("beta_t, message", [
-    ([np.nan, 0.0], r"beta\(t\) at t=0 must be finite"),
-    ([0.0], r"beta\(t\) at t=0 must have one entry per digraph node"),
-    ([0.0, 0.0, 0.0], r"beta\(t\) at t=0 must have one entry per digraph node"),
-])
-def test_run_generalized_checks_each_value_of_a_callable_beta(beta_t, message):
-    d = Digraph(2, ((0, 1), (1, 0)))
-    state = initial_generalized_state(d, [0.1, 0.1], lambda t: beta_t, [1.0, 1.0], [1.0, 1.0])
-    with pytest.raises(ValueError, match=message):
-        run_generalized(state, 5)
-
-
-def test_run_generalized_names_the_step_of_a_bad_beta():
-    d = Digraph(2, ((0, 1), (1, 0)))
-    state = initial_generalized_state(d, [0.1, 0.1], lambda t: [0.0, np.inf if t == 3 else 0.0], [1.0, 1.0], [1.0, 1.0])
-    state = run_generalized(state, 3)
-    with pytest.raises(ValueError, match=r"beta\(t\) at t=3 must be finite"):
-        run_generalized(state, 1)

@@ -39,70 +39,17 @@ def two_node_network():
 # ConductanceNetwork validation
 # ---------------------------------------------------------------------------
 
-def test_network_rejects_nonpositive_edge_conductance():
-    # edges in sorted order: 0-3, 1-2, 2-3; the message names the first bad entry's edge
-    g = UndirectedGraph(4, ((2, 3), (3, 0), (1, 2)))
-    for bad in (0.0, -0.0, -1.5):
-        with pytest.raises(ValueError, match=rf"^conductance of edge 1-2 must be positive and finite, got {bad}$"):
-            ConductanceNetwork(g, np.array([1.0, bad, -1.0]), np.full(4, 0.1))
-
-
-@pytest.mark.parametrize("bad", [np.inf, np.nan])
-def test_network_rejects_non_finite_conductances(bad):
-    g = UndirectedGraph(3, ((1, 2), (0, 1)))
-    with pytest.raises(ValueError, match=rf"^conductance of edge 1-2 must be positive and finite, got {bad}$"):
-        ConductanceNetwork(g, np.array([1.0, bad]), np.full(3, 0.1))
-    with pytest.raises(ValueError, match="finite"):
-        ConductanceNetwork(g, np.ones(2), np.array([0.1, bad, 0.1]))
-
-
-def test_network_rejects_missing_or_extra_conductances():
+def test_network_reads_a_list_of_conductances_in_the_order_of_the_edges():
     g = UndirectedGraph(3, ((0, 1), (1, 2)))
-    for cond, shape in ((np.ones(1), r"\(1,\)"), (np.ones(3), r"\(3,\)"), (np.ones((2, 1)), r"\(2, 1\)"),
-                        (1.0, r"\(\)"), ([], r"\(0,\)")):
-        message = rf"^edge_conductance must have one entry per edge, shape \(2,\), got {shape}$"
-        with pytest.raises(ValueError, match=message):
-            ConductanceNetwork(g, cond, np.full(3, 0.1))
-    with pytest.raises(ValueError, match="^field_conductance must have one entry per node$"):
-        ConductanceNetwork(UndirectedGraph(2, ((0, 1),)), np.ones(1), np.ones(3))
-    # an array in the order of g.edges; a list of floats is read the same way
     net = ConductanceNetwork(g, [2.0, 3.0], np.full(3, 0.1))
     assert net.edge_conductance.tolist() == [2.0, 3.0] and not net.edge_conductance.flags.writeable
 
 
-def test_network_rejects_all_zero_field():
-    g = UndirectedGraph(2, ((0, 1),))
-    with pytest.raises(ValueError, match="no field conductance"):
-        uniform_network(g, 0.0)
-
-
 def test_network_requires_field_in_every_component():
+    # every component touches the field; BAD_CALLS holds the graph with the second one unfed
     g = UndirectedGraph(4, ((0, 1), (2, 3)))
-    with pytest.raises(ValueError):
-        ConductanceNetwork(g, np.ones(2), np.array([GAMMA, 0.0, 0.0, 0.0]))
-    # ok once the second component also touches the field
     net = ConductanceNetwork(g, np.ones(2), np.array([GAMMA, 0.0, GAMMA, 0.0]))
     assert build_weights(net).field_trust[0] == GAMMA / (1.0 + GAMMA)
-
-
-def test_network_error_names_first_component_without_field():
-    # components by smallest node: {0, 5}, {1, 2, 6}, {3, 4}
-    g = UndirectedGraph(7, ((1, 6), (0, 5), (3, 4), (2, 6)))
-    cond = np.ones(g.edge_count)
-    for fielded, k in (((5,), 1), ((5, 6), 3), ((2, 3), 0), ((4, 6), 0)):
-        gamma = np.zeros(7)
-        gamma[list(fielded)] = GAMMA
-        message = f"extended network is disconnected: component containing node {k} has no field conductance"
-        with pytest.raises(ValueError) as err:
-            ConductanceNetwork(g, cond, gamma)
-        assert str(err.value) == message, fielded
-
-
-def test_network_rejects_node_total_that_overflows():
-    # each edge is finite, but node 1's two conductances sum past the largest float
-    path = path_graph(3)
-    with pytest.raises(ValueError, match="total conductance of node 1 overflows to inf"):
-        ConductanceNetwork(path, np.array([1e308, 1e308]), np.full(3, GAMMA))
 
 
 # ---------------------------------------------------------------------------
@@ -113,44 +60,6 @@ def test_weights_two_node_example():
     w = build_weights(two_node_network())
     assert w.arc_trust.tolist() == pytest.approx([1.0 / 1.04] * 2, abs=1e-15)  # entries (0, 1), (1, 0)
     assert w.field_trust[0] == pytest.approx(0.04 / 1.04, abs=1e-15)
-
-
-def test_weights_reject_trust_that_underflows_to_zero():
-    # each total is about 1e300, so every neighbor's trust 1e-300 / 1e300 rounds to 0
-    path = UndirectedGraph(3, ((0, 1), (1, 2)))
-    net = ConductanceNetwork(path, np.array([1e-300, 1e-300]), np.full(3, 1e300))
-    with pytest.raises(ValueError, match="edge 0-1: trust of node 0 in node 1 underflows to 0"):
-        build_weights(net)
-
-
-@pytest.mark.parametrize("arc, field, message", [
-    # trust 0 makes message passing divide 0 by 0; trust -1 sends every w to 2
-    (np.zeros(4), None, r"arc_trust\[0\] is 0.0: a trust must be finite and lie in \(0, 1\]"),
-    (np.full(4, -1.0), None, r"arc_trust\[0\] is -1.0: a trust must be finite and lie in \(0, 1\]"),
-    (None, np.array([0.5, np.nan, 0.5]), r"field_trust\[1\] is nan: a trust must be finite and lie in \[0, 1\]"),
-    (None, np.array([0.5, 0.5, 1.5]), r"field_trust\[2\] is 1.5"),
-    (np.ones(3), None, r"arc_trust must have shape \(4,\), got \(3,\)"),
-    (None, np.ones(2), r"field_trust must have shape \(3,\), got \(2,\)"),
-])
-def test_hand_built_weights_reject_bad_trust(arc, field, message):
-    w = build_weights(uniform_network(path_graph(3), GAMMA))
-    arc = w.arc_trust if arc is None else arc
-    field = w.field_trust if field is None else field
-    with pytest.raises(ValueError, match=message):
-        InfluenceWeights(w.graph, arc, field)
-
-
-@pytest.mark.parametrize("arc, field, message", [
-    # run_mpa used to converge on the first to estimates [1.6, 2.0, 1.6], the influence of no network
-    (np.ones(4), np.ones(3), r"^trusts of node 0 sum to 2\.0, not to 1$"),
-    (None, np.zeros(3), r"^trusts of node 0 sum to 0\.9615384615384615, not to 1$"),
-    (None, np.array([0.04 / 1.04, 0.04 / 2.04, 0.5]), r"^trusts of node 2 sum to 1\.4615384615384615, not to 1$"),
-])
-def test_hand_built_weights_reject_rows_that_do_not_sum_to_one(arc, field, message):
-    w = build_weights(uniform_network(path_graph(3), GAMMA))
-    arc = w.arc_trust if arc is None else arc
-    with pytest.raises(ValueError, match=message):
-        InfluenceWeights(w.graph, arc, field)
 
 
 def test_weights_of_wide_conductance_ranges_pass_the_row_sum_check():
@@ -309,15 +218,6 @@ def test_closed_form_checks_raise_arithmetic_error(monkeypatch):
                     exact_form()
 
 
-def test_per_leader_solve_names_the_cancelled_pivot_by_node():
-    # Conductance 1e308 on edge 1-2 swamps the rest of nodes 1 and 2: with
-    # leader 0 grounded the pivot of node 1, row 0 of M_RR, cancels.
-    net = ConductanceNetwork(UndirectedGraph(3, ((0, 1), (1, 2))), np.array([1.0, 1e308]), np.full(3, GAMMA))
-    with pytest.raises(ArithmeticError, match=r"leader 0 is not positive definite to working precision: "
-                       r"the pivot of node 1 fell to rounding level \(numerically singular\)$"):
-        grounded_laplacian_solve(net, 0)
-
-
 def mpmath_influence(g, gamma):
     """H(l) = (X 1)_l / X_ll with X = (L + gamma I)^-1 inverted at 60 digits, for unit conductances."""
     n = g.node_count
@@ -362,19 +262,11 @@ def test_exact_influence_at_drawn_gamma_against_a_60_digit_oracle(u, name):
     assert np.max(np.abs(got - expected) / expected) <= 1e-13
 
 
-def test_solve_leader_out_of_range():
-    with pytest.raises(ValueError):
-        grounded_laplacian_solve(two_node_network(), leader=5)
-
-
 def test_solve_leader_must_be_an_integer_node_id():
-    # True is node 1, as for graph ends; a float or a string is no node id, even when int() could read it
+    # True is node 1, as for graph ends, and a numpy integer is a node id
     net = uniform_network(path_graph(3), 0.1)
     assert grounded_laplacian_solve(net, True).tobytes() == grounded_laplacian_solve(net, 1).tobytes()
     assert grounded_laplacian_solve(net, np.int64(1)).tobytes() == grounded_laplacian_solve(net, 1).tobytes()
-    for bad, shown in ((1.0, "1.0"), (1.5, "1.5"), ("1", "'1'")):
-        with pytest.raises(ValueError, match=f"^leader {shown} is not an integer node id$"):
-            grounded_laplacian_solve(net, bad)
 
 
 def test_single_node_network():
@@ -445,13 +337,6 @@ def test_scaling_all_conductances_leaves_everything_unchanged():
         grounded_laplacian_solve(scaled, 3),
         atol=1e-11,
     )
-
-
-def test_exact_message_potentials_reject_another_graphs_digraph():
-    net = uniform_network(path_graph(4), GAMMA)
-    with pytest.raises(ValueError, match="different graphs"):
-        exact_message_potentials(net, message_digraph(UndirectedGraph(4, ((0, 2), (0, 3), (1, 3)))))
-    assert exact_message_potentials(net, message_digraph(path_graph(4))).shape == (6,)
 
 
 def test_exact_results_are_cached_per_network(monkeypatch):

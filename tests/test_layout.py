@@ -1,5 +1,6 @@
 """The code's layout: a test helper is defined in one module only (shared
-ones in ``shared.py``), no test module imports another, and no source
+ones in ``shared.py``), no test module imports another, every
+``pytest.raises`` checks more than the exception type, and no source
 module reaches a private scipy module or name."""
 
 import ast
@@ -37,6 +38,20 @@ def test_each_helper_is_defined_once_and_no_test_module_imports_another():
         test_imports += [(path.name, m) for m in imported_modules(tree) if m.startswith("test_")]
     assert {name: files for name, files in defined.items() if len(files) > 1} == {}
     assert test_imports == []
+
+
+def test_every_pytest_raises_checks_more_than_the_type():
+    # A raise checked by its type alone passes on any error of that type; BAD_CALLS holds the full messages.
+    found = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), path.name)
+        bound = {id(item.context_expr) for node in ast.walk(tree) if isinstance(node, ast.With)
+                 for item in node.items if item.optional_vars is not None}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and ast.unparse(node.func) == "pytest.raises"
+                    and not any(k.arg == "match" for k in node.keywords) and id(node) not in bound):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def dotted_names(tree):

@@ -138,31 +138,11 @@ def test_run_mpa_past_fixed_w_matches_bincount_reference_bitwise():
 # run_mpa
 # ---------------------------------------------------------------------------
 
-def test_run_requires_connected_graph_with_edges():
-    _, w, _ = setup(path_graph(3))
-    with pytest.raises(ValueError):
-        run_mpa(UndirectedGraph(3, ((0, 1),)), w)
-    g1 = UndirectedGraph(1, ())
-    with pytest.raises(ValueError):
-        net1 = uniform_network(g1, GAMMA)
-        run_mpa(g1, build_weights(net1))
-
-
-@pytest.mark.parametrize("max_iter", [0, -3])
-def test_run_rejects_nonpositive_max_iter(max_iter):
-    g = path_graph(3)
-    _, w, _ = setup(g)
-    with pytest.raises(ValueError, match="max_iter must be positive"):
-        run_mpa(g, w, max_iter=max_iter)
-
-
 def test_steps_reject_weights_of_another_graph():
     # a path and a star on 4 nodes both have 6 messages
     path, star = path_graph(4), UndirectedGraph(4, ((0, 1), (0, 2), (0, 3)))
     _, w_path, md = setup(path)
     _, w_star, _ = setup(star)
-    with pytest.raises(ValueError, match="different graphs"):
-        initial_messages(md, w_star)
     state = initial_messages(md, w_path)
     for update in (mpa_step, influence_estimates):
         with pytest.raises(ValueError, match="different graphs"):
@@ -203,19 +183,10 @@ def test_kernel_rejects_a_trust_whose_quotients_overflow():
     message = r"^edge 0-1: trust of node 1 in node 0 is 9\.62e-311, and dividing by it overflows to inf$"
     weights = build_weights(ConductanceNetwork(path, np.array([1e-310, 1.0]), np.full(3, 0.04)))
     assert weights.arc_trust.min() > 0.0
-    md = message_digraph(path)
-    for call in (lambda: run_mpa(path, weights), lambda: initial_messages(md, weights)):
-        with pytest.raises(ValueError, match=message):
-            call()
-    # trusts of another network's kernel are checked when a step rebuilds it
-    state = initial_messages(md, build_weights(uniform_network(path, GAMMA)))
+    # run_mpa and initial_messages refuse it (BAD_CALLS); so does a step that rebuilds another network's kernel
+    state = initial_messages(message_digraph(path), build_weights(uniform_network(path, GAMMA)))
     with pytest.raises(ValueError, match=message):
         mpa_step(state, weights)
-    # without a field at node 1 only the gather coefficient overflows
-    no_field = build_weights(ConductanceNetwork(path, np.array([1e-310, 1.0]), np.array([0.0, 0.0, 0.04])))
-    assert no_field.field_trust[1] == 0.0
-    with pytest.raises(ValueError, match=r"^edge 0-1: trust of node 1 in node 0 is 1e-310, and dividing"):
-        run_mpa(path, no_field)
 
 
 def expected_result(g, weights, tol, max_iter):
@@ -347,13 +318,6 @@ def test_max_iter_equal_diameter_still_returns_fixed_messages():
 # error traces
 # ---------------------------------------------------------------------------
 
-def test_error_trace_requires_traces():
-    g = path_graph(4)
-    _, w, _ = setup(g)
-    with pytest.raises(ValueError):
-        error_trace(run_mpa(g, w, trace=False))
-
-
 def test_error_trace_lengths_and_final_entry():
     g = square_with_chord()
     _, w, _ = setup(g)
@@ -447,7 +411,8 @@ def traced_peak(fn):
 def test_traced_run_holds_its_trace_once():
     g, w = er_run_inputs(300, 3)
     gather = mpa._Kernel(message_digraph(g), w).gather
-    kernel_bytes = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in (gather.growth, gather.decay))
+    held = (*gather.growth_pattern[:2], gather._columns, gather.decay.data, gather.decay.indices, gather.decay.indptr)
+    kernel_bytes = sum(a.nbytes for a in held)
     result, peak = traced_peak(lambda: run_mpa(g, w, trace=True))
     assert result.iterations > 5000
     # the trace is held once, with at most a quarter of it as growth slack

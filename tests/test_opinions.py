@@ -29,16 +29,8 @@ def test_step_two_node_first_update():
     assert st.t == 1
 
 
-@pytest.mark.parametrize("leader", [-1, 3])
-def test_initial_state_rejects_leader_outside_range(leader):
-    with pytest.raises(ValueError, match=f"leader {leader} outside node range"):
-        initial_state(3, leader)
-
-
 def test_initial_state_reads_its_leader_as_a_node_id():
-    # as grounded_laplacian_solve does: True is node 1, and 1.0 is refused rather than truncated
-    with pytest.raises(ValueError, match=r"^leader 1.0 is not an integer node id$"):
-        initial_state(3, 1.0)
+    # as grounded_laplacian_solve does: True is node 1, and 1.0 is refused rather than truncated (BAD_CALLS)
     st = initial_state(3, True)
     assert type(st.leader) is int and st.opinions.tolist() == [0.0, 1.0, 0.0]
     st = step(st, build_weights(uniform_network(UndirectedGraph(3, ((0, 1), (1, 2))), GAMMA)))
@@ -123,9 +115,3 @@ def test_max_iter_exceeded_raises_with_residual():
     with pytest.raises(NonConvergenceError) as err:
         simulate_to_fixed_point(initial_state(15, leader=0), w, tol=1e-15, max_iter=3)
     assert err.value.residual > 0.0
-
-
-def test_tol_must_be_positive():
-    _, w = two_node()
-    with pytest.raises(ValueError):
-        simulate_to_fixed_point(initial_state(2, leader=0), w, tol=0.0)
