@@ -484,6 +484,28 @@ def test_spectral_radius_raises_when_power_iteration_stalls():
         spectral_radius_diagnostic(figure_eight, omega)
 
 
+@pytest.mark.parametrize("omega", [[np.nan, 0.5], [0.5, np.nan], [np.inf, 0.5], [-np.inf, 0.5]])
+def test_spectral_radius_rejects_non_finite_omega_before_iterating(omega):
+    # a NaN used to pass the range test and run every power step
+    with pytest.raises(ValueError, match=r"^omega entries must lie in \(0, 1\]$"):
+        spectral_radius_diagnostic(Digraph(2, ((0, 1), (1, 0))), omega)
+
+
+@pytest.mark.parametrize("r, s, beta, message", [
+    ([np.nan, 1.0], [np.nan, 1.0], [0.0, 0.0], "r and s must be finite"),
+    ([1.0, 1.0], [1.0, np.nan], [0.0, 0.0], "r and s must be finite"),
+    ([np.inf, 1.0], [0.5, 1.0], [0.0, 0.0], "r and s must be finite"),
+    ([1.0, 1.0], [1.0, 1.0], [np.nan, 0.0], "beta must be finite"),
+    ([1.0, 1.0], [1.0, 1.0], [0.0, np.inf], "beta must be finite"),
+    ([1.0], [1.0, 1.0], [0.0, 0.0], "r and s must have one entry per digraph node"),
+    ([-1.0, -1.0], [-1.0, -1.0], [0.0, 0.0], "r and s must be positive"),
+])
+def test_generalized_state_rejects_non_finite_inputs(r, s, beta, message):
+    d = Digraph(2, ((0, 1), (1, 0)))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        initial_generalized_state(d, [0.1, 0.1], beta, r, s)
+
+
 # ---------------------------------------------------------------------------
 # spearman and the scatter pairs
 # ---------------------------------------------------------------------------
@@ -544,6 +566,13 @@ def test_spearman_ignores_a_one_ulp_move_within_a_tie():
             assert spearman(*((moved, b) if x is a else (a, moved))) == rho
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spearman_rejects_non_finite_input(bad):
+    for a, b in (([1.0, bad, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0]), ([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, bad, 3.0])):
+        with pytest.raises(ValueError, match="^inputs must be finite$"):
+            spearman(a, b)
+
+
 def test_fractional_ranks_match_scipy_bitwise():
     rng = np.random.default_rng(29)
     for trial in range(300):
@@ -573,3 +602,15 @@ def test_scatter_pairs_on_tree_and_cyclic_fixtures():
     w_star = exact_message_potentials(net, result.md)
     for exact, approx in zip(w_star, result.w_limits):
         assert approx <= exact + 1e-9
+
+
+@pytest.mark.parametrize("beta_t, message", [
+    ([np.nan, 0.0], r"beta\(t\) at t=0 must be finite"),
+    ([0.0], r"beta\(t\) at t=0 must have one entry per digraph node"),
+    ([0.0, 0.0, 0.0], r"beta\(t\) at t=0 must have one entry per digraph node"),
+])
+def test_run_generalized_checks_each_value_of_a_callable_beta(beta_t, message):
+    d = Digraph(2, ((0, 1), (1, 0)))
+    state = initial_generalized_state(d, [0.1, 0.1], lambda t: beta_t, [1.0, 1.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_generalized(state, 5)

@@ -39,6 +39,15 @@ def two_node_network():
 # ConductanceNetwork validation
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_network_rejects_non_finite_conductances(bad):
+    g = UndirectedGraph(3, ((1, 2), (0, 1)))
+    with pytest.raises(ValueError, match=rf"^conductance of edge 1-2 must be positive and finite, got {bad}$"):
+        ConductanceNetwork(g, np.array([1.0, bad]), np.full(3, 0.1))
+    with pytest.raises(ValueError, match=rf"^field conductances must be nonnegative and finite, got {bad} at node 1$"):
+        ConductanceNetwork(g, np.ones(2), np.array([0.1, bad, 0.1]))
+
+
 def test_network_reads_a_list_of_conductances_in_the_order_of_the_edges():
     g = UndirectedGraph(3, ((0, 1), (1, 2)))
     net = ConductanceNetwork(g, [2.0, 3.0], np.full(3, 0.1))
@@ -60,6 +69,36 @@ def test_weights_two_node_example():
     w = build_weights(two_node_network())
     assert w.arc_trust.tolist() == pytest.approx([1.0 / 1.04] * 2, abs=1e-15)  # entries (0, 1), (1, 0)
     assert w.field_trust[0] == pytest.approx(0.04 / 1.04, abs=1e-15)
+
+
+@pytest.mark.parametrize("arc, field, message", [
+    # trust 0 makes message passing divide 0 by 0; trust -1 sends every w to 2
+    (np.zeros(4), None, r"arc_trust\[0\] is 0.0: a trust must be finite and lie in \(0, 1\]"),
+    (np.full(4, -1.0), None, r"arc_trust\[0\] is -1.0: a trust must be finite and lie in \(0, 1\]"),
+    (None, np.array([0.5, np.nan, 0.5]), r"field_trust\[1\] is nan: a trust must be finite and lie in \[0, 1\]"),
+    (None, np.array([0.5, 0.5, 1.5]), r"field_trust\[2\] is 1.5: a trust must be finite and lie in \[0, 1\]"),
+    (np.ones(3), None, r"arc_trust must have shape \(4,\), got \(3,\)"),
+    (None, np.ones(2), r"field_trust must have shape \(3,\), got \(2,\)"),
+])
+def test_hand_built_weights_reject_bad_trust(arc, field, message):
+    w = build_weights(uniform_network(path_graph(3), GAMMA))
+    arc = w.arc_trust if arc is None else arc
+    field = w.field_trust if field is None else field
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        InfluenceWeights(w.graph, arc, field)
+
+
+@pytest.mark.parametrize("arc, field, message", [
+    # run_mpa used to converge on the first to estimates [1.6, 2.0, 1.6], the influence of no network
+    (np.ones(4), np.ones(3), r"^trusts of node 0 sum to 2\.0, not to 1$"),
+    (None, np.zeros(3), r"^trusts of node 0 sum to 0\.9615384615384615, not to 1$"),
+    (None, np.array([0.04 / 1.04, 0.04 / 2.04, 0.5]), r"^trusts of node 2 sum to 1\.4615384615384615, not to 1$"),
+])
+def test_hand_built_weights_reject_rows_that_do_not_sum_to_one(arc, field, message):
+    w = build_weights(uniform_network(path_graph(3), GAMMA))
+    arc = w.arc_trust if arc is None else arc
+    with pytest.raises(ValueError, match=message):
+        InfluenceWeights(w.graph, arc, field)
 
 
 def test_weights_of_wide_conductance_ranges_pass_the_row_sum_check():

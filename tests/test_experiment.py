@@ -36,14 +36,34 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # config validation
 # ---------------------------------------------------------------------------
 
+def _triangle_mpa(max_iter):
+    g = UndirectedGraph(3, ((0, 1), (0, 2), (1, 2)))
+    return run_mpa(g, build_weights(uniform_network(g, 0.04)), tol=0.0, max_iter=max_iter)
+
+
 def _two_cycle_steps(steps):
     d = Digraph(2, ((0, 1), (1, 0)))
     return run_generalized(initial_generalized_state(d, [0.1, 0.1], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]), steps)
 
 
+@pytest.mark.parametrize("call, value, message", [
+    (_triangle_mpa, 37.5, "max_iter must be an integer, got 37.5"),
+    (_triangle_mpa, "5", "max_iter must be an integer, got '5'"),
+    (lambda v: ExperimentConfig(n=v), 50.0, "n must be an integer, got 50.0"),
+    (lambda v: ExperimentConfig(extra_edges=v), 2.5, "extra_edges must be an integer, got 2.5"),
+    (lambda v: ExperimentConfig(seed=v), 1.5, "seed must be an integer, got 1.5"),
+    (lambda v: ExperimentConfig(max_iter=v), 100.5, "max_iter must be an integer, got 100.5"),
+    (lambda v: ExperimentConfig(max_iter=v), np.float64(3.0), "max_iter must be an integer, got np.float64(3.0)"),
+    (_two_cycle_steps, 2.5, "steps must be an integer, got 2.5"),
+    (_two_cycle_steps, -3, "steps must be nonnegative"),
+])
+def test_counts_must_be_integers(call, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
 def test_counts_take_numpy_integers_and_zero_steps_is_a_no_op(tmp_path):
-    triangle = UndirectedGraph(3, ((0, 1), (0, 2), (1, 2)))
-    assert run_mpa(triangle, build_weights(uniform_network(triangle, 0.04)), tol=0.0, max_iter=np.int64(3)).iterations == 3
+    assert _triangle_mpa(np.int64(3)).iterations == 3
     counts = dict(n=np.int32(16), extra_edges=np.uint8(3), seed=np.int64(7))
     save_report(run_experiment(ExperimentConfig(**{**SMALL_CFG, **counts})), tmp_path)
     assert json.loads((tmp_path / "report.json").read_text())["config"]["n"] == 16
@@ -52,6 +72,16 @@ def test_counts_take_numpy_integers_and_zero_steps_is_a_no_op(tmp_path):
     # the real settings are stored as float, which the report's JSON encoder takes
     cfg = ExperimentConfig(p=np.float32(0.5), gamma=1, tol=np.float64(0.0))
     assert [type(v) for v in (cfg.p, cfg.gamma, cfg.tol)] == [float] * 3
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+def test_negative_or_nan_tol_rejected(tol):
+    with pytest.raises(ValueError, match="^tol must be nonnegative and finite$"):
+        ExperimentConfig(tol=tol)
+    g = UndirectedGraph(2, ((0, 1),))
+    weights = build_weights(uniform_network(g, 0.04))
+    with pytest.raises(ValueError, match="^tol must be nonnegative and finite$"):
+        run_mpa(g, weights, tol=tol)
 
 
 # ---------------------------------------------------------------------------

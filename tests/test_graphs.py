@@ -44,6 +44,36 @@ def bfs_distances(g, source):
 # UndirectedGraph / Digraph containers
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("build, message", [
+    # the ends used to be read as one flat stream, which loses the pair boundaries
+    (lambda: Digraph(3, ((0, 1, 2), (1, 2, 0))), r"^arc \(0, 1, 2\) is not a pair of nodes$"),
+    (lambda: Digraph(3, ((0, 1, 2),)), r"^arc \(0, 1, 2\) is not a pair of nodes$"),
+    (lambda: Digraph(3, ((0, 1), [2])), r"^arc \[2\] is not a pair of nodes$"),
+    (lambda: Digraph(3, ((0, 1), ())), r"^arc \(\) is not a pair of nodes$"),
+    (lambda: UndirectedGraph(4, ((0, 1, 2), (2, 3, 0))), r"^edge \(0, 1, 2\) is not a pair of nodes$"),
+    (lambda: UndirectedGraph(3, ((0,),)), r"^edge \(0,\) is not a pair of nodes$"),
+    # node ids that are not integers used to be truncated or parsed, building edge 0-1 or 0-2
+    (lambda: UndirectedGraph(3, ((0.5, 1.7),)), r"^edge \(0\.5, 1\.7\) has a node id that is not an integer$"),
+    (lambda: Digraph(3, ((0.5, 1.7),)), r"^arc \(0\.5, 1\.7\) has a node id that is not an integer$"),
+    (lambda: UndirectedGraph(3, np.array([[0.5, 1.7]])), r"^edge array\(\[0\.5, 1\.7\]\) has a node id that is not an integer$"),
+    (lambda: UndirectedGraph(3, (("0", "2"),)), r"^edge \('0', '2'\) has a node id that is not an integer$"),
+    # the first offending pair in input order, whatever is wrong with it
+    (lambda: UndirectedGraph(3, ((0, 1), (1, 2.0), (0, 0))), r"^edge \(1, 2\.0\) has a node id that is not an integer$"),
+    (lambda: Digraph(3, ((0, 5), (0.5, 1), (0, 1, 2))), r"^arc 0->5 outside node range$"),
+    (lambda: Digraph(3, ((0, 1), (np.float64(0.0), 1))), r"^arc \(np\.float64\(0\.0\), 1\) has a node id that is not an integer$"),
+    # the node counts and the builders that start from them
+    (lambda: UndirectedGraph(0, ()), r"^node_count must be >= 1$"),
+    (lambda: erdos_renyi(0, 0.5, 1), r"^n must be >= 1$"),
+    (lambda: erdos_renyi(3, 1.5, 1), r"^p must lie in \[0, 1\]$"),
+    (lambda: add_extra_edges(path_graph(3), path_graph(4), 0, 1), r"^tree and pool must share the same node set$"),
+    (lambda: add_extra_edges(path_graph(3), UndirectedGraph(3, ((0, 1), (0, 2))), 0, 1),
+     r"^tree edges must be a subset of pool edges$"),
+])
+def test_graphs_reject_pairs_of_the_wrong_length(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_graph_normalizes_edge_order():
     g = UndirectedGraph(3, ((2, 0), (1, 0)))
     assert g.edges == ((0, 1), (0, 2))
@@ -53,6 +83,18 @@ def test_graph_normalizes_edge_order():
     # node counts are stored as int, as ExperimentConfig stores its counts
     assert type(UndirectedGraph(np.int64(3), g.edges).node_count) is int
     assert type(Digraph(np.uint8(2), ((0, 1),)).node_count) is int
+
+
+@pytest.mark.parametrize("v, message", [
+    (-1, r"^node -1 outside node range$"),
+    (3, r"^node 3 outside node range$"),
+    (1.0, r"^node 1\.0 is not an integer node id$"),
+    ("1", r"^node '1' is not an integer node id$"),
+])
+def test_degree_rejects_a_node_outside_the_graph(v, message):
+    # -1 is a valid numpy index, so only the range check refuses it
+    with pytest.raises(ValueError, match=message):
+        path_graph(3).degree(v)
 
 
 def test_digraph_derives_its_arcs_tuple_when_read():

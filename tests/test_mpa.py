@@ -138,6 +138,14 @@ def test_run_mpa_past_fixed_w_matches_bincount_reference_bitwise():
 # run_mpa
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("max_iter", [0, -3])
+def test_run_rejects_nonpositive_max_iter(max_iter):
+    g = path_graph(3)
+    _, w, _ = setup(g)
+    with pytest.raises(ValueError, match="^max_iter must be positive$"):
+        run_mpa(g, w, max_iter=max_iter)
+
+
 def test_steps_reject_weights_of_another_graph():
     # a path and a star on 4 nodes both have 6 messages
     path, star = path_graph(4), UndirectedGraph(4, ((0, 1), (0, 2), (0, 3)))

@@ -29,6 +29,12 @@ def test_step_two_node_first_update():
     assert st.t == 1
 
 
+@pytest.mark.parametrize("leader", [-1, 3])
+def test_initial_state_rejects_leader_outside_range(leader):
+    with pytest.raises(ValueError, match=f"^leader {leader} outside node range$"):
+        initial_state(3, leader)
+
+
 def test_initial_state_reads_its_leader_as_a_node_id():
     # as grounded_laplacian_solve does: True is node 1, and 1.0 is refused rather than truncated (BAD_CALLS)
     st = initial_state(3, True)
